@@ -88,6 +88,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _grid_points(text: str) -> int:
+    value = _positive_int(text)
+    if value < 4 or value % 2:
+        raise argparse.ArgumentTypeError(f"expected an even integer >= 4, got {text!r}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if value <= 0:
@@ -119,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", type=Path,
                        help="output directory (created if missing; default: current)")
         if grid:
-            p.add_argument("--grid", type=_positive_int, default=None, metavar="N",
+            p.add_argument("--grid", type=_grid_points, default=None, metavar="N",
                            help="points per axis (default: the spec's hint)")
             p.add_argument("--box", type=_positive_float, default=None, metavar="L",
                            help="box scale: the domain is [-pi L, pi L)^n")
@@ -416,7 +423,10 @@ def cmd_report(args) -> int:
         verdicts["solve"] = bool(ok)
     if "smoothing" in components:
         doc = components["smoothing"]
-        verdicts["smoothing"] = bool(doc.get("orders"))
+        reliable = any(order.get("reliable") for order in doc.get("orders", []))
+        scale = doc.get("empirical_L")
+        verdicts["smoothing"] = (reliable and isinstance(scale, (int, float))
+                                 and bool(np.isfinite(scale)))
 
     headline = {}
     if "check" in components:

@@ -22,7 +22,9 @@ direction).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -77,6 +79,11 @@ class Preset:
 
     kind = "abstract"
 
+    @property
+    def is_zero(self) -> bool:
+        """Whether the preset is known to vanish identically (a zero constant)."""
+        return False
+
     def evaluate(self, grid: TorusGrid) -> np.ndarray:
         raise NotImplementedError
 
@@ -108,7 +115,7 @@ class ConstantPreset(Preset):
         return {"kind": self.kind, "value": float(self.value)}
 
     @property
-    def is_zero(self):
+    def is_zero(self) -> bool:
         return self.value == 0.0
 
 
@@ -256,13 +263,23 @@ def preset_from_json(doc) -> Preset:
     cls = _PRESETS.get(kind)
     if cls is None:
         raise ProblemSpecError(f"unknown preset kind {kind!r}")
-    params = {k: v for k, v in doc.items() if k != "kind"}
-    if "center" in params:
-        params["center"] = tuple(float(c) for c in params["center"])
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     try:
-        return cls(**params)
-    except TypeError as exc:
+        params = {k: _parameter(defaults[k], v) for k, v in doc.items() if k != "kind"}
+    except KeyError as exc:
+        raise ProblemSpecError(f"bad parameters for preset {kind!r}: unknown field {exc}") from None
+    except (TypeError, ValueError) as exc:
         raise ProblemSpecError(f"bad parameters for preset {kind!r}: {exc}") from exc
+    return cls(**params)
+
+
+def _parameter(default, value):
+    """One preset parameter converted to the type of its field's default."""
+    if isinstance(default, tuple):
+        return tuple(float(c) for c in value)
+    if isinstance(default, int):
+        return operator.index(value)
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +368,7 @@ class ProblemSpec:
         return TorusGrid(self.n, int(N), float(L))
 
     def has_lower_order_terms(self) -> bool:
-        def nonzero(p):
-            return not (isinstance(p, ConstantPreset) and p.is_zero)
-
-        return any(nonzero(p) for p in self.b) or nonzero(self.b0) or nonzero(self.g)
+        return not all(p.is_zero for p in (*self.b, self.b0, self.g))
 
     # -- serialization --------------------------------------------------------
 
@@ -408,23 +422,31 @@ class ProblemSpec:
             blocks = tuple(_fraction_matrix(block, "blocks") for block in blocks)
         if not isinstance(doc["b"], list):
             raise ProblemSpecError("b must be a list of presets, one per diffused axis")
+        try:
+            n, m0 = int(doc["n"]), int(doc["m0"])
+            s, T, Lambda = float(doc["s"]), float(doc["T"]), float(doc["Lambda"])
+            N = int(grid["N"]) if "N" in grid else None
+            L = float(grid["L"]) if "L" in grid else None
+        except (TypeError, ValueError) as exc:
+            raise ProblemSpecError(f"n, m0, s, T, Lambda and the grid hint must be numbers: "
+                                   f"{exc}") from exc
         return cls(
             name=str(doc["name"]),
-            n=int(doc["n"]),
-            m0=int(doc["m0"]),
+            n=n,
+            m0=m0,
             B=_fraction_matrix(doc["B"], "B"),
             delta=delta,
-            s=float(doc["s"]),
-            T=float(doc["T"]),
-            Lambda=float(doc["Lambda"]),
+            s=s,
+            T=T,
+            Lambda=Lambda,
             a=preset_from_json(doc["a"]),
             b=tuple(preset_from_json(p) for p in doc["b"]),
             b0=preset_from_json(doc["b0"]),
             g=preset_from_json(doc["g"]),
             u0=preset_from_json(doc["u0"]),
             blocks=blocks,
-            N=int(grid["N"]) if "N" in grid else None,
-            L=float(grid["L"]) if "L" in grid else None,
+            N=N,
+            L=L,
         )
 
     def dumps(self) -> str:

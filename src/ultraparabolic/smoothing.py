@@ -38,7 +38,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import factorial, lgamma
+from math import factorial, lgamma, prod
 
 import numpy as np
 
@@ -138,13 +138,32 @@ class DerivativeRecord:
 
 
 def _mode_data(source):
-    """(frequency(ax) callable, frequency_sq array, |coefficients|) of a snapshot."""
+    """(per-axis frequency arrays, |xi|^2, |c|) of one snapshot.
+
+    A ledger gives its modes' true frequencies e^{-tB} xi, a grid field the
+    lattice frequencies; smoothing_profile builds the triple once per snapshot
+    and measures every derivative order on it.
+    """
     if isinstance(source, ModeLedger):
-        return source.frequency, source.frequency_sq(), np.abs(source.coefficients)
-    if isinstance(source, SpectralField):
-        grid = source.grid
-        return grid.frequency, grid.frequency_sq, np.abs(source.coeffs)
-    raise TypeError(f"expected SpectralField or ModeLedger, got {type(source).__name__}")
+        freqs, coeffs = source.frequencies(), source.coefficients
+    elif isinstance(source, SpectralField):
+        freqs, coeffs = [source.grid.frequency(ax) for ax in range(source.grid.n)], source.coeffs
+    else:
+        raise TypeError(f"expected SpectralField or ModeLedger, got {type(source).__name__}")
+    return freqs, sum(f**2 for f in freqs), np.abs(coeffs)
+
+
+def _norm_of_modes(modes, alpha, s: float) -> DerivativeRecord:
+    freqs, xi_sq, amplitudes = modes
+    multiplier = (1.0 + xi_sq) ** (s / 2.0) if s != 0 else np.ones_like(xi_sq)
+    for ax, a in enumerate(alpha):
+        if a:
+            multiplier = multiplier * np.abs(freqs[ax]) ** int(a)
+    value = float(np.linalg.norm(multiplier * amplitudes))
+    floor = _NOISE_FACTOR * np.finfo(float).eps * float(multiplier.max()) * float(
+        np.linalg.norm(amplitudes)
+    )
+    return DerivativeRecord(alpha=tuple(int(a) for a in alpha), value=value, floor=floor)
 
 
 def derivative_norm(source, alpha, s: float) -> DerivativeRecord:
@@ -155,16 +174,7 @@ def derivative_norm(source, alpha, s: float) -> DerivativeRecord:
     frequencies, so ledger input stays exact for off-lattice modes at any
     order.  The floor is 1000 * eps * (max multiplier) * ||c||.
     """
-    frequency, frequency_sq, amplitudes = _mode_data(source)
-    multiplier = (1.0 + frequency_sq) ** (s / 2.0) if s != 0 else np.ones_like(frequency_sq)
-    for ax, a in enumerate(alpha):
-        if a:
-            multiplier = multiplier * np.abs(frequency(ax)) ** int(a)
-    value = float(np.linalg.norm(multiplier * amplitudes))
-    floor = _NOISE_FACTOR * np.finfo(float).eps * float(multiplier.max()) * float(
-        np.linalg.norm(amplitudes)
-    )
-    return DerivativeRecord(alpha=tuple(int(a) for a in alpha), value=value, floor=floor)
+    return _norm_of_modes(_mode_data(source), alpha, s)
 
 
 @dataclass(frozen=True)
@@ -290,10 +300,9 @@ class SmoothingReport:
         }
 
 
-def _snapshot_source(solution: TrajectorySolution, i: int):
-    if solution.mode_ledgers is not None:
-        return solution.mode_ledgers[i]
-    return solution.fields[i]
+def _multi_factorial(alpha) -> int:
+    """alpha! = prod_j alpha_j!"""
+    return prod(factorial(a) for a in alpha)
 
 
 def smoothing_profile(solution: TrajectorySolution, spec: ProblemSpec, d_max: int = 8,
@@ -321,55 +330,44 @@ def smoothing_profile(solution: TrajectorySolution, spec: ProblemSpec, d_max: in
         raise ValueError(f"no snapshots at or after t_min = {t_min}")
     n = solution.grid.n
     axes = selector.resolved_axes(n)
-    factorial_ok = True
+    alphas = [selector.indices(n, d) for d in range(d_max + 1)]
+    factorial_ok = all(
+        factorial(d) <= (2**n) ** (d + 1) * _multi_factorial(alpha)
+        for d in range(d_max + 1) for alpha in alphas[d]
+    )
     domination_ok = True
-    orders = []
-    for d in range(d_max + 1):
-        alphas = selector.indices(n, d)
-        for alpha in alphas:
-            norm_factor = 1
-            for a in alpha:
-                norm_factor *= factorial(a)
-            if factorial(d) > (2**n) ** (d + 1) * norm_factor:
-                factorial_ok = False
-        best = None
-        raw_best = None
-        for i in usable:
-            t = float(times[i])
+    best = [None] * (d_max + 1)      # (weighted value, t, alpha, reliable)
+    raw_best = [None] * (d_max + 1)  # (value, t)
+    sources = solution.mode_ledgers or solution.fields
+    # snapshot-outer: each snapshot's frequencies are built once, then dropped
+    for i in usable:
+        t = float(times[i])
+        modes = _mode_data(sources[i])
+        for d in range(d_max + 1):
             weight = t ** (kappa * d)
-            source = _snapshot_source(solution, i)
             axis_records = {}
             if selector.strategy == "full" and d > 0:
                 for ax in axes:
                     pure = tuple(d if j == ax else 0 for j in range(n))
-                    axis_records[pure] = derivative_norm(source, pure, s)
-            for alpha in alphas:
-                rec = axis_records.get(alpha) or derivative_norm(source, alpha, s)
+                    axis_records[pure] = _norm_of_modes(modes, pure, s)
+            for alpha in alphas[d]:
+                rec = axis_records.get(alpha) or _norm_of_modes(modes, alpha, s)
                 if axis_records and alpha not in axis_records:
                     bound = sum(axis_records[a].value for a in axis_records)
                     if rec.value > bound * (1.0 + 1e-12):
                         domination_ok = False
-                norm_factor = 1.0
-                for a in alpha:
-                    norm_factor *= factorial(a)
-                entry = (weight * rec.value / norm_factor, t, alpha, rec.reliable)
-                if best is None or entry[0] > best[0]:
-                    best = entry
-                if raw_best is None or rec.value > raw_best[0]:
-                    raw_best = (rec.value, t)
-        supremum, t_arg, alpha_arg, reliable = best
-        orders.append(
-            OrderRecord(
-                d=d,
-                supremum=supremum,
-                scale=supremum ** (1.0 / (d + 1)),
-                argmax_time=t_arg,
-                argmax_alpha=alpha_arg,
-                raw_supremum=raw_best[0],
-                raw_argmax_time=raw_best[1],
-                reliable=reliable,
-            )
-        )
+                entry = (weight * rec.value / _multi_factorial(alpha), t, alpha, rec.reliable)
+                if best[d] is None or entry[0] > best[d][0]:
+                    best[d] = entry
+                if raw_best[d] is None or rec.value > raw_best[d][0]:
+                    raw_best[d] = (rec.value, t)
+        del modes
+    orders = tuple(
+        OrderRecord(d=d, supremum=sup, scale=sup ** (1.0 / (d + 1)), argmax_time=t_arg,
+                    argmax_alpha=alpha_arg, raw_supremum=raw[0], raw_argmax_time=raw[1],
+                    reliable=reliable)
+        for d, ((sup, t_arg, alpha_arg, reliable), raw) in enumerate(zip(best, raw_best))
+    )
     if not any(rec.reliable for rec in orders):
         raise EmptyReportError(
             f"all derivative orders up to {d_max} sit below the round-off noise floor"
@@ -388,7 +386,7 @@ def smoothing_profile(solution: TrajectorySolution, spec: ProblemSpec, d_max: in
         grid_L=solution.grid.L,
         strategy=selector.strategy,
         axes=axes,
-        orders=tuple(orders),
+        orders=orders,
         fit=None,
         fit_error=None,
         axis_domination_verified=domination_ok,

@@ -14,7 +14,8 @@ snapshots on one grid):
   acyclic (then e^{-tB} is unit-triangular in topological order).  Up to
   floating round-off and spectral tails, the snapshots are the exact solution
   samples, so the route also satisfies the semigroup property to near machine
-  precision.
+  precision.  Each snapshot also carries a ModeLedger whose frequencies()
+  give every mode's true frequency e^{-tB} xi.
 
 * solve_fd -- theta-method IMEX finite differences on the same box with zero
   Dirichlet data: diffusion (second-order central) is treated implicitly via
@@ -42,6 +43,7 @@ from scipy.sparse.linalg import splu
 
 from .problems import ConstantPreset, ProblemSpec, coercivity_check
 from .sobolev import SpectralField, TorusGrid, hs_norm
+from .vfalgebra import _matmul
 
 __all__ = [
     "SolverError",
@@ -85,6 +87,22 @@ class CoercivityError(SolverError):
         super().__init__(report.message())
 
 
+def _row_combinations(M: np.ndarray, arrays, rows):
+    """Yield sum_j M[r, j] * arrays[j] for each r in rows, one row at a time.
+
+    Zero entries of M are skipped.  This is the one place where a drift
+    matrix meets per-axis arrays: the transformed frequencies e^{-tB} xi, the
+    phase shifts of the exact transport, and the speeds sum_k B[k, j] x_k.
+    """
+    shape = np.broadcast_shapes(*(np.shape(a) for a in arrays))
+    for r in rows:
+        out = np.zeros(shape)
+        for j, c in enumerate(M[r]):
+            if c != 0.0:
+                out += c * arrays[j]
+        yield out
+
+
 @dataclass(frozen=True)
 class ModeLedger:
     """Exact per-mode content of one snapshot from the characteristics route.
@@ -97,7 +115,7 @@ class ModeLedger:
     dominated by the spreading rather than by the solution.  The ledger keeps
     the evolution in its native form: `coefficients[idx]` is the damped
     amplitude of the mode at initial lattice index idx, and its true frequency
-    along axis ax is `frequency(ax)[idx]` = sum_j matrix[ax, j] * xi_j(idx).
+    along axis ax is `frequencies()[ax][idx]` = sum_j matrix[ax, j] * xi_j(idx).
     Weighted mode sums computed from the ledger are exact at any order.
     """
 
@@ -105,19 +123,10 @@ class ModeLedger:
     matrix: np.ndarray
     coefficients: np.ndarray
 
-    def frequency(self, ax: int) -> np.ndarray:
-        """True frequency along `ax` of each mode, broadcast over the lattice."""
-        out = np.zeros(self.grid.shape)
-        for j in range(self.grid.n):
-            if self.matrix[ax, j] != 0.0:
-                out = out + self.matrix[ax, j] * self.grid.frequency(j)
-        return out
-
-    def frequency_sq(self) -> np.ndarray:
-        total = np.zeros(self.grid.shape)
-        for ax in range(self.grid.n):
-            total += self.frequency(ax) ** 2
-        return total
+    def frequencies(self) -> list:
+        """True frequency of each mode along every axis, broadcast over the lattice."""
+        freqs = [self.grid.frequency(j) for j in range(self.grid.n)]
+        return list(_row_combinations(self.matrix, freqs, range(self.grid.n)))
 
 
 @dataclass(frozen=True)
@@ -177,10 +186,7 @@ def _nilpotent_powers(B: tuple, n: int) -> list:
         if all(x == 0 for row in M for x in row):
             break
         powers.append(M)
-        M = tuple(
-            tuple(sum(M[i][k] * current[k][j] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
+        M = _matmul(M, current)
     else:
         if not all(x == 0 for row in M for x in row):
             raise SolverError("drift matrix is not nilpotent; exact transport unavailable")
@@ -232,24 +238,21 @@ def _axis_order(B: tuple) -> list:
 # exact route
 
 
-def _is_zero_preset(p) -> bool:
-    return isinstance(p, ConstantPreset) and p.value == 0.0
-
-
 def _exact_route_supported(spec: ProblemSpec):
+    """None when the exact route applies, else the reason it does not."""
     if not isinstance(spec.a, ConstantPreset):
         return "variable diffusion coefficient"
-    if not all(_is_zero_preset(p) for p in spec.b):
+    if not all(p.is_zero for p in spec.b):
         return "first-order transport coefficients b"
-    if not _is_zero_preset(spec.b0):
+    if not spec.b0.is_zero:
         return "zeroth-order coefficient b0"
-    if not _is_zero_preset(spec.g):
+    if not spec.g.is_zero:
         return "nonzero source term g"
+    try:
+        _axis_order(spec.B)
+    except SolverError:
+        return "a drift whose coupling digraph has a cycle"
     return None
-
-
-def _mode_meshes(grid: TorusGrid) -> list:
-    return [grid.frequency(ax) * grid.L for ax in range(grid.n)]
 
 
 def _damping_exponent(grid, powers, m0, t, quad_order) -> np.ndarray:
@@ -262,12 +265,7 @@ def _damping_exponent(grid, powers, m0, t, quad_order) -> np.ndarray:
     freqs = [grid.frequency(ax) for ax in range(grid.n)]
     total = np.zeros(grid.shape)
     for tau, w in zip(taus, ws):
-        M = _matrix_exponential(powers, -tau)
-        for ax in range(m0):
-            y = np.zeros(grid.shape)
-            for j in range(grid.n):
-                if M[ax, j] != 0.0:
-                    y = y + M[ax, j] * freqs[j]
+        for y in _row_combinations(_matrix_exponential(powers, -tau), freqs, range(m0)):
             total += w * y**2
     return total
 
@@ -277,13 +275,10 @@ def _transport(grid, coeffs, powers, order, t) -> np.ndarray:
     if t == 0.0:
         return coeffs.copy()
     M = _matrix_exponential(powers, -t)
-    modes = _mode_meshes(grid)
+    np.fill_diagonal(M, 0.0)  # each axis is shifted by the other axes' modes
+    modes = [grid.frequency(ax) * grid.L for ax in range(grid.n)]
     out = coeffs
-    for ax in order:
-        shift = np.zeros(grid.shape)
-        for j in range(grid.n):
-            if j != ax and M[ax, j] != 0.0:
-                shift = shift + M[ax, j] * modes[j]
+    for ax, shift in zip(order, _row_combinations(M, modes, order)):
         if not np.any(shift):
             continue
         values = np.fft.ifft(out, axis=ax)
@@ -296,9 +291,9 @@ def solve_exact(spec: ProblemSpec, grid: TorusGrid | None = None, times=None,
                 u0: SpectralField | None = None) -> TrajectorySolution:
     """Characteristics solution sampled on the grid at the requested times.
 
-    Requires b = b0 = g = 0 and constant a; the drift coupling digraph must be
-    acyclic.  `u0` overrides the spec's initial preset (used for semigroup
-    restarts).
+    Requires b = b0 = g = 0, constant a and an acyclic drift coupling digraph
+    (see _exact_route_supported).  `u0` overrides the spec's initial preset
+    (used for semigroup restarts).
     """
     reason = _exact_route_supported(spec)
     if reason is not None:
@@ -333,6 +328,21 @@ def solve_exact(spec: ProblemSpec, grid: TorusGrid | None = None, times=None,
 
 # ---------------------------------------------------------------------------
 # finite-difference route
+
+
+def _transport_speeds(spec: ProblemSpec, grid: TorusGrid):
+    """Yield (axis j, speed) for each axis whose transport speed is not zero.
+
+    The speed along axis j is the drift column sum_k B[k, j] x_k plus the
+    first-order coefficient b_j on diffused axes.  Speeds come one axis at a
+    time, so a caller that uses each once never holds them all.
+    """
+    coords = [grid.coordinate(k) for k in range(grid.n)]
+    for j, w in enumerate(_row_combinations(spec.B_float().T, coords, range(grid.n))):
+        if j < spec.m0 and not spec.b[j].is_zero:
+            w = w + spec.b[j].evaluate(grid)
+        if np.any(w):
+            yield j, w
 
 
 def _shifted(u: np.ndarray, axis: int, offset: int) -> np.ndarray:
@@ -426,22 +436,9 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     h = grid.spacing
     n, m0, N = spec.n, spec.m0, grid.N
 
-    # transport speed per axis: drift columns plus the first-order coefficients
-    Bf = spec.B_float()
-    speeds = {}
-    for j in range(n):
-        w = np.zeros(grid.shape)
-        for k in range(n):
-            if Bf[k, j] != 0.0:
-                w = w + Bf[k, j] * grid.coordinate(k)
-        if j < m0:
-            bj = spec.b[j]
-            if not _is_zero_preset(bj):
-                w = w + bj.evaluate(grid)
-        if np.any(w):
-            speeds[j] = w
-    b0_vals = None if _is_zero_preset(spec.b0) else spec.b0.evaluate(grid)
-    g_vals = None if _is_zero_preset(spec.g) else spec.g.evaluate(grid)
+    speeds = dict(_transport_speeds(spec, grid))
+    b0_vals = None if spec.b0.is_zero else spec.b0.evaluate(grid)
+    g_vals = None if spec.g.is_zero else spec.g.evaluate(grid)
     a_vals = spec.a.evaluate(grid)
 
     total_speed = np.zeros(grid.shape)
@@ -548,17 +545,9 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
 
 def solve_auto(spec: ProblemSpec, grid=None, dt=None, times=None) -> TrajectorySolution:
     """Exact route when the spec allows it, finite differences otherwise."""
-    if _exact_route_supported(spec) is None and _acyclic(spec.B):
+    if _exact_route_supported(spec) is None:
         return solve_exact(spec, grid=grid, times=times)
     return solve_fd(spec, grid=grid, dt=dt, times=times)
-
-
-def _acyclic(B) -> bool:
-    try:
-        _axis_order(B)
-        return True
-    except SolverError:
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -594,11 +583,9 @@ def residual_series(solution: TrajectorySolution, spec: ProblemSpec) -> Residual
     grid = solution.grid
     if grid.n != spec.n:
         raise SolverError("solution grid does not match the spec dimension")
-    Bf = spec.B_float()
     a_vals = spec.a.evaluate(grid)
-    b_vals = [None if _is_zero_preset(p) else p.evaluate(grid) for p in spec.b]
-    b0_vals = None if _is_zero_preset(spec.b0) else spec.b0.evaluate(grid)
-    g_vals = None if _is_zero_preset(spec.g) else spec.g.evaluate(grid)
+    b0_vals = None if spec.b0.is_zero else spec.b0.evaluate(grid)
+    g_vals = None if spec.g.is_zero else spec.g.evaluate(grid)
 
     out_times, out_values = [], []
     coeff_stack = [f.coeffs for f in solution.fields]
@@ -611,17 +598,10 @@ def residual_series(solution: TrajectorySolution, spec: ProblemSpec) -> Residual
         u = solution.fields[i]
         grads = [u.partial_derivative(tuple(int(j == ax) for j in range(grid.n))).grid_values()
                  for ax in range(grid.n)]
-        for k in range(grid.n):
-            for j in range(grid.n):
-                if Bf[k, j] != 0.0:
-                    residual = residual + Bf[k, j] * grid.coordinate(k) * grads[j]
-        for ax in range(spec.m0):
-            if b_vals[ax] is not None:
-                residual = residual + b_vals[ax] * grads[ax]
-        u_grid = None
+        for j, w in _transport_speeds(spec, grid):
+            residual = residual + w * grads[j]
         if b0_vals is not None:
-            u_grid = u.grid_values()
-            residual = residual + b0_vals * u_grid
+            residual = residual + b0_vals * u.grid_values()
         for ax in range(spec.m0):
             alpha = tuple(2 * int(j == ax) for j in range(grid.n))
             residual = residual - a_vals * u.partial_derivative(alpha).grid_values()
@@ -668,7 +648,7 @@ def energy_check(solution: TrajectorySolution, spec: ProblemSpec,
         [[0.0], np.cumsum(0.5 * (dissipation[1:] + dissipation[:-1]) * np.diff(times))]
     )
     energy = norms_sq + integral / float(spec.Lambda)
-    if _is_zero_preset(spec.g):
+    if spec.g.is_zero:
         source = 0.0
     else:
         g_norm = hs_norm(SpectralField.from_grid_values(grid, spec.g.evaluate(grid)), s)

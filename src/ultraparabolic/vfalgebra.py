@@ -268,23 +268,11 @@ class RationalPolyVectorField:
     # -- constructors ----------------------------------------------------------
 
     @classmethod
-    def zero(cls, n):
-        z = RationalPoly.zero(n)
-        return cls(n, (z,) * n)
-
-    @classmethod
     def coordinate(cls, n, p):
         """The derivation d/dx_p."""
         comps = [RationalPoly.zero(n) for _ in range(n)]
         comps[p] = RationalPoly.constant(n, 1)
         return cls(n, comps)
-
-    @classmethod
-    def constant(cls, row):
-        """Constant-coefficient field ``sum_j row[j] d_j``."""
-        row = tuple(as_fraction(x) for x in row)
-        n = len(row)
-        return cls(n, tuple(RationalPoly.constant(n, x) for x in row))
 
     @classmethod
     def drift(cls, B):
@@ -303,12 +291,6 @@ class RationalPolyVectorField:
                 })
             )
         return cls(n, comps)
-
-    @classmethod
-    def first_order(cls, coefficients, zeroth=None):
-        """Field from explicit polynomial coefficients (used by problem specs)."""
-        coefficients = tuple(coefficients)
-        return cls(len(coefficients), coefficients, zeroth)
 
     # -- actions ----------------------------------------------------------------
 
@@ -419,9 +401,6 @@ class BracketTower:
     r: int
     rows: tuple  # rows[p][q] -> tuple[Fraction, ...]
     drift_matrix: tuple  # the matrix defining X, kept for downstream use
-
-    def field(self, p: int, q: int) -> RationalPolyVectorField:
-        return RationalPolyVectorField.constant(self.rows[p][q])
 
     def drift_field(self) -> RationalPolyVectorField:
         return RationalPolyVectorField.drift(self.drift_matrix)

@@ -73,6 +73,29 @@ def test_missing_spec_exits_with_io_code(tmp_path):
                "--out", str(tmp_path)) == EXIT_IO
 
 
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("overrides, grid", [
+    ({}, "5"),
+    ({"n": "two"}, None),
+    ({"T": "soon"}, None),
+    ({"a": {"kind": "constant", "value": "x"}}, None),
+    ({"u0": {"kind": "gaussian", "width": 0.5, "center": 5}}, None),
+    ({"a": {"kind": "linear", "axis": "first"}}, None),
+])
+def test_bad_input_exits_with_io_code(tmp_path, overrides, grid):
+    spec = write_spec(tmp_path, **overrides)
+    argv = ["solve", "--spec", str(spec), "--out", str(tmp_path)]
+    if grid is not None:
+        argv += ["--grid", grid]
+    assert _exit_code(argv) == EXIT_IO
+
+
 def test_malformed_json_exits_with_io_code(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{ not json", encoding="utf-8")
@@ -279,6 +302,20 @@ def test_report_flags_failed_component(tmp_path):
     assert run("report", "--spec", str(spec), "--out", str(tmp_path)) == EXIT_CONDITION
     doc = json.loads((tmp_path / "flat.report.json").read_text())
     assert doc["verdicts"]["check"] is False and doc["all_passed"] is False
+
+
+def test_report_fails_smoothing_without_reliable_orders(tmp_path):
+    spec = write_spec(tmp_path)
+    assert run("smoothing", "--spec", str(spec), "--out", str(tmp_path),
+               "--dmax", "3", "--tgrid", "5") == EXIT_OK
+    path = tmp_path / "toy.smoothing.json"
+    doc = json.loads(path.read_text())
+    for order in doc["orders"]:
+        order["reliable"] = False
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run("report", "--spec", str(spec), "--out", str(tmp_path)) == EXIT_CONDITION
+    report = json.loads((tmp_path / "toy.report.json").read_text())
+    assert report["verdicts"]["smoothing"] is False
 
 
 def test_report_with_no_artifacts_is_an_io_error(tmp_path):

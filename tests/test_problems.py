@@ -52,6 +52,13 @@ def test_constant_preset():
     assert ConstantPreset(0.0).depends_axes(2) == frozenset()
 
 
+def test_only_a_zero_constant_preset_is_zero():
+    assert ConstantPreset(0.0).is_zero and not ConstantPreset(1e-300).is_zero
+    for p in (SinPerturbPreset(), GaussianPreset(), LinearPreset(),
+              LowRegularityPreset()):
+        assert not p.is_zero
+
+
 def test_sin_perturb_matches_formula():
     grid = TorusGrid(2, 16, L=2.0)
     p = SinPerturbPreset(axis=1, amplitude=0.25, base=1.0)

@@ -2,6 +2,7 @@
 quadrature, weighted suprema bookkeeping, reliability flags, and Gevrey fits.
 """
 
+import dataclasses
 import math
 from math import factorial
 
@@ -19,6 +20,7 @@ from ultraparabolic.smoothing import (
     fit_gevrey_sequence,
     gevrey_fit,
     smoothing_profile,
+    _mode_data,
 )
 from ultraparabolic.sobolev import SpectralField, TorusGrid, hs_norm
 from ultraparabolic.solver import ModeLedger, TrajectorySolution, solve_exact
@@ -134,8 +136,23 @@ def test_ledger_norm_uses_true_frequencies():
     xi1 = k[1] / grid.L
     rec = derivative_norm(ledger, (3, 1), 0.0)
     assert rec.value == pytest.approx(abs(xi0) ** 3 * abs(xi1), rel=1e-13)
-    assert np.allclose(ledger.frequency(0), grid.frequency(0) - t * grid.frequency(1))
-    assert np.allclose(ledger.frequency_sq(), ledger.frequency(0) ** 2 + ledger.frequency(1) ** 2)
+    freqs = ledger.frequencies()
+    assert len(freqs) == 2
+    assert np.allclose(freqs[0], grid.frequency(0) - t * grid.frequency(1))
+    assert np.allclose(freqs[1], grid.frequency(1))
+    _, frequency_sq, _ = _mode_data(ledger)
+    assert np.allclose(frequency_sq, freqs[0] ** 2 + freqs[1] ** 2)
+
+    # length-3 chain: e^{-tB} row 0 = (1, -t, t^2/2) carries the quadratic term
+    spec = load_builtin("chain3")
+    grid = TorusGrid(3, 8, 2.0)
+    ledger = solve_exact(spec, grid, times=[t]).mode_ledgers[0]
+    assert ledger.matrix[0, 2] == pytest.approx(0.5 * t**2, rel=1e-15)
+    xi = [grid.frequency(ax) for ax in range(3)]
+    freqs = ledger.frequencies()
+    assert np.allclose(freqs[0], xi[0] - t * xi[1] + 0.5 * t**2 * xi[2], rtol=0, atol=1e-14)
+    assert np.allclose(freqs[1], xi[1] - t * xi[2], rtol=0, atol=1e-14)
+    assert np.array_equal(freqs[2], xi[2])
 
 
 def test_heat_derivative_norms_match_gaussian_quadrature():
@@ -248,6 +265,57 @@ def test_profile_supremum_is_max_of_weighted_records():
         for alpha in ((3, 0), (0, 3))
     )
     assert rep.orders[d].supremum == pytest.approx(expected, rel=1e-14)
+
+
+def _profile_by_definition(sol, spec, d_max, selector, s):
+    """(best weighted entry, best raw entry) per order, straight from the definition."""
+    kappa = float(spec.delta) + 2 * spec.tower().r
+    t_min = float(sol.times[-1]) / 100.0
+    usable = [i for i, t in enumerate(sol.times) if t >= t_min and t > 0]
+    sources = sol.mode_ledgers if sol.mode_ledgers is not None else sol.fields
+    out = []
+    for d in range(d_max + 1):
+        best = raw = None
+        for i in usable:
+            t = float(sol.times[i])
+            for alpha in selector.indices(spec.n, d):
+                rec = derivative_norm(sources[i], alpha, s)
+                weighted = t ** (kappa * d) * rec.value / math.prod(factorial(a) for a in alpha)
+                if best is None or weighted > best[0]:
+                    best = (weighted, t, alpha, rec.reliable)
+                if raw is None or rec.value > raw[0]:
+                    raw = (rec.value, t)
+        out.append((best, raw))
+    return out
+
+
+@pytest.mark.parametrize("name", ["kolmogorov2d", "chain3"])
+@pytest.mark.parametrize("strategy", ["axis", "full"])
+@pytest.mark.parametrize("source", ["ledger", "grid"])
+def test_profile_equals_its_definition(name, strategy, source):
+    spec = load_builtin(name)
+    grid = TorusGrid(spec.n, 16, 2.0)
+    times = np.linspace(spec.T / 100, spec.T, 5)
+    sol = solve_exact(spec, grid, times=times)
+    # repeat the first snapshot at a later time: exact ties that only the
+    # snapshot visiting order breaks
+    dup = np.array([times[0], (times[0] + times[1]) / 2, *times[1:]])
+    pick = [0, 0, 1, 2, 3, 4]
+    sol = dataclasses.replace(
+        sol, times=dup, fields=tuple(sol.fields[i] for i in pick),
+        mode_ledgers=(tuple(sol.mode_ledgers[i] for i in pick)
+                      if source == "ledger" else None))
+    selector = DerivativeSelector(strategy)
+    rep = smoothing_profile(sol, spec, d_max=4, selector=selector, s=-0.5)
+    expected = _profile_by_definition(sol, spec, 4, selector, -0.5)
+    assert rep.orders[0].raw_argmax_time == dup[0]
+    for rec, (best, raw) in zip(rep.orders, expected):
+        assert rec.raw_supremum == raw[0]
+        assert rec.raw_argmax_time == raw[1]
+        assert rec.supremum == best[0]
+        assert rec.argmax_time == best[1]
+        assert rec.argmax_alpha == best[2]
+        assert rec.reliable == best[3]
 
 
 def test_profile_tmin_excludes_early_snapshots():

@@ -129,6 +129,16 @@ def test_exact_semigroup_property():
         assert gap <= 1e-10 * direct.fields[0].l2_norm(), name
 
 
+def test_cyclic_drift_is_refused_by_exact_route_and_solved_by_fd():
+    base = load_builtin("kolmogorov2d")
+    grid = TorusGrid(2, 16, 4.0)
+    for B in (_mat(2, {(0, 1): 1, (1, 0): -1}), _mat(2, {(0, 0): 1})):
+        spec = dataclasses.replace(base, B=B)
+        with pytest.raises(SolverError, match="cycle"):
+            solve_exact(spec, grid)
+        assert solve_auto(spec, grid=grid, times=[0.0, spec.T]).method == "fd"
+
+
 def test_nilpotent_powers_cut_and_rejection():
     powers = _nilpotent_powers(_mat(3, {(0, 1): 1, (1, 2): 1}), 3)
     assert len(powers) == 3  # I, B, B^2; B^3 = 0
