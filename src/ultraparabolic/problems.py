@@ -315,7 +315,7 @@ class ProblemSpec:
     blocks: tuple | None = None
     N: int | None = None
     L: float | None = None
-    _tower_cache: list = field(default_factory=list, compare=False, repr=False)
+    _tower_cache: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1 or not 1 <= self.m0 <= self.n:
@@ -423,13 +423,13 @@ class ProblemSpec:
         if not isinstance(doc["b"], list):
             raise ProblemSpecError("b must be a list of presets, one per diffused axis")
         try:
-            n, m0 = int(doc["n"]), int(doc["m0"])
+            n, m0 = operator.index(doc["n"]), operator.index(doc["m0"])
             s, T, Lambda = float(doc["s"]), float(doc["T"]), float(doc["Lambda"])
-            N = int(grid["N"]) if "N" in grid else None
+            N = operator.index(grid["N"]) if "N" in grid else None
             L = float(grid["L"]) if "L" in grid else None
         except (TypeError, ValueError) as exc:
-            raise ProblemSpecError(f"n, m0, s, T, Lambda and the grid hint must be numbers: "
-                                   f"{exc}") from exc
+            raise ProblemSpecError(f"n, m0 and grid N must be integers, s, T, Lambda and "
+                                   f"grid L numbers: {exc}") from exc
         return cls(
             name=str(doc["name"]),
             n=n,

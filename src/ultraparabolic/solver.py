@@ -18,13 +18,18 @@ snapshots on one grid):
   give every mode's true frequency e^{-tB} xi.
 
 * solve_fd -- theta-method IMEX finite differences on the same box with zero
-  Dirichlet data: diffusion (second-order central) is treated implicitly via
-  one sparse LU factorization per distinct diffused-slab operator, drift and
-  the lower-order terms explicitly with second-order upwind-biased one-sided
-  differences chosen by the local sign of the transport speed.  The step is
-  refused up front when the advective CFL number exceeds the limit (the error
-  carries a suggested step) or when the diffusion coefficient leaves
-  [1/Lambda, Lambda] at a sample point.
+  Dirichlet data: diffusion (second-order central) is treated implicitly on
+  the diffused slabs, drift and the lower-order terms explicitly with
+  second-order upwind-biased one-sided differences chosen by the local sign
+  of the transport speed.  When a does not vary along a diffused axis, each
+  implicit step is solved exactly in the DST-I eigenbasis of the Dirichlet
+  slab Laplacian (fast Poisson diagonalisation: a dense sine matrix along
+  each diffused axis, no factorization); otherwise by sparse LU, one
+  factorization shared by all columns when a varies only along diffused
+  axes, one per column else.  The step is refused up front when the
+  advective CFL number exceeds the limit (the error carries a suggested
+  step) or when the diffusion coefficient leaves [1/Lambda, Lambda] at a
+  sample point.
 
 residual_series measures how well any trajectory satisfies the PDE (spectral
 space derivatives, fourth-order central time differences), and energy_check
@@ -330,6 +335,20 @@ def solve_exact(spec: ProblemSpec, grid: TorusGrid | None = None, times=None,
 # finite-difference route
 
 
+def _sample(preset, grid: TorusGrid) -> np.ndarray:
+    """preset.evaluate(grid), kept only along the axes the preset varies on.
+
+    The result broadcasts against the grid to the full sample, so arithmetic
+    with it gives the same numbers, while a constant costs one value, not N**n.
+    """
+    values = preset.evaluate(grid)
+    depends = preset.depends_axes(grid.n)
+    if depends is None:
+        return values
+    return values[tuple(slice(None) if ax in depends else slice(0, 1)
+                        for ax in range(grid.n))].copy()
+
+
 def _transport_speeds(spec: ProblemSpec, grid: TorusGrid):
     """Yield (axis j, speed) for each axis whose transport speed is not zero.
 
@@ -345,27 +364,37 @@ def _transport_speeds(spec: ProblemSpec, grid: TorusGrid):
             yield j, w
 
 
-def _shifted(u: np.ndarray, axis: int, offset: int) -> np.ndarray:
-    """u[..., i + offset, ...] with zeros outside the box (Dirichlet ghosts)."""
-    out = np.roll(u, -offset, axis=axis)
-    sl = [slice(None)] * u.ndim
-    if offset > 0:
-        sl[axis] = slice(-offset, None)
-    else:
-        sl[axis] = slice(0, -offset)
-    out[tuple(sl)] = 0.0
+def _upwind_difference(u, u3, u4, positive, axis, h, out) -> np.ndarray:
+    """Second-order one-sided difference along axis, biased against the speed sign.
+
+    Where `positive` (the mask speed > 0, at u's shape):
+    (3u_i - 4u_{i-1} + u_{i-2}) / (2h); elsewhere (-3u_i + 4u_{i+1} - u_{i+2}) / (2h);
+    zeros stand in for values outside the box (Dirichlet ghosts).  `u3` and
+    `u4` hold 3u and 4u, so every axis shares them.  The value lands in `out`,
+    a C-contiguous array of u's shape.  Each difference is formed on the
+    flattened arrays as a contiguous shift by the axis stride; that shift wraps
+    across rows at the two cells nearest each face, and those cells are formed
+    again from slices.
+    """
+    N = u.shape[axis]
+    s = int(np.prod(u.shape[axis + 1:], dtype=int))
+    f3, f4, fu, fo, fp = (x.reshape(-1) for x in (u3, u4, u, out, positive))
+
+    def face(x, i):
+        return x[(slice(None),) * axis + (slice(i, i + 1),)]
+
+    np.subtract(f4[s:], f3[:-s], out=fo[:-s])
+    np.subtract(fo[:-2 * s], fu[2 * s:], out=fo[:-2 * s])
+    np.subtract(face(u4, N - 1), face(u3, N - 2), out=face(out, N - 2))
+    # multiply, not np.negative: NumPy 2.4 writes wrong values when
+    # np.negative fills a strided view through out=
+    np.multiply(face(u3, N - 1), -1.0, out=face(out, N - 1))
+    np.subtract(f3[s:], f4[:-s], out=fo[s:], where=fp[s:])
+    np.add(fo[2 * s:], fu[:-2 * s], out=fo[2 * s:], where=fp[2 * s:])
+    np.copyto(face(out, 0), face(u3, 0), where=face(positive, 0))
+    np.subtract(face(u3, 1), face(u4, 0), out=face(out, 1), where=face(positive, 1))
+    out /= 2.0 * h
     return out
-
-
-def _upwind_derivative(u, speed, axis, h) -> np.ndarray:
-    """Second-order one-sided difference biased against the local speed sign."""
-    backward = (3.0 * u - 4.0 * _shifted(u, axis, -1) + _shifted(u, axis, -2)) / (2.0 * h)
-    forward = (-3.0 * u + 4.0 * _shifted(u, axis, 1) - _shifted(u, axis, 2)) / (2.0 * h)
-    return np.where(speed > 0, backward, forward)
-
-
-def _second_difference(u, axis, h) -> np.ndarray:
-    return (_shifted(u, axis, 1) - 2.0 * u + _shifted(u, axis, -1)) / (h * h)
 
 
 def _dirichlet_d2(N: int, h: float) -> sp.csr_matrix:
@@ -383,6 +412,35 @@ def _subgrid_laplacian(N: int, m0: int, h: float) -> sp.csr_matrix:
         term = sp.kron(term, sp.identity(N ** (m0 - 1 - ax), format="csr"), format="csr")
         total = term if total is None else total + term
     return total
+
+
+def _slab_sine_basis(N: int, m0: int, n: int, h: float):
+    """Orthonormal DST-I matrix S and the eigenvalues of the slab Laplacian.
+
+    S[j, k] = sqrt(2/(N+1)) sin(pi j k/(N+1)) is symmetric and its own
+    inverse, and D2 = S diag(mu) S for the 3-point Dirichlet second difference,
+    mu_k = -(4/h^2) sin^2(pi k/(2(N+1))).  Applied along each of the m0
+    diffused axes, S diagonalises the slab Laplacian.  Its eigenvalues are
+    sums of one mu per diffused axis; they are returned with shape
+    (N,) * m0 + (1,) * (n - m0), so they broadcast over the grid.
+    """
+    k = np.arange(1, N + 1)
+    S = np.sqrt(2.0 / (N + 1)) * np.sin(np.pi * np.outer(k, k) / (N + 1))
+    mu = -(4.0 / (h * h)) * np.sin(np.pi * k / (2.0 * (N + 1))) ** 2
+    lam = sum(mu.reshape((1,) * ax + (N,) + (1,) * (n - 1 - ax)) for ax in range(m0))
+    return S, lam
+
+
+def _sine_transform(S, x, spare, m0):
+    """Apply S along each of the leading m0 axes of x; return (result, free buffer).
+
+    x and spare take turns as input and output, so nothing is allocated.
+    """
+    N = S.shape[0]
+    for ax in range(m0):
+        np.matmul(S, x.reshape(N**ax, N, -1), out=spare.reshape(N**ax, N, -1))
+        x, spare = spare, x
+    return x, spare
 
 
 def _snapshot_segments(times, dt_base, T, strict):
@@ -425,7 +483,9 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     Aborts with CoercivityError when the sampled diffusion coefficient leaves
     [1/Lambda, Lambda], and with CFLError (carrying a suggested dt) when the
     advective step bound fails.  Diagnostics record the discrete mass and the
-    fraction of the solution touching the boundary shell at each snapshot.
+    fraction of the solution touching the boundary shell at each snapshot,
+    and which implicit slab solver ran (`slab_solver`: "sine",
+    "splu-shared" or "splu-per-column", chosen from a's axis dependence).
     """
     grid = grid or spec.default_grid()
     if grid.n != spec.n:
@@ -437,14 +497,11 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     n, m0, N = spec.n, spec.m0, grid.N
 
     speeds = dict(_transport_speeds(spec, grid))
-    b0_vals = None if spec.b0.is_zero else spec.b0.evaluate(grid)
-    g_vals = None if spec.g.is_zero else spec.g.evaluate(grid)
-    a_vals = spec.a.evaluate(grid)
+    b0_vals = None if spec.b0.is_zero else _sample(spec.b0, grid)
+    g_vals = None if spec.g.is_zero else _sample(spec.g, grid)
+    a_vals = _sample(spec.a, grid)
 
-    total_speed = np.zeros(grid.shape)
-    for w in speeds.values():
-        total_speed = total_speed + np.abs(w)
-    max_speed = float(total_speed.max())
+    max_speed = float(np.max(sum(np.abs(w) for w in speeds.values())))
     strict = dt is not None
     if dt is None:
         advective = cfl_limit * h / (2.0 * max_speed) if max_speed > 0 else np.inf
@@ -463,34 +520,72 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     lap = _subgrid_laplacian(N, m0, h).tocsr()
     M = N**m0
     R = N ** (n - m0)
-    a2d = a_vals.reshape(M, R)
     depends = spec.a.depends_axes(n)
-    shared_slab = depends is not None and all(ax < m0 for ax in depends)
-    eye = sp.identity(M, format="csr")
-    factor_cache = {}
+    if depends is not None and all(ax >= m0 for ax in depends):
+        slab_solver = "sine"  # a is constant on every slab
+    elif depends is not None and all(ax < m0 for ax in depends):
+        slab_solver = "splu-shared"  # every column sees the same slab operator
+    else:
+        slab_solver = "splu-per-column"
 
-    def factors_for(step_dt):
-        if step_dt not in factor_cache:
-            def factor(a_col):
-                return splu((eye - theta * step_dt * sp.diags(a_col) @ lap).tocsc())
+    # work arrays, allocated once per solve
+    u3, u4, rate, work = (np.empty(grid.shape) for _ in range(4))
+    upwind = {j: (w, w > 0) for j, w in speeds.items()}
 
-            if shared_slab:
-                factor_cache[step_dt] = [factor(a2d[:, 0])]
-            else:
-                factor_cache[step_dt] = [factor(a2d[:, j]) for j in range(R)]
-        return factor_cache[step_dt]
+    if slab_solver == "sine":
+        S, lam = _slab_sine_basis(N, m0, n, h)
 
-    def diffusion(u):
-        return a_vals * (lap @ u.reshape(M, R)).reshape(grid.shape)
+        def implicit_solver(step_dt):
+            denominator = 1.0 - theta * step_dt * a_vals * lam
+
+            def solve(rhs):
+                x, free = _sine_transform(S, rhs, u3, m0)
+                np.divide(x, denominator, out=x)
+                # 2 * m0 swaps in all: the result is back in rhs's buffer
+                return _sine_transform(S, x, free, m0)[0]
+
+            return solve
+    else:
+        eye = sp.identity(M, format="csr")
+        a2d = np.broadcast_to(a_vals, grid.shape).reshape(M, R)
+        factor_cache = {}
+
+        def implicit_solver(step_dt):
+            if step_dt not in factor_cache:
+                def factor(a_col):
+                    return splu((eye - theta * step_dt * sp.diags(a_col) @ lap).tocsc())
+
+                if slab_solver == "splu-shared":
+                    factor_cache[step_dt] = [factor(a2d[:, 0])]
+                else:
+                    factor_cache[step_dt] = [factor(a2d[:, j]) for j in range(R)]
+            lus = factor_cache[step_dt]
+
+            def solve(rhs):
+                rhs2d = rhs.reshape(M, R)
+                if slab_solver == "splu-shared":
+                    return lus[0].solve(rhs2d).reshape(grid.shape)
+                out = np.empty_like(rhs2d)
+                for j in range(R):
+                    out[:, j] = lus[j].solve(rhs2d[:, j])
+                return out.reshape(grid.shape)
+
+            return solve
 
     def explicit_terms(u):
-        rate = np.zeros(grid.shape)
-        for j, w in speeds.items():
-            rate -= w * _upwind_derivative(u, w, j, h)
+        rate.fill(0.0)
+        if upwind:
+            np.multiply(u, 3.0, out=u3)
+            np.multiply(u, 4.0, out=u4)
+        for j, (w, positive) in upwind.items():
+            d = _upwind_difference(u, u3, u4, positive, j, h, work)
+            d *= w
+            np.subtract(rate, d, out=rate)
         if b0_vals is not None:
-            rate -= b0_vals * u
+            np.multiply(b0_vals, u, out=work)
+            np.subtract(rate, work, out=rate)
         if g_vals is not None:
-            rate += g_vals
+            np.add(rate, g_vals, out=rate)
         return rate
 
     boundary_mask = np.zeros(grid.shape, dtype=bool)
@@ -513,17 +608,16 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
         boundary_fraction.append(edge / peak if peak > 0 else 0.0)
 
     for steps, step_dt in segments:
-        lus = factors_for(step_dt) if steps else None
+        solve = implicit_solver(step_dt) if steps else None
         for _ in range(steps):
-            rhs = u + step_dt * ((1.0 - theta) * diffusion(u) + explicit_terms(u))
-            rhs2d = rhs.reshape(M, R)
-            if shared_slab:
-                u = lus[0].solve(rhs2d).reshape(grid.shape)
-            else:
-                out = np.empty_like(rhs2d)
-                for j in range(R):
-                    out[:, j] = lus[j].solve(rhs2d[:, j])
-                u = out.reshape(grid.shape)
+            # u + dt ((1 - theta) a lap u + explicit terms), formed in place
+            rhs = (lap @ u.reshape(M, R)).reshape(grid.shape)
+            rhs *= a_vals
+            rhs *= 1.0 - theta
+            rhs += explicit_terms(u)
+            rhs *= step_dt
+            rhs += u
+            u = solve(rhs)
         record(u)
 
     return TrajectorySolution(
@@ -538,7 +632,7 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
             "cfl": cfl,
             "mass": np.array(mass),
             "boundary_fraction": np.array(boundary_fraction),
-            "shared_slab_factorization": shared_slab,
+            "slab_solver": slab_solver,
         },
     )
 
@@ -583,9 +677,9 @@ def residual_series(solution: TrajectorySolution, spec: ProblemSpec) -> Residual
     grid = solution.grid
     if grid.n != spec.n:
         raise SolverError("solution grid does not match the spec dimension")
-    a_vals = spec.a.evaluate(grid)
-    b0_vals = None if spec.b0.is_zero else spec.b0.evaluate(grid)
-    g_vals = None if spec.g.is_zero else spec.g.evaluate(grid)
+    a_vals = _sample(spec.a, grid)
+    b0_vals = None if spec.b0.is_zero else _sample(spec.b0, grid)
+    g_vals = None if spec.g.is_zero else _sample(spec.g, grid)
 
     out_times, out_values = [], []
     coeff_stack = [f.coeffs for f in solution.fields]
@@ -596,10 +690,9 @@ def residual_series(solution: TrajectorySolution, spec: ProblemSpec) -> Residual
         ) / (12.0 * dt)
         residual = SpectralField(grid, dt_coeffs).grid_values()
         u = solution.fields[i]
-        grads = [u.partial_derivative(tuple(int(j == ax) for j in range(grid.n))).grid_values()
-                 for ax in range(grid.n)]
         for j, w in _transport_speeds(spec, grid):
-            residual = residual + w * grads[j]
+            grad = u.partial_derivative(tuple(int(k == j) for k in range(grid.n))).grid_values()
+            residual = residual + w * grad
         if b0_vals is not None:
             residual = residual + b0_vals * u.grid_values()
         for ax in range(spec.m0):

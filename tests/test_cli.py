@@ -87,6 +87,9 @@ def _exit_code(argv):
     ({"a": {"kind": "constant", "value": "x"}}, None),
     ({"u0": {"kind": "gaussian", "width": 0.5, "center": 5}}, None),
     ({"a": {"kind": "linear", "axis": "first"}}, None),
+    ({"n": 2.7}, None),
+    ({"m0": 1.5}, None),
+    ({"grid": {"N": 16.5, "L": 2.0}}, None),
 ])
 def test_bad_input_exits_with_io_code(tmp_path, overrides, grid):
     spec = write_spec(tmp_path, **overrides)

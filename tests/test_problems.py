@@ -166,6 +166,17 @@ def test_spec_hash_tracks_content():
     assert other.spec_hash() != spec.spec_hash()
 
 
+def test_replaced_drift_gets_its_own_tower():
+    import dataclasses
+
+    spec = load_builtin("kolmogorov2d")
+    assert spec.tower().r == 1
+    zero = tuple(tuple(Fraction(0) for _ in row) for row in spec.B)
+    replaced = dataclasses.replace(spec, B=zero)
+    assert replaced.tower().r == 0
+    assert spec.tower().r == 1
+
+
 def test_unknown_builtin_rejected():
     with pytest.raises(ProblemSpecError):
         load_builtin("nonexistent")

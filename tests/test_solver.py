@@ -23,9 +23,8 @@ from ultraparabolic.solver import (
     _axis_order,
     _damping_exponent,
     _nilpotent_powers,
-    _shifted,
     _transport,
-    _upwind_derivative,
+    _upwind_difference,
     energy_check,
     residual_series,
     solve_auto,
@@ -34,6 +33,30 @@ from ultraparabolic.solver import (
 )
 
 F = Fraction
+
+
+def _shifted(u, axis, offset):
+    """Reference: u[..., i + offset, ...] with zeros outside the box (Dirichlet ghosts)."""
+    out = np.roll(u, -offset, axis=axis)
+    sl = [slice(None)] * u.ndim
+    if offset > 0:
+        sl[axis] = slice(-offset, None)
+    else:
+        sl[axis] = slice(0, -offset)
+    out[tuple(sl)] = 0.0
+    return out
+
+
+def _upwind_derivative(u, speed, axis, h):
+    """Reference one-sided difference: both stencils from rolled copies, then a select."""
+    backward = (3.0 * u - 4.0 * _shifted(u, axis, -1) + _shifted(u, axis, -2)) / (2.0 * h)
+    forward = (-3.0 * u + 4.0 * _shifted(u, axis, 1) - _shifted(u, axis, 2)) / (2.0 * h)
+    return np.where(speed > 0, backward, forward)
+
+
+def _upwind(u, speed, axis, h):
+    """The solver's stencil on a fresh output buffer."""
+    return _upwind_difference(u, 3.0 * u, 4.0 * u, speed > 0, axis, h, np.empty_like(u))
 
 
 def _mat(n, entries):
@@ -177,6 +200,23 @@ def test_shifted_zero_fill():
     u = np.arange(1.0, 6.0)
     assert _shifted(u, 0, 1).tolist() == [2.0, 3.0, 4.0, 5.0, 0.0]
     assert _shifted(u, 0, -2).tolist() == [0.0, 0.0, 1.0, 2.0, 3.0]
+    # the solver's stencil reads zeros beyond each face (h = 1/2, so 2h = 1)
+    backward = _upwind(u, np.ones_like(u), 0, 0.5)
+    assert backward.tolist() == [3.0, 2.0, 2.0, 2.0, 2.0]
+    forward = _upwind(u, -np.ones_like(u), 0, 0.5)
+    assert forward.tolist() == [2.0, 2.0, 2.0, 8.0, -15.0]
+
+
+def test_upwind_stencil_equals_roll_reference():
+    # same operations in the same order as the rolled-copy reference, so the
+    # values must be equal, not close, on every axis and both sign branches
+    rng = np.random.default_rng(7)
+    u = rng.standard_normal((6, 7, 8))
+    h = 0.37
+    for axis in range(3):
+        speed = rng.standard_normal(u.shape)
+        speed[0, 0, :2] = 0.0  # zero speed takes the forward branch
+        assert np.array_equal(_upwind(u, speed, axis, h), _upwind_derivative(u, speed, axis, h))
 
 
 def test_upwind_exact_on_quadratic():
@@ -186,7 +226,7 @@ def test_upwind_exact_on_quadratic():
     u = x**2
     h = grid.spacing
     for sign in (1.0, -1.0):
-        d = _upwind_derivative(u, sign * np.ones_like(u), 0, h)
+        d = _upwind(u, sign * np.ones_like(u), 0, h)
         interior = slice(3, -3)
         assert np.max(np.abs(d[interior] - 2 * x[interior])) <= 1e-11
 
@@ -252,20 +292,44 @@ def test_fd_coercivity_abort_names_point():
         solve_fd(spec, TorusGrid(2, 16, 4.0))
 
 
+class _VariesEverywhereConstant(ConstantPreset):
+    """A constant that declares no axis structure: forces one factorization per column."""
+
+    def depends_axes(self, n):
+        return None
+
+
+class _VariesEverywhereLinear(LinearPreset):
+    """A ramp that declares no axis structure: its per-column factorization twin."""
+
+    def depends_axes(self, n):
+        return None
+
+
 def test_fd_slab_batching_consistent():
-    # a declared as a ramp of slope 0 along the non-diffused axis forces the
-    # per-slab factorization path; results must match the shared path exactly
-    base = load_builtin("kolmogorov2d")
-    shared = dataclasses.replace(base, a=ConstantPreset(1.0))
-    slabbed = dataclasses.replace(base, a=LinearPreset(axis=1, slope=0.0, intercept=1.0))
-    grid = TorusGrid(2, 16, 4.0)
-    times = [0.0, 0.1]
-    sol_shared = solve_fd(shared, grid, dt=0.0125, times=times)
-    sol_slab = solve_fd(slabbed, grid, dt=0.0125, times=times)
-    assert sol_shared.diagnostics["shared_slab_factorization"] is True
-    assert sol_slab.diagnostics["shared_slab_factorization"] is False
-    gap = (sol_shared.final - sol_slab.final).l2_norm()
-    assert gap <= 1e-13 * sol_shared.final.l2_norm()
+    # the three slab solvers, picked from depends_axes, solve the same steps;
+    # fokkerplanck (m0 = 3, with b and b0) runs the sine matrix along 3 axes
+    for name, N, dt in (("kolmogorov2d", 16, 0.0125), ("fokkerplanck", 6, 0.25 / 64)):
+        base = load_builtin(name)
+        grid = base.default_grid(N=N)
+        times = [0.0, 8 * dt]
+
+        def final(a, slab_solver):
+            sol = solve_fd(dataclasses.replace(base, a=a), grid, dt=dt, times=times)
+            assert sol.diagnostics["slab_solver"] == slab_solver
+            return sol.final
+
+        sine = final(ConstantPreset(1.0), "sine")
+        for a, slab_solver in ((SinPerturbPreset(axis=0, amplitude=0.0), "splu-shared"),
+                               (_VariesEverywhereConstant(1.0), "splu-per-column")):
+            gap = (sine - final(a, slab_solver)).l2_norm()
+            assert gap <= 1e-13 * sine.l2_norm(), (name, slab_solver)
+        # a ramp along the last (non-diffused) axis keeps the sine solver
+        ramp = {"axis": base.n - 1, "slope": 0.02, "intercept": 1.0}
+        sloped = final(LinearPreset(**ramp), "sine")
+        twin = final(_VariesEverywhereLinear(**ramp), "splu-per-column")
+        assert (sloped - twin).l2_norm() <= 1e-13 * twin.l2_norm(), name
+        assert (sloped - sine).l2_norm() > 1e-6 * sine.l2_norm(), name
 
 
 def test_fd_snapshot_schedule_validation():
@@ -285,7 +349,7 @@ def test_fd_six_dimensional_kinetic_runs():
     spec = load_builtin("fokkerplanck")
     sol = solve_fd(spec, times=np.linspace(0.0, spec.T, 3))
     assert sol.method == "fd"
-    assert sol.diagnostics["shared_slab_factorization"] is True
+    assert sol.diagnostics["slab_solver"] == "sine"
     assert np.all(np.isfinite(sol.hs_series(spec.s)))
     assert sol.diagnostics["boundary_fraction"].max() < 0.01
 
