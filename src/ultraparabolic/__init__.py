@@ -20,141 +20,20 @@ The package covers one pipeline, exactly in this order:
 - ``cli``: the ``ultraparabolic`` command wrapping the pipeline.
 """
 
-from .auxfields import (
-    AuxiliaryField,
-    DeltaExponent,
-    GradedPolynomial,
-    InversionCertificate,
-    antiderivative,
-    build_H,
-    build_Hk_closed,
-    build_Hk_recursive,
-    gamma_quotient,
-    gamma_ratio,
-    invert_to_X,
-    random_graded_polynomial,
-    verify_commutator_identity,
-)
-from .fieldio import (
-    canonical_json,
-    format_float,
-    read_field,
-    write_csv,
-    write_field,
-    write_json,
-)
-from .problems import (
-    ConstantPreset,
-    GaussianPreset,
-    LinearPreset,
-    LowRegularityPreset,
-    Preset,
-    ProblemSpec,
-    ProblemSpecError,
-    SinPerturbPreset,
-    builtin_spec_names,
-    coercivity_check,
-    CoercivityReport,
-    condition_report,
-    load_builtin,
-    load_spec_file,
-    preset_from_json,
-)
-from .smoothing import (
-    DegenerateFitError,
-    DerivativeRecord,
-    DerivativeSelector,
-    EmptyReportError,
-    GevreyFit,
-    OrderRecord,
-    SmoothingReport,
-    derivative_multi_indices,
-    derivative_norm,
-    fit_gevrey_sequence,
-    gevrey_fit,
-    smoothing_profile,
-)
-from .sobolev import (
-    BoundTestReport,
-    SobolevIndexSet,
-    SpectralField,
-    TorusGrid,
-    bessel_apply,
-    commutator_bound_test,
-    hs_norm,
-    peetre_gap,
-    product_bound_test,
-    random_band_limited,
-    spectral_product,
-)
-from .solver import (
-    CFLError,
-    CoercivityError,
-    EnergyReport,
-    ModeLedger,
-    ResidualReport,
-    SolverError,
-    TrajectorySolution,
-    energy_check,
-    residual_series,
-    solve_auto,
-    solve_exact,
-    solve_fd,
-)
-from .vfalgebra import (
-    BracketTower,
-    BracketTowerError,
-    H1Certificate,
-    LPBracketReport,
-    LPConditionError,
-    LPStructure,
-    RationalPoly,
-    RationalPolyVectorField,
-    SpanDecomposition,
-    SpanError,
-    bracket_tower,
-    commutator,
-    hormander_check,
-    lp_bracket_consistency,
-    lp_check,
-    lp_full_matrix,
-    span_decompose,
-)
+from . import auxfields, fieldio, problems, smoothing, sobolev, solver, vfalgebra
+from .auxfields import *  # noqa: F403
+from .fieldio import *  # noqa: F403
+from .problems import *  # noqa: F403
+from .smoothing import *  # noqa: F403
+from .sobolev import *  # noqa: F403
+from .solver import *  # noqa: F403
+from .vfalgebra import *  # noqa: F403
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # vfalgebra
-    "RationalPoly", "RationalPolyVectorField", "BracketTower", "H1Certificate",
-    "SpanDecomposition", "LPStructure", "LPBracketReport", "BracketTowerError",
-    "SpanError", "LPConditionError", "commutator", "bracket_tower",
-    "hormander_check", "span_decompose", "lp_check", "lp_full_matrix",
-    "lp_bracket_consistency",
-    # auxfields
-    "DeltaExponent", "GradedPolynomial", "AuxiliaryField", "InversionCertificate",
-    "gamma_ratio", "gamma_quotient", "antiderivative", "build_H",
-    "verify_commutator_identity", "build_Hk_recursive", "build_Hk_closed",
-    "invert_to_X", "random_graded_polynomial",
-    # sobolev
-    "TorusGrid", "SpectralField", "SobolevIndexSet", "hs_norm", "bessel_apply",
-    "spectral_product", "commutator_bound_test", "product_bound_test",
-    "BoundTestReport", "peetre_gap", "random_band_limited",
-    # solver
-    "SolverError", "CFLError", "CoercivityError", "ModeLedger",
-    "TrajectorySolution", "solve_exact", "solve_fd", "solve_auto",
-    "residual_series", "ResidualReport", "energy_check", "EnergyReport",
-    # smoothing
-    "DerivativeSelector", "derivative_multi_indices", "derivative_norm",
-    "DerivativeRecord", "smoothing_profile", "SmoothingReport", "OrderRecord",
-    "gevrey_fit", "fit_gevrey_sequence", "GevreyFit", "DegenerateFitError",
-    "EmptyReportError",
-    # problems
-    "ProblemSpecError", "Preset", "ConstantPreset", "SinPerturbPreset",
-    "GaussianPreset", "LinearPreset", "LowRegularityPreset", "preset_from_json",
-    "ProblemSpec", "builtin_spec_names", "load_builtin", "load_spec_file",
-    "condition_report", "coercivity_check", "CoercivityReport",
-    # fieldio
-    "write_field", "read_field", "write_json", "canonical_json", "write_csv",
-    "format_float",
+# each module's __all__ is the one list of its public names
+__all__ = ["__version__"] + [
+    name
+    for module in (vfalgebra, auxfields, sobolev, solver, smoothing, problems, fieldio)
+    for name in module.__all__
 ]

@@ -14,14 +14,27 @@ functions in (t, x) with exact rational coefficients and rational t-exponents,
 and every identity is required to cancel to the literal zero polynomial.
 The grading parameter delta is a concrete rational > 1 (not a symbolic
 indeterminate), so t-exponents like delta + q are ordinary fractions.
+
+GradedPolynomial and AuxiliaryField take their sparse term algebra (pruning
+of zero coefficients, +, -, scale, ==) from ``vfalgebra._ExactTerms``, the
+base RationalPoly uses too; each class here adds only its key validation and
+its own operations (d/dt, d/dx_i, multiplication by t^w, application).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .vfalgebra import BracketTower, RationalPolyVectorField, as_fraction
+from .vfalgebra import (
+    BracketTower,
+    RationalPolyVectorField,
+    _accumulate,
+    _ExactTerms,
+    _lower,
+    as_fraction,
+)
 
 __all__ = [
     "DeltaExponent",
@@ -74,7 +87,7 @@ class DeltaExponent:
 # graded polynomials in (t, x)
 
 
-class GradedPolynomial:
+class GradedPolynomial(_ExactTerms):
     """Polynomial in t and x_1..x_n whose t-exponents are exact rationals >= 0.
 
     Terms map (t_exponent, x multi-index) to a nonzero Fraction.  Repeated
@@ -82,67 +95,21 @@ class GradedPolynomial:
     (multiples of delta plus integers); they merge by exact value.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
 
-    def __init__(self, n: int, terms=None):
-        self.n = int(n)
-        clean: dict[tuple[Fraction, tuple[int, ...]], Fraction] = {}
-        for (texp, alpha), c in (terms or {}).items():
-            c = as_fraction(c)
-            if not c:
-                continue
-            texp = as_fraction(texp)
-            if texp < 0:
-                raise ValueError("negative t-exponent")
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != self.n or any(a < 0 for a in alpha):
-                raise ValueError(f"bad x multi-index {alpha}")
-            clean[(texp, alpha)] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n, {})
+    def _key(self, key):
+        texp, alpha = key
+        texp = as_fraction(texp)
+        if texp < 0:
+            raise ValueError("negative t-exponent")
+        alpha = tuple(int(a) for a in alpha)
+        if len(alpha) != self.n or any(a < 0 for a in alpha):
+            raise ValueError(f"bad x multi-index {alpha}")
+        return texp, alpha
 
     @classmethod
     def monomial(cls, n, texp, alpha, coeff=1):
         return cls(n, {(as_fraction(texp), tuple(alpha)): coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        if not isinstance(other, GradedPolynomial) or other.n != self.n:
-            return NotImplemented
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = terms.get(key, Fraction(0)) + c
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-        out = GradedPolynomial.__new__(GradedPolynomial)
-        out.n = self.n
-        out.terms = terms
-        return out
-
-    def __neg__(self):
-        out = GradedPolynomial.__new__(GradedPolynomial)
-        out.n = self.n
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        if not isinstance(other, GradedPolynomial) or other.n != self.n:
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c):
-        c = as_fraction(c)
-        out = GradedPolynomial.__new__(GradedPolynomial)
-        out.n = self.n
-        out.terms = {} if not c else {k: c * v for k, v in self.terms.items()}
-        return out
 
     def mul_t(self, texp):
         """Multiply by the monomial t^texp (texp rational, result exponents must stay >= 0)."""
@@ -153,46 +120,22 @@ class GradedPolynomial:
 
     def dt(self):
         """Exact d/dt; a term t^w contributes w t^(w-1) (w = 0 terms vanish)."""
-        terms = {}
-        for (t, a), c in self.terms.items():
-            if t:
-                terms[(t - 1, a)] = c * t
         # note: exponents here stay >= 0 because fractional powers have base > 1
-        out = GradedPolynomial.__new__(GradedPolynomial)
-        out.n = self.n
-        out.terms = terms
-        return out
+        return self._like({(t - 1, a): c * t for (t, a), c in self.terms.items() if t})
 
     def dx(self, i: int):
-        terms = {}
-        for (t, a), c in self.terms.items():
-            k = a[i]
-            if k:
-                down = list(a)
-                down[i] = k - 1
-                terms[(t, tuple(down))] = c * k
-        out = GradedPolynomial.__new__(GradedPolynomial)
-        out.n = self.n
-        out.terms = terms
-        return out
+        return self._like(
+            {(t, _lower(a, i)): c * a[i] for (t, a), c in self.terms.items() if a[i]}
+        )
 
     def mul_xpoly(self, p):
         """Multiply by a RationalPoly in the x variables."""
-        if p.nvars != self.n:
-            raise ValueError("variable-count mismatch")
-        terms: dict = {}
-        for (t, a), c in self.terms.items():
-            for beta, cb in p.terms.items():
-                key = (t, tuple(x + y for x, y in zip(a, beta)))
-                s = terms.get(key, Fraction(0)) + c * cb
-                if s:
-                    terms[key] = s
-                else:
-                    terms.pop(key, None)
-        out = GradedPolynomial.__new__(GradedPolynomial)
-        out.n = self.n
-        out.terms = terms
-        return out
+        self._check_n(p)
+        return self._like(_accumulate({}, (
+            ((t, tuple(x + y for x, y in zip(a, beta))), c * cb)
+            for (t, a), c in self.terms.items()
+            for beta, cb in p.terms.items()
+        )))
 
     def leading_term(self):
         """Canonically first term (sorted by t-exponent then x multi-index), or None."""
@@ -200,15 +143,6 @@ class GradedPolynomial:
             return None
         key = min(self.terms)
         return key, self.terms[key]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedPolynomial)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
 
     def __repr__(self):
         if not self.terms:
@@ -286,7 +220,7 @@ def antiderivative(f: GradedPolynomial, k: int = 1) -> GradedPolynomial:
 # auxiliary fields
 
 
-class AuxiliaryField:
+class AuxiliaryField(_ExactTerms):
     """Linear combination of terms c * t^w * d/dx_j with exact rational data.
 
     ``terms`` maps (t-exponent, direction) to the coefficient.  ``delta`` and
@@ -294,23 +228,27 @@ class AuxiliaryField:
     by the identity checks); structural equality compares terms only.
     """
 
-    __slots__ = ("n", "terms", "delta", "direction")
+    __slots__ = ("delta", "direction")
 
     def __init__(self, n: int, terms=None, delta=None, direction=None):
-        self.n = int(n)
-        clean: dict[tuple[Fraction, int], Fraction] = {}
-        for (texp, j), c in (terms or {}).items():
-            c = as_fraction(c)
-            if not c:
-                continue
-            texp = as_fraction(texp)
-            j = int(j)
-            if not 0 <= j < self.n:
-                raise ValueError(f"direction {j} out of range")
-            clean[(texp, j)] = c
-        self.terms = clean
+        super().__init__(n, terms)
         self.delta = None if delta is None else as_fraction(delta)
         self.direction = direction
+
+    def _key(self, key):
+        texp, j = key
+        texp = as_fraction(texp)
+        j = int(j)
+        if not 0 <= j < self.n:
+            raise ValueError(f"direction {j} out of range")
+        return texp, j
+
+    def _like(self, terms):
+        """Results keep the grading and direction metadata of ``self``."""
+        out = super()._like(terms)
+        out.delta = self.delta
+        out.direction = self.direction
+        return out
 
     @classmethod
     def from_rows(cls, n, contributions, delta=None, direction=None):
@@ -319,19 +257,12 @@ class AuxiliaryField:
         for coeff, exponent, row in contributions:
             coeff = as_fraction(coeff)
             w = exponent.value if isinstance(exponent, DeltaExponent) else as_fraction(exponent)
-            for j, rj in enumerate(row):
-                rj = as_fraction(rj)
-                if coeff and rj:
-                    key = (w, j)
-                    s = terms.get(key, Fraction(0)) + coeff * rj
-                    if s:
-                        terms[key] = s
-                    else:
-                        terms.pop(key, None)
+            _accumulate(terms, (
+                ((w, j), coeff * rj)
+                for j, rj in enumerate(map(as_fraction, row))
+                if coeff and rj
+            ))
         return cls(n, terms, delta=delta, direction=direction)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def apply(self, f: GradedPolynomial) -> GradedPolynomial:
         if f.n != self.n:
@@ -348,59 +279,16 @@ class AuxiliaryField:
             f = self.apply(f)
         return f
 
-    def __add__(self, other):
-        if not isinstance(other, AuxiliaryField) or other.n != self.n:
-            return NotImplemented
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = terms.get(key, Fraction(0)) + c
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-        return AuxiliaryField(self.n, terms, delta=self.delta, direction=self.direction)
-
-    def __sub__(self, other):
-        if not isinstance(other, AuxiliaryField) or other.n != self.n:
-            return NotImplemented
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = as_fraction(c)
-        return AuxiliaryField(
-            self.n,
-            {k: c * v for k, v in self.terms.items()} if c else {},
-            delta=self.delta,
-            direction=self.direction,
-        )
-
     def mul_t(self, shift=1):
         """Multiply the operator by t^shift on the left (commutes with the rows)."""
         shift = as_fraction(shift)
-        return AuxiliaryField(
-            self.n,
-            {(w + shift, j): c for (w, j), c in self.terms.items()},
-            delta=self.delta,
-            direction=self.direction,
-        )
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AuxiliaryField)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
+        return self._like({(w + shift, j): c for (w, j), c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:
             return "0"
         return " + ".join(
-            f"({c})*t^({w})*d{j + 1}" for (w, j), c in self.sorted_terms()
+            f"({c})*t^({w})*d{j + 1}" for (w, j), c in sorted(self.terms.items())
         )
 
 
@@ -492,10 +380,7 @@ def build_Hk_closed(tower: BracketTower, delta, p: int, k: int) -> AuxiliaryFiel
         raise ValueError("p out of range")
     contributions = []
     for q in range(k, tower.r + 1):
-        falling = Fraction(1)  # q!/(q-k)! = q (q-1) ... (q-k+1)
-        for i in range(q - k + 1, q + 1):
-            falling *= i
-        coeff = falling * gamma_quotient(delta, tower.r + 1 + k, q + 1 + k)
+        coeff = math.perm(q, k) * gamma_quotient(delta, tower.r + 1 + k, q + 1 + k)
         contributions.append((coeff, DeltaExponent(delta, k + q), tower.rows[p][q]))
     return AuxiliaryField.from_rows(tower.n, contributions, delta=delta, direction=p)
 
@@ -515,13 +400,6 @@ class InversionCertificate:
     combination: dict
     residual: AuxiliaryField
     exact: bool
-
-
-def _factorial(k: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def invert_to_X(tower: BracketTower, delta, p: int, level: int) -> InversionCertificate:
@@ -545,20 +423,17 @@ def invert_to_X(tower: BracketTower, delta, p: int, level: int) -> InversionCert
 
     def expand(l: int):
         if l == r:
-            coeff = 1 / _factorial(r)
+            coeff = Fraction(1, math.factorial(r))
             combo = {(delta, r): coeff}
             field = build_Hk_closed(tower, delta, p, r).scale(coeff)
             return field, combo
-        outer = gamma_quotient(delta, r + 1 + l, 2 * r + 1) / _factorial(l)
+        outer = gamma_quotient(delta, r + 1 + l, 2 * r + 1) / math.factorial(l)
         base_shift = delta + r - l
         field = build_Hk_closed(tower, base_shift, p, l)
         combo = {(base_shift, l): Fraction(1)}
         for q in range(l + 1, r + 1):
             sub_field, sub_combo = expand(q)
-            c = (
-                _factorial(q) / _factorial(q - l)
-                * gamma_quotient(delta, 2 * r + 1, r + 1 + q)
-            )
+            c = math.perm(q, l) * gamma_quotient(delta, 2 * r + 1, r + 1 + q)
             field = field - sub_field.scale(c)
             for key, val in sub_combo.items():
                 combo[key] = combo.get(key, Fraction(0)) - c * val

@@ -48,7 +48,6 @@ from .problems import (
 )
 from .smoothing import DegenerateFitError, EmptyReportError, smoothing_profile
 from .solver import (
-    CFLError,
     CoercivityError,
     SolverError,
     energy_check,
@@ -177,10 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
 # shared plumbing
 
 
-def _load_spec(value: str) -> ProblemSpec:
-    return load_spec_file(value)
-
-
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -214,7 +209,7 @@ def _fail(code: int, message: str) -> int:
 
 
 def cmd_check(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = load_spec_file(args.spec)
     report = condition_report(spec)
     holds = bool(report["satisfied"]) and report.get("lp", {}).get("consistent", True)
     report["all_conditions_hold"] = holds
@@ -238,7 +233,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = load_spec_file(args.spec)
     tower = spec.tower()
     if not hormander_check(tower).satisfied:
         return _fail(EXIT_CONDITION,
@@ -303,7 +298,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = load_spec_file(args.spec)
     if args.tgrid < 5:
         raise ProblemSpecError("--tgrid must be at least 5 (the residual series "
                                "needs five uniformly spaced snapshots)")
@@ -364,7 +359,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_smoothing(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = load_spec_file(args.spec)
     grid = _grid_for(spec, args)
     guard = coercivity_check(spec, grid)
     if not guard.ok:
@@ -399,7 +394,7 @@ def cmd_smoothing(args) -> int:
 
 
 def cmd_report(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = load_spec_file(args.spec)
     out = _outdir(args)
     components = {}
     for kind in ("check", "verify", "solve", "smoothing"):
@@ -471,8 +466,6 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         code = args.func(args)
-    except (CoercivityError, CFLError) as exc:
-        code = _fail(EXIT_NUMERICAL, f"numerical abort: {exc}")
     except SolverError as exc:
         code = _fail(EXIT_NUMERICAL, f"numerical abort: {exc}")
     except (LPConditionError, BracketTowerError, SpanError) as exc:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -218,6 +219,10 @@ class LowRegularityPreset(Preset):
 
     kind = "low_regularity"
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ProblemSpecError(f"low_regularity seed must be >= 0, got {self.seed}")
+
     def spectral(self, grid):
         rng = np.random.default_rng(self.seed)
         rough = random_band_limited(grid, rng, decay=self.exponent)
@@ -268,7 +273,7 @@ def preset_from_json(doc) -> Preset:
         params = {k: _parameter(defaults[k], v) for k, v in doc.items() if k != "kind"}
     except KeyError as exc:
         raise ProblemSpecError(f"bad parameters for preset {kind!r}: unknown field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProblemSpecError(f"bad parameters for preset {kind!r}: {exc}") from exc
     return cls(**params)
 
@@ -276,10 +281,18 @@ def preset_from_json(doc) -> Preset:
 def _parameter(default, value):
     """One preset parameter converted to the type of its field's default."""
     if isinstance(default, tuple):
-        return tuple(float(c) for c in value)
+        return tuple(_finite(c) for c in value)
     if isinstance(default, int):
         return operator.index(value)
-    return float(value)
+    return _finite(value)
+
+
+def _finite(value) -> float:
+    """``value`` as a float, refusing nan and +-inf (they have no canonical JSON form)."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ProblemSpecError(f"expected a finite number, got {value!r}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +437,12 @@ class ProblemSpec:
             raise ProblemSpecError("b must be a list of presets, one per diffused axis")
         try:
             n, m0 = operator.index(doc["n"]), operator.index(doc["m0"])
-            s, T, Lambda = float(doc["s"]), float(doc["T"]), float(doc["Lambda"])
+            s, T, Lambda = _finite(doc["s"]), _finite(doc["T"]), _finite(doc["Lambda"])
             N = operator.index(grid["N"]) if "N" in grid else None
-            L = float(grid["L"]) if "L" in grid else None
-        except (TypeError, ValueError) as exc:
+            L = _finite(grid["L"]) if "L" in grid else None
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ProblemSpecError(f"n, m0 and grid N must be integers, s, T, Lambda and "
-                                   f"grid L numbers: {exc}") from exc
+                                   f"grid L finite numbers: {exc}") from exc
         return cls(
             name=str(doc["name"]),
             n=n,
@@ -458,7 +471,7 @@ class ProblemSpec:
 
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer literal past the digit limit
             raise ProblemSpecError(f"invalid JSON: {exc}") from exc
         return cls.from_json_dict(doc)
 

@@ -183,19 +183,14 @@ class TrajectorySolution:
 
 def _nilpotent_powers(B: tuple, n: int) -> list:
     """[I, B, B^2, ...] as float arrays, exact cut at the nilpotency index."""
-    current = tuple(tuple(Fraction(x) for x in row) for row in B)
-    eye = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-    powers = [eye]
-    M = current
+    B = tuple(tuple(Fraction(x) for x in row) for row in B)
+    powers = [tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))]
     for _ in range(n):
-        if all(x == 0 for row in M for x in row):
-            break
+        M = _matmul(powers[-1], B)
+        if not any(any(row) for row in M):
+            return [np.array(P, dtype=float) for P in powers]
         powers.append(M)
-        M = _matmul(M, current)
-    else:
-        if not all(x == 0 for row in M for x in row):
-            raise SolverError("drift matrix is not nilpotent; exact transport unavailable")
-    return [np.array([[float(x) for x in row] for row in P]) for P in powers]
+    raise SolverError("drift matrix is not nilpotent; exact transport unavailable")
 
 
 def _matrix_exponential(powers: list, t: float) -> np.ndarray:
@@ -218,9 +213,6 @@ def _axis_order(B: tuple) -> list:
     """
     n = len(B)
     succ = {i: {j for j in range(n) if B[i][j] != 0} for i in range(n)}
-    for i in range(n):
-        if i in succ[i]:
-            raise SolverError(f"drift couples axis {i} to itself; use the finite-difference route")
     indeg = {j: 0 for j in range(n)}
     for i in range(n):
         for j in succ[i]:

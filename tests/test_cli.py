@@ -9,6 +9,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ultraparabolic.cli import (
     EXIT_CONDITION,
@@ -90,6 +92,14 @@ def _exit_code(argv):
     ({"n": 2.7}, None),
     ({"m0": 1.5}, None),
     ({"grid": {"N": 16.5, "L": 2.0}}, None),
+    ({"T": "inf"}, None),
+    ({"s": "nan"}, None),
+    ({"Lambda": 1e400}, None),
+    ({"s": 10**400}, None),
+    ({"grid": {"N": 16, "L": "inf"}}, None),
+    ({"a": {"kind": "sin_perturb", "amplitude": "nan"}}, None),
+    ({"u0": {"kind": "gaussian", "width": float("inf")}}, None),
+    ({"u0": {"kind": "low_regularity", "seed": -1}}, None),
 ])
 def test_bad_input_exits_with_io_code(tmp_path, overrides, grid):
     spec = write_spec(tmp_path, **overrides)
@@ -97,6 +107,32 @@ def test_bad_input_exits_with_io_code(tmp_path, overrides, grid):
     if grid is not None:
         argv += ["--grid", grid]
     assert _exit_code(argv) == EXIT_IO
+
+
+_VALID_NUMBERS = {"s": 0.0, "T": 0.5, "Lambda": 2.0, "L": 2.0, "amplitude": 0.25}
+# floats() draws nan, +-inf, zeros, subnormals and extremes; repr() sends the
+# same values as strings such as "nan" and "-inf"; each field keeps its valid
+# value about half the time, so one bad number is often the only one
+_SPEC_NUMBERS = st.fixed_dictionaries({
+    key: st.one_of(st.just(value), st.floats(), st.floats().map(repr))
+    for key, value in _VALID_NUMBERS.items()
+})
+
+
+@settings(max_examples=100, deadline=None)
+@given(numbers=_SPEC_NUMBERS)
+@example(numbers={**_VALID_NUMBERS, "s": float("nan")})
+@example(numbers={**_VALID_NUMBERS, "T": "inf"})
+@example(numbers={**_VALID_NUMBERS, "Lambda": 1e400})
+@example(numbers={**_VALID_NUMBERS, "L": float("inf")})
+@example(numbers={**_VALID_NUMBERS, "amplitude": "-inf"})
+def test_check_keeps_exit_code_contract_for_any_spec_number(tmp_path_factory, numbers):
+    out = tmp_path_factory.mktemp("fuzz")
+    spec = write_spec(out, s=numbers["s"], T=numbers["T"], Lambda=numbers["Lambda"],
+                      grid={"N": 16, "L": numbers["L"]},
+                      a={"kind": "sin_perturb", "amplitude": numbers["amplitude"]})
+    code = _exit_code(["check", "--spec", str(spec), "--out", str(out)])
+    assert code in {EXIT_OK, EXIT_CONDITION, EXIT_NUMERICAL, EXIT_IO}
 
 
 def test_malformed_json_exits_with_io_code(tmp_path):

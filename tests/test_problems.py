@@ -192,6 +192,12 @@ def test_load_spec_file(tmp_path):
         load_spec_file(tmp_path / "missing.json")
 
 
+def test_integer_past_the_json_digit_limit_is_a_spec_error():
+    # json.loads raises a plain ValueError here, not a JSONDecodeError
+    with pytest.raises(ProblemSpecError, match="invalid JSON"):
+        ProblemSpec.loads('{"n": 1' + "0" * 5000 + "}")
+
+
 def _doc(**overrides):
     doc = load_builtin("kolmogorov2d").to_json_dict()
     doc.update(overrides)
