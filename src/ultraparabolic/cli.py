@@ -9,7 +9,8 @@ smoothing  derivative-growth measurement and factorial-scale fit
 report     aggregate of the artifacts the other subcommands produced
 
 Exit codes: 0 = success, 2 = a checked condition or identity failed,
-3 = numerical abort (ellipticity or step-size guard), 4 = I/O or parse error.
+3 = numerical abort (ellipticity or step-size guard, or a result that
+overflows on the chosen grid), 4 = I/O or parse error.
 
 Primary outputs are deterministic: the same spec, knobs, and seed produce
 byte-identical JSON/CSV/binary files.  Volatile metadata (timestamps, wall
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import random
 import sys
 import time
@@ -96,8 +98,8 @@ def _grid_points(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
     return value
 
 
@@ -197,6 +199,15 @@ def _write_sidecar(args, started: float) -> None:
 
 def _grid_for(spec: ProblemSpec, args):
     return spec.default_grid(N=getattr(args, "grid", None), L=getattr(args, "box", None))
+
+
+def _require_finite(spec: ProblemSpec, grid, what: str, values) -> None:
+    """Refuse, before anything is written, results that overflowed on this grid."""
+    if not all(math.isfinite(v) for v in values):
+        raise SolverError(
+            f"{what} of {spec.name} is not a finite number on N={grid.N}^{grid.n} with "
+            f"box scale L = {grid.L!r}: a Sobolev or derivative weight overflowed at "
+            f"frequencies up to {grid.N // 2 / grid.L:.3g}")
 
 
 def _fail(code: int, message: str) -> int:
@@ -310,6 +321,8 @@ def cmd_solve(args) -> int:
     solution = solve_auto(spec, grid=grid, dt=args.dt, times=times)
     residual = residual_series(solution, spec)
     energy = energy_check(solution, spec)
+    _require_finite(spec, grid, "the residual or energy",
+                    (residual.max_value, energy.budget, energy.max_ratio))
 
     out = _outdir(args)
     field_files = []
@@ -367,6 +380,8 @@ def cmd_smoothing(args) -> int:
     times = np.linspace(spec.T / 100.0, spec.T, args.tgrid)
     solution = solve_auto(spec, grid=grid, dt=args.dt, times=times)
     report = smoothing_profile(solution, spec, d_max=args.dmax)
+    _require_finite(spec, grid, "a derivative norm",
+                    [v for rec in report.orders for v in (rec.supremum, rec.raw_supremum)])
 
     out = _outdir(args)
     doc = report.to_json_dict()

@@ -378,7 +378,10 @@ class ProblemSpec:
     def default_grid(self, N=None, L=None) -> TorusGrid:
         N = N if N is not None else (self.N if self.N is not None else 32)
         L = L if L is not None else (self.L if self.L is not None else 4.0)
-        return TorusGrid(self.n, int(N), float(L))
+        try:
+            return TorusGrid(self.n, int(N), float(L))
+        except ValueError as exc:
+            raise ProblemSpecError(f"no grid for {self.name}: {exc}") from exc
 
     def has_lower_order_terms(self) -> bool:
         return not all(p.is_zero for p in (*self.b, self.b0, self.g))

@@ -16,7 +16,10 @@ with s0 = |s-1| + n/2 + 2 and s1 = |s| + n/2 + 1.  Products and commutators
 are computed by exact circular convolution over the discrete frequency
 lattice (equivalent to pointwise grid products for band-limited inputs, but
 with the property that a constant factor or s = 0 cancels to literal zero).
-Inputs must be band-limited below half Nyquist so nothing aliases.
+Inputs must be band-limited below half Nyquist so nothing aliases.  With
+band-limit radii r_h and r_f every coefficient of the result lies in the
+support box |k_i| <= r_h + r_f, so the lattice sums run on that box alone,
+one term per support mode, at a cost that does not grow with the grid size N.
 """
 
 from __future__ import annotations
@@ -56,6 +59,9 @@ class TorusGrid:
             raise ValueError("N must be an even integer >= 4 (powers of two recommended)")
         if not self.L > 0:
             raise ValueError("box scale L must be positive")
+        if not (np.isfinite(self.spacing) and np.isfinite((self.N // 2) / self.L)):
+            raise ValueError(f"box scale L = {self.L!r} gives a grid spacing or frequencies "
+                             f"that are not finite numbers")
 
     @property
     def shape(self):
@@ -164,11 +170,7 @@ class SpectralField:
 
     def band_limit_radius(self) -> int:
         """Largest |k_i| carrying a nonzero coefficient (max over axes)."""
-        nz = np.argwhere(self.coeffs != 0)
-        if nz.size == 0:
-            return 0
-        modes = self.grid.axis_modes[nz]
-        return int(np.abs(modes).max())
+        return _radius(self.grid.axis_modes[np.argwhere(self.coeffs != 0)])
 
     def partial_derivative(self, alpha) -> "SpectralField":
         """Exact spectral derivative d^alpha: multiply by prod (i xi_j)^alpha_j."""
@@ -237,36 +239,78 @@ def bessel_apply(field: SpectralField, s: float) -> SpectralField:
 # exact lattice convolution and the bound tests
 
 
-def _require_band_limited(field: SpectralField, label: str):
+def _band_support(field: SpectralField, label: str):
+    """Support modes (in ``np.argwhere`` order), their coefficients, and the radius.
+
+    Refuses a support reaching half Nyquist, where the lattice sums would alias.
+    """
+    mask = field.coeffs != 0
+    modes = field.grid.axis_modes[np.argwhere(mask)]
+    radius = _radius(modes)
     limit = field.grid.N // 4
-    radius = field.band_limit_radius()
     if radius >= limit:
         raise ValueError(
             f"{label} must be band-limited below half Nyquist (|k| < {limit}), "
             f"support reaches |k| = {radius}"
         )
+    return modes, field.coeffs[mask], radius
 
 
-def _support(coeffs: np.ndarray):
-    return np.argwhere(coeffs != 0)
+def _radius(modes: np.ndarray) -> int:
+    return int(np.abs(modes).max()) if modes.size else 0
+
+
+def _box_index(grid: TorusGrid, R: int):
+    """Index of the modes |k_i| <= R into FFT-layout coefficients, as a centred (2R+1)^n box."""
+    return np.ix_(*(np.arange(-R, R + 1) % grid.N,) * grid.n)
+
+
+def _box_bessel_weight(grid: TorusGrid, R: int, s: float) -> np.ndarray:
+    """<xi>^s on the centred box |k_i| <= R, with the operations of ``bessel_weight``."""
+    if s == 0:
+        return np.ones((2 * R + 1,) * grid.n)
+    freq = np.arange(-R, R + 1) / grid.L
+    freq_sq = np.zeros((2 * R + 1,) * grid.n)
+    for axis in range(grid.n):
+        shape = [1] * grid.n
+        shape[axis] = 2 * R + 1
+        freq_sq = freq_sq + freq.reshape(shape) ** 2
+    return np.power(1.0 + freq_sq, 0.5 * s)
+
+
+def _windows(modes: np.ndarray, pad: int, R: int):
+    """For each eta, the slices reading a box padded by ``pad`` at xi - eta, xi in the box.
+
+    Padding by the radius of the summed support keeps every window in bounds,
+    so no shift wraps: the box has 2R + 1 <= N - 3 points per axis.
+    """
+    width = 2 * R + 1
+    for eta in modes.tolist():
+        yield tuple(slice(pad - e, pad - e + width) for e in eta)
 
 
 def spectral_product(h: SpectralField, f: SpectralField) -> SpectralField:
     """Pointwise product computed as exact circular convolution of coefficients.
 
     Alias-free for inputs band-limited below half Nyquist (enforced).  The sum
-    runs over the support of the sparser factor.
+    runs over the support of the sparser factor, term by term, and only on the
+    support box |k_i| <= r_h + r_f of the result, so its cost does not grow
+    with N; the box is scattered back into a full-grid field.
     """
     h._check(f)
-    _require_band_limited(h, "h")
-    _require_band_limited(f, "f")
-    a, b = h.coeffs, f.coeffs
-    if np.count_nonzero(b) < np.count_nonzero(a):
-        a, b = b, a
+    h_modes, h_vals, r_h = _band_support(h, "h")
+    f_modes, f_vals, r_f = _band_support(f, "f")
+    R = r_h + r_f
+    box = _box_index(h.grid, R)
+    modes, vals, pad, other = h_modes, h_vals, r_h, f.coeffs
+    if f_vals.size < h_vals.size:
+        modes, vals, pad, other = f_modes, f_vals, r_f, h.coeffs
+    padded = np.pad(other[box], pad)
+    acc = np.zeros((2 * R + 1,) * h.grid.n, dtype=np.complex128)
+    for c, window in zip(vals, _windows(modes, pad, R)):
+        acc += c * padded[window]
     out = np.zeros(h.grid.shape, dtype=np.complex128)
-    axes = tuple(range(h.grid.n))
-    for idx in _support(a):
-        out += a[tuple(idx)] * np.roll(b, idx, axis=axes)
+    out[box] = acc
     return SpectralField(h.grid, out)
 
 
@@ -293,17 +337,16 @@ def commutator_bound_test(h: SpectralField, f: SpectralField, s: float) -> Bound
     h._check(f)
     if not np.any(h.coeffs) or not np.any(f.coeffs):
         raise ValueError("commutator ratio undefined for zero h or f")
-    _require_band_limited(h, "h")
-    _require_band_limited(f, "f")
     grid = h.grid
-    m = grid.bessel_weight(s)
-    mf = m * f.coeffs
-    acc = np.zeros(grid.shape, dtype=np.complex128)
-    axes = tuple(range(grid.n))
-    for idx in _support(h.coeffs):
-        shifted_mf = np.roll(mf, idx, axis=axes)
-        shifted_f = np.roll(f.coeffs, idx, axis=axes)
-        acc += h.coeffs[tuple(idx)] * (shifted_mf - m * shifted_f)
+    h_modes, h_vals, r_h = _band_support(h, "h")
+    r_f = _band_support(f, "f")[2]
+    R = r_h + r_f
+    m = _box_bessel_weight(grid, R, s)
+    f_box = f.coeffs[_box_index(grid, R)]
+    f_pad, mf_pad = np.pad(f_box, r_h), np.pad(m * f_box, r_h)
+    acc = np.zeros(f_box.shape, dtype=np.complex128)
+    for c, window in zip(h_vals, _windows(h_modes, r_h, R)):
+        acc += c * (mf_pad[window] - m * f_pad[window])
     idxset = SobolevIndexSet(s, grid.n)
     numerator = float(np.linalg.norm(acc))
     denominator = hs_norm(h, idxset.s0) * hs_norm(f, s - 1.0)

@@ -100,12 +100,18 @@ def _exit_code(argv):
     ({"a": {"kind": "sin_perturb", "amplitude": "nan"}}, None),
     ({"u0": {"kind": "gaussian", "width": float("inf")}}, None),
     ({"u0": {"kind": "low_regularity", "seed": -1}}, None),
+    ({}, "8 --tgrid 5 --box inf"),
+    ({}, "8 --tgrid 5 --box 1e-320"),
+    ({}, "8 --tgrid 5 --tol nan"),
+    ({}, "8 --tgrid 5 --box nan"),
+    ({}, "8 --tgrid 5 --dt nan"),
 ])
 def test_bad_input_exits_with_io_code(tmp_path, overrides, grid):
+    # grid: the --grid value, optionally followed by more solve flags
     spec = write_spec(tmp_path, **overrides)
     argv = ["solve", "--spec", str(spec), "--out", str(tmp_path)]
     if grid is not None:
-        argv += ["--grid", grid]
+        argv += ["--grid", *grid.split()]
     assert _exit_code(argv) == EXIT_IO
 
 
@@ -133,6 +139,28 @@ def test_check_keeps_exit_code_contract_for_any_spec_number(tmp_path_factory, nu
                       a={"kind": "sin_perturb", "amplitude": numbers["amplitude"]})
     code = _exit_code(["check", "--spec", str(spec), "--out", str(out)])
     assert code in {EXIT_OK, EXIT_CONDITION, EXIT_NUMERICAL, EXIT_IO}
+
+
+# None leaves the flag out; floats() draws nan, +-inf, zeros and subnormals,
+# the bounded draw keeps some runs going through the solver
+_FLAG_VALUES = st.one_of(st.none(), st.floats(), st.floats(1e-6, 1e6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(box=_FLAG_VALUES, dt=_FLAG_VALUES, tol=_FLAG_VALUES)
+@example(box=float("inf"), dt=None, tol=None)
+@example(box=1e-320, dt=None, tol=None)
+@example(box=float("nan"), dt=float("-inf"), tol=None)
+@example(box=None, dt=float("nan"), tol=None)
+@example(box=None, dt=None, tol=float("nan"))
+@example(box=1e-80, dt=5e-324, tol=1e300)
+def test_solve_keeps_exit_code_contract_for_any_flag_value(tmp_path_factory, box, dt, tol):
+    out = tmp_path_factory.mktemp("flags")
+    argv = ["solve", "--spec", "kolmogorov2d", "--out", str(out), "--grid", "8", "--tgrid", "5"]
+    # --flag=value, so argparse never mistakes "-inf" or "-1e-05" for an option
+    argv += [f"--{name}={value!r}" for name, value in (("box", box), ("dt", dt), ("tol", tol))
+             if value is not None]
+    assert _exit_code(argv) in {EXIT_OK, EXIT_CONDITION, EXIT_NUMERICAL, EXIT_IO}
 
 
 def test_malformed_json_exits_with_io_code(tmp_path):
@@ -279,6 +307,16 @@ def test_solve_rejects_vanishing_diffusion(tmp_path):
 def test_solve_cfl_abort(tmp_path):
     assert run("solve", "--spec", "brownian-inertia", "--out", str(tmp_path),
                "--dt", "0.5") == EXIT_NUMERICAL
+
+
+def test_results_that_overflow_abort_before_writing(tmp_path):
+    # frequencies up to 4/L = 4e80: <xi>^4 in the residual's H^2 norm and the
+    # order-4 derivative weights overflow, so the results would be nan
+    for argv in (["solve", "--tgrid", "5"], ["smoothing", "--tgrid", "5", "--dmax", "4"]):
+        out = tmp_path / argv[0]
+        assert run(*argv, "--spec", "kolmogorov2d", "--out", str(out),
+                   "--grid", "8", "--box", "1e-80") == EXIT_NUMERICAL
+        assert not out.exists()
 
 
 def test_solve_tgrid_too_small_for_residual(tmp_path):

@@ -39,6 +39,9 @@ def test_grid_validation():
         TorusGrid(0, 8)
     with pytest.raises(ValueError):
         TorusGrid(2, 8, L=0.0)
+    for L in (float("nan"), float("inf"), 1e308, 1e-320):  # spacing or 4/L not finite
+        with pytest.raises(ValueError):
+            TorusGrid(2, 8, L=L)
 
 
 def test_axis_modes_layout():
@@ -215,6 +218,106 @@ def test_commutator_gains_one_derivative():
         f = SpectralField.single_mode(grid, (mode,))
         ratios.append(commutator_bound_test(h, f, s).ratio)
     assert max(ratios) <= 10.0 * min(ratios)  # bounded, no blow-up with frequency
+
+
+@pytest.mark.parametrize("grid", [TorusGrid(1, 32, L=0.75), TorusGrid(3, 16, L=1.5)],
+                         ids=["1d", "3d"])
+def test_commutator_exact_zeros_in_one_and_three_dimensions(grid):
+    rng = np.random.default_rng(14)
+    h = random_band_limited(grid, rng)
+    f = random_band_limited(grid, rng)
+    one = SpectralField.constant(grid, value=-1.75)
+    for s in (-1.0, 0.5, 2.0):
+        assert commutator_bound_test(one, f, s).numerator == 0.0
+    assert commutator_bound_test(h, f, 0.0).numerator == 0.0
+
+
+# ---------------------------------------------------------------------------
+# reference: the full-grid lattice sums, one np.roll of the whole grid per term
+
+
+def _reference_product(h, f):
+    a, b = h.coeffs, f.coeffs
+    if np.count_nonzero(b) < np.count_nonzero(a):
+        a, b = b, a
+    out = np.zeros(h.grid.shape, dtype=np.complex128)
+    axes = tuple(range(h.grid.n))
+    for idx in np.argwhere(a != 0):
+        out += a[tuple(idx)] * np.roll(b, idx, axis=axes)
+    return out
+
+
+def _reference_commutator_numerator(h, f, s):
+    grid = h.grid
+    m = grid.bessel_weight(s)
+    mf = m * f.coeffs
+    acc = np.zeros(grid.shape, dtype=np.complex128)
+    axes = tuple(range(grid.n))
+    for idx in np.argwhere(h.coeffs != 0):
+        shifted_mf = np.roll(mf, idx, axis=axes)
+        shifted_f = np.roll(f.coeffs, idx, axis=axes)
+        acc += h.coeffs[tuple(idx)] * (shifted_mf - m * shifted_f)
+    return float(np.linalg.norm(acc))
+
+
+def _sparse_wide(grid, rng, radius):
+    """Three modes, one at |k_i| = radius: sparser than a dense field of smaller radius."""
+    coeffs = np.zeros(grid.shape, dtype=np.complex128)
+    for k in ((radius,) + (0,) * (grid.n - 1), (1,) * grid.n, (-radius,) * grid.n):
+        coeffs[tuple(int(m) % grid.N for m in k)] = rng.standard_normal() + 1j * rng.standard_normal()
+    return SpectralField(grid, coeffs)
+
+
+def _zero_pad(field):
+    """The same trigonometric polynomial on the grid with twice the points."""
+    grid = field.grid
+    fine = TorusGrid(grid.n, 2 * grid.N, grid.L)
+    modes = grid.axis_modes % fine.N
+    coeffs = np.zeros(fine.shape, dtype=np.complex128)
+    coeffs[np.ix_(*(modes,) * grid.n)] = field.coeffs
+    return SpectralField(fine, coeffs)
+
+
+# (grid, band of h, band of f): dense draws with r_h < r_f and r_h > r_f;
+# band 0 means the sparse three-mode field of radius one below the limit
+_BOX_CASES = [
+    (TorusGrid(1, 32, L=1.0), 3, 7),
+    (TorusGrid(1, 32, L=1.0), 7, 3),
+    (TorusGrid(2, 32, L=2.0), 2, 6),
+    (TorusGrid(2, 32, L=2.0), 6, 2),
+    (TorusGrid(2, 32, L=2.0), 0, 3),
+    (TorusGrid(2, 32, L=2.0), 3, 0),
+    (TorusGrid(3, 16, L=0.5), 2, 4),
+    (TorusGrid(3, 16, L=0.5), 4, 2),
+    (TorusGrid(3, 16, L=0.5), 0, 2),
+]
+
+
+def _draw(grid, rng, band):
+    if band == 0:
+        return _sparse_wide(grid, rng, grid.N // 4 - 1)
+    return random_band_limited(grid, rng, decay=1.0, band=band)
+
+
+@pytest.mark.parametrize("grid, band_h, band_f", _BOX_CASES)
+def test_box_sums_equal_full_grid_reference(grid, band_h, band_f):
+    rng = np.random.default_rng(31 * grid.n + band_h)
+    h, f = _draw(grid, rng, band_h), _draw(grid, rng, band_f)
+    assert np.array_equal(spectral_product(h, f).coeffs, _reference_product(h, f))
+    for s in (-1.0, 0.0, 0.5, 2.0):
+        numerator = commutator_bound_test(h, f, s).numerator
+        reference = _reference_commutator_numerator(h, f, s)
+        assert abs(numerator - reference) <= 1e-15 * reference, s
+
+
+@pytest.mark.parametrize("grid, band_h, band_f", _BOX_CASES)
+def test_box_sums_unchanged_by_zero_padding(grid, band_h, band_f):
+    rng = np.random.default_rng(37 * grid.n + band_f)
+    h, f = _draw(grid, rng, band_h), _draw(grid, rng, band_f)
+    hf, ff = _zero_pad(h), _zero_pad(f)
+    assert np.array_equal(spectral_product(hf, ff).coeffs, _zero_pad(spectral_product(h, f)).coeffs)
+    for s in (-1.0, 0.5, 2.0):
+        assert commutator_bound_test(hf, ff, s).numerator == commutator_bound_test(h, f, s).numerator
 
 
 def test_zero_inputs_rejected():
