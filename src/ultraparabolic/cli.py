@@ -9,8 +9,9 @@ smoothing  derivative-growth measurement and factorial-scale fit
 report     aggregate of the artifacts the other subcommands produced
 
 Exit codes: 0 = success, 2 = a checked condition or identity failed,
-3 = numerical abort (ellipticity or step-size guard, or a result that
-overflows on the chosen grid), 4 = I/O or parse error.
+3 = numerical abort (ellipticity, step-size or step-count guard, a grid whose
+Sobolev weights overflow, or a result that overflows on the chosen grid),
+4 = I/O or parse error.
 
 Primary outputs are deterministic: the same spec, knobs, and seed produce
 byte-identical JSON/CSV/binary files.  Volatile metadata (timestamps, wall
@@ -108,8 +109,8 @@ def _fraction(text: str) -> Fraction:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r} ({exc})")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive rational, got {text!r}")
+    if value <= 1:
+        raise argparse.ArgumentTypeError(f"expected a rational > 1, got {text!r}")
     return value
 
 
@@ -156,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed for the random polynomial draws (default 0)")
     p.add_argument("--delta", action="append", type=_fraction, default=None,
                    metavar="P/Q",
-                   help="weight exponent to test; repeatable "
+                   help="weight exponent (a rational > 1) to test; repeatable "
                         f"(default: {', '.join(_DEFAULT_DELTAS)})")
     p.set_defaults(func=cmd_verify)
 
@@ -199,6 +200,22 @@ def _write_sidecar(args, started: float) -> None:
 
 def _grid_for(spec: ProblemSpec, args):
     return spec.default_grid(N=getattr(args, "grid", None), L=getattr(args, "box", None))
+
+
+def _require_representable_weights(spec: ProblemSpec, grid, power: float) -> None:
+    """Refuse, before any work, a grid whose top frequency overflows <xi>^power.
+
+    `power` bounds the Sobolev and derivative weights the stage forms.  Past
+    the float range such a weight reads inf, and the stage could no longer
+    weigh the modes that sit there.  The error names a box scale that passes.
+    """
+    top = grid.N // 2 / grid.L
+    if 0.5 * power * math.log1p(grid.n * top * top) >= math.log(sys.float_info.max):
+        passing = (grid.N // 2) * math.sqrt(grid.n) * 10.0 ** (-300.0 / power)
+        raise SolverError(
+            f"the weight <xi>^{power:g} of {spec.name} overflows at the top frequency "
+            f"{top:.3g} of N={grid.N}^{grid.n} with box scale L = {grid.L!r}; retry with "
+            f"a box scale L >= {passing:.3g}")
 
 
 def _require_finite(spec: ProblemSpec, grid, what: str, values) -> None:
@@ -317,6 +334,8 @@ def cmd_solve(args) -> int:
     guard = coercivity_check(spec, grid)
     if not guard.ok:
         raise CoercivityError(guard)
+    # the residual's H^2 normaliser and the energy's H^s norms
+    _require_representable_weights(spec, grid, max(4.0, 2.0 * float(spec.s)))
     times = np.linspace(0.0, spec.T, args.tgrid)
     solution = solve_auto(spec, grid=grid, dt=args.dt, times=times)
     residual = residual_series(solution, spec)
@@ -377,6 +396,7 @@ def cmd_smoothing(args) -> int:
     guard = coercivity_check(spec, grid)
     if not guard.ok:
         raise CoercivityError(guard)
+    _require_representable_weights(spec, grid, float(args.dmax))
     times = np.linspace(spec.T / 100.0, spec.T, args.tgrid)
     solution = solve_auto(spec, grid=grid, dt=args.dt, times=times)
     report = smoothing_profile(solution, spec, d_max=args.dmax)
@@ -408,6 +428,31 @@ def cmd_smoothing(args) -> int:
     return EXIT_OK
 
 
+def _finite_float(text: str) -> float:
+    """A JSON float, or NaN/Infinity, read as a number that must be finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is not finite")
+    return value
+
+
+def _read_artifact(path: Path) -> dict:
+    """One stage artifact: a JSON object of finite numbers, else an I/O error."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"), parse_float=_finite_float,
+                         parse_constant=_finite_float)
+    except (ValueError, RecursionError) as exc:  # bad JSON or text, digit limit, nesting
+        raise ProblemSpecError(f"{path} is not a readable artifact: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ProblemSpecError(f"{path} holds a JSON {type(doc).__name__}, not an object")
+    return doc
+
+
+def _is_finite_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def cmd_report(args) -> int:
     spec = load_spec_file(args.spec)
     out = _outdir(args)
@@ -415,28 +460,27 @@ def cmd_report(args) -> int:
     for kind in ("check", "verify", "solve", "smoothing"):
         path = out / f"{spec.name}.{kind}.json"
         if path.exists():
-            components[kind] = json.loads(path.read_text(encoding="utf-8"))
+            components[kind] = _read_artifact(path)
     if not components:
         raise ProblemSpecError(
             f"nothing to aggregate: no {spec.name}.*.json artifacts in {out}")
 
     verdicts = {}
     if "check" in components:
-        verdicts["check"] = bool(components["check"].get("all_conditions_hold"))
+        verdicts["check"] = components["check"].get("all_conditions_hold") is True
     if "verify" in components:
-        verdicts["verify"] = bool(components["verify"].get("all_passed"))
+        verdicts["verify"] = components["verify"].get("all_passed") is True
     if "solve" in components:
         doc = components["solve"]
-        ok = np.isfinite(doc.get("residual_max", np.nan))
-        ok = ok and np.isfinite(doc.get("energy_max_ratio", np.nan))
-        ok = ok and doc.get("residual_within_tol") is not False
-        verdicts["solve"] = bool(ok)
+        verdicts["solve"] = (_is_finite_number(doc.get("residual_max"))
+                             and _is_finite_number(doc.get("energy_max_ratio"))
+                             and doc.get("residual_within_tol") is not False)
     if "smoothing" in components:
         doc = components["smoothing"]
-        reliable = any(order.get("reliable") for order in doc.get("orders", []))
-        scale = doc.get("empirical_L")
-        verdicts["smoothing"] = (reliable and isinstance(scale, (int, float))
-                                 and bool(np.isfinite(scale)))
+        orders = doc.get("orders")
+        reliable = isinstance(orders, list) and any(
+            isinstance(order, dict) and order.get("reliable") is True for order in orders)
+        verdicts["smoothing"] = reliable and _is_finite_number(doc.get("empirical_L"))
 
     headline = {}
     if "check" in components:
@@ -451,7 +495,7 @@ def cmd_report(args) -> int:
     if "smoothing" in components:
         headline["empirical_L"] = components["smoothing"].get("empirical_L")
         fit = components["smoothing"].get("gevrey_fit")
-        headline["gevrey_sigma"] = None if fit is None else fit.get("sigma")
+        headline["gevrey_sigma"] = fit.get("sigma") if isinstance(fit, dict) else None
 
     doc = {
         "spec": spec.name,

@@ -153,17 +153,40 @@ def _mode_data(source):
     return freqs, sum(f**2 for f in freqs), np.abs(coeffs)
 
 
+def _bessel_multiplier(xi_sq, s: float) -> np.ndarray:
+    """<xi>^s = (1 + |xi|^2)^(s/2) at every mode, the order-0 multiplier."""
+    return (1.0 + xi_sq) ** (s / 2.0) if s != 0 else np.ones_like(xi_sq)
+
+
+def _record(multiplier, amplitudes, amplitude_norm: float, alpha) -> DerivativeRecord:
+    """sqrt(sum |multiplier * c|^2) and its floor 1000 * eps * max multiplier * ||c||."""
+    peak = float(multiplier.max())
+    if peak == np.inf:
+        # an overflowed weight meets exactly zero coefficients: inf * 0 is nan,
+        # but an absent mode adds nothing to the sum
+        weighted = np.multiply(multiplier, amplitudes, out=np.zeros_like(amplitudes),
+                               where=amplitudes != 0)
+    else:
+        weighted = multiplier * amplitudes
+    value = float(np.linalg.norm(weighted))
+    floor = _NOISE_FACTOR * np.finfo(float).eps * peak * amplitude_norm
+    return DerivativeRecord(alpha=tuple(int(a) for a in alpha), value=value, floor=floor)
+
+
 def _norm_of_modes(modes, alpha, s: float) -> DerivativeRecord:
+    """The record of d^alpha in H^s: <xi>^s times |xi_ax| once per order, in axis order.
+
+    smoothing_profile walks the pure powers d * e_ax by the same repeated
+    product, one factor per order, so both give the same floats.
+    """
     freqs, xi_sq, amplitudes = modes
-    multiplier = (1.0 + xi_sq) ** (s / 2.0) if s != 0 else np.ones_like(xi_sq)
+    multiplier = _bessel_multiplier(xi_sq, s)
     for ax, a in enumerate(alpha):
         if a:
-            multiplier = multiplier * np.abs(freqs[ax]) ** int(a)
-    value = float(np.linalg.norm(multiplier * amplitudes))
-    floor = _NOISE_FACTOR * np.finfo(float).eps * float(multiplier.max()) * float(
-        np.linalg.norm(amplitudes)
-    )
-    return DerivativeRecord(alpha=tuple(int(a) for a in alpha), value=value, floor=floor)
+            step = np.abs(freqs[ax])
+            for _ in range(int(a)):
+                multiplier = multiplier * step
+    return _record(multiplier, amplitudes, float(np.linalg.norm(amplitudes)), alpha)
 
 
 def derivative_norm(source, alpha, s: float) -> DerivativeRecord:
@@ -172,7 +195,8 @@ def derivative_norm(source, alpha, s: float) -> DerivativeRecord:
     `source` is a grid SpectralField or an exact per-mode ledger; the weighted
     mode sum is sqrt(sum |<xi>^s prod xi^alpha c|^2) over the snapshot's own
     frequencies, so ledger input stays exact for off-lattice modes at any
-    order.  The floor is 1000 * eps * (max multiplier) * ||c||.
+    order.  The floor is 1000 * eps * (max multiplier) * ||c||.  A weight that
+    overflows on an exactly zero coefficient adds nothing (not inf * 0 = nan).
     """
     return _norm_of_modes(_mode_data(source), alpha, s)
 
@@ -257,9 +281,6 @@ class SmoothingReport:
     def suprema(self) -> np.ndarray:
         return np.array([rec.supremum for rec in self.orders])
 
-    def raw_suprema(self) -> np.ndarray:
-        return np.array([rec.raw_supremum for rec in self.orders])
-
     def reliable_orders(self) -> list:
         return [rec for rec in self.orders if rec.reliable]
 
@@ -342,17 +363,22 @@ def smoothing_profile(solution: TrajectorySolution, spec: ProblemSpec, d_max: in
     # snapshot-outer: each snapshot's frequencies are built once, then dropped
     for i in usable:
         t = float(times[i])
-        modes = _mode_data(sources[i])
+        modes = freqs, xi_sq, amplitudes = _mode_data(sources[i])
+        amplitude_norm = float(np.linalg.norm(amplitudes))
+        steps = {ax: np.abs(freqs[ax]) for ax in axes}
+        # the axis ladder: ladder[ax] is <xi>^s |xi_ax|^d, one factor more per order
+        ladder = dict.fromkeys(axes, _bessel_multiplier(xi_sq, s))
         for d in range(d_max + 1):
             weight = t ** (kappa * d)
             axis_records = {}
-            if selector.strategy == "full" and d > 0:
+            if d > 0:
                 for ax in axes:
+                    ladder[ax] = ladder[ax] * steps[ax]
                     pure = tuple(d if j == ax else 0 for j in range(n))
-                    axis_records[pure] = _norm_of_modes(modes, pure, s)
+                    axis_records[pure] = _record(ladder[ax], amplitudes, amplitude_norm, pure)
             for alpha in alphas[d]:
                 rec = axis_records.get(alpha) or _norm_of_modes(modes, alpha, s)
-                if axis_records and alpha not in axis_records:
+                if d > 0 and alpha not in axis_records:
                     bound = sum(axis_records[a].value for a in axis_records)
                     if rec.value > bound * (1.0 + 1e-12):
                         domination_ok = False
@@ -361,7 +387,7 @@ def smoothing_profile(solution: TrajectorySolution, spec: ProblemSpec, d_max: in
                     best[d] = entry
                 if raw_best[d] is None or rec.value > raw_best[d][0]:
                     raw_best[d] = (rec.value, t)
-        del modes
+        del modes, freqs, xi_sq, amplitudes, steps, ladder
     orders = tuple(
         OrderRecord(d=d, supremum=sup, scale=sup ** (1.0 / (d + 1)), argmax_time=t_arg,
                     argmax_alpha=alpha_arg, raw_supremum=raw[0], raw_argmax_time=raw[1],

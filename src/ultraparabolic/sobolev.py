@@ -225,9 +225,18 @@ class SobolevIndexSet:
 
 
 def hs_norm(field: SpectralField, s: float) -> float:
-    """Sobolev norm ||<xi>^s u^||_{l2}; equals 1 for the constant function 1."""
+    """Sobolev norm ||<xi>^s u^||_{l2}; equals 1 for the constant function 1.
+
+    A weight that overflows to inf on a zero coefficient adds nothing, so the
+    norm reads inf (or a finite number), never the nan of inf * 0.
+    """
     w = field.grid.bessel_weight(2.0 * s)
-    return float(np.sqrt(np.sum(w * (field.coeffs.real**2 + field.coeffs.imag**2))))
+    power = field.coeffs.real**2 + field.coeffs.imag**2
+    with np.errstate(invalid="ignore"):  # inf * 0, summed to nan and handled below
+        total = np.sum(w * power)
+    if np.isnan(total) and w.max() == np.inf:
+        total = np.sum(np.multiply(w, power, out=np.zeros_like(power), where=power != 0))
+    return float(np.sqrt(total))
 
 
 def bessel_apply(field: SpectralField, s: float) -> SpectralField:

@@ -14,8 +14,13 @@ snapshots on one grid):
   acyclic (then e^{-tB} is unit-triangular in topological order).  Up to
   floating round-off and spectral tails, the snapshots are the exact solution
   samples, so the route also satisfies the semigroup property to near machine
-  precision.  Each snapshot also carries a ModeLedger whose frequencies()
-  give every mode's true frequency e^{-tB} xi.
+  precision.  The route's native output is one ModeLedger per snapshot (the
+  damped amplitudes; frequencies() gives every mode's true frequency
+  e^{-tB} xi).  A snapshot's grid field is formed from its ledger by the
+  resampling the first time `fields`, `snapshot(i)` or `final` reads it, and
+  is then kept, so a stage that reads only the ledgers never resamples.  The
+  phases, damping and frequencies are built from per-axis vectors that
+  broadcast over the grid, so each costs only the axes it varies along.
 
 * solve_fd -- theta-method IMEX finite differences on the same box with zero
   Dirichlet data: diffusion (second-order central) is treated implicitly on
@@ -28,8 +33,10 @@ snapshots on one grid):
   factorization shared by all columns when a varies only along diffused
   axes, one per column else.  The step is refused up front when the
   advective CFL number exceeds the limit (the error carries a suggested
-  step) or when the diffusion coefficient leaves [1/Lambda, Lambda] at a
-  sample point.
+  step), when the diffusion coefficient leaves [1/Lambda, Lambda] at a
+  sample point, or when reaching the last snapshot takes more than
+  _MAX_FD_STEPS steps (the error names a step that passes).  SciPy (sparse
+  matrices and LU) is imported by this route alone, when it first runs.
 
 residual_series measures how well any trajectory satisfies the PDE (spectral
 space derivatives, fourth-order central time differences), and energy_check
@@ -38,13 +45,12 @@ tracks the parabolic energy balance against its theoretical budget.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
-from scipy.sparse.linalg import splu
 
 from .problems import ConstantPreset, ProblemSpec, coercivity_check
 from .sobolev import SpectralField, TorusGrid, hs_norm
@@ -95,22 +101,34 @@ class CoercivityError(SolverError):
 def _row_combinations(M: np.ndarray, arrays, rows):
     """Yield sum_j M[r, j] * arrays[j] for each r in rows, one row at a time.
 
-    Zero entries of M are skipped.  This is the one place where a drift
+    Zero entries of M are skipped, and each sum broadcasts over only the
+    arrays it adds, so per-axis arrays (see _axis_vectors) give a result that
+    spans just the axes its row couples.  This is the one place where a drift
     matrix meets per-axis arrays: the transformed frequencies e^{-tB} xi, the
     phase shifts of the exact transport, and the speeds sum_k B[k, j] x_k.
     """
-    shape = np.broadcast_shapes(*(np.shape(a) for a in arrays))
     for r in rows:
-        out = np.zeros(shape)
-        for j, c in enumerate(M[r]):
-            if c != 0.0:
-                out += c * arrays[j]
+        used = [j for j, c in enumerate(M[r]) if c != 0.0]
+        out = np.zeros(np.broadcast_shapes(*(np.shape(arrays[j]) for j in used)))
+        for j in used:
+            out += M[r, j] * arrays[j]
         yield out
+
+
+def _axis_vectors(grid: TorusGrid, values: np.ndarray) -> list:
+    """One length-N vector per axis, shaped (1, ..., N, ..., 1) to broadcast over the grid.
+
+    `values` is grid.axis_modes / grid.L for frequencies, grid.axis_points
+    for coordinates: the numbers of grid.frequency and grid.coordinate,
+    without the N**n broadcast.
+    """
+    n = grid.n
+    return [values.reshape((1,) * ax + (grid.N,) + (1,) * (n - 1 - ax)) for ax in range(n)]
 
 
 @dataclass(frozen=True)
 class ModeLedger:
-    """Exact per-mode content of one snapshot from the characteristics route.
+    """Exact per-mode content of one snapshot: the characteristics route's native form.
 
     Each initial lattice mode evolves in closed form: its frequency moves to
     e^{-tB} xi (generally off the lattice) and its amplitude is damped.  The
@@ -122,6 +140,8 @@ class ModeLedger:
     amplitude of the mode at initial lattice index idx, and its true frequency
     along axis ax is `frequencies()[ax][idx]` = sum_j matrix[ax, j] * xi_j(idx).
     Weighted mode sums computed from the ledger are exact at any order.
+    The exact route's grid field of a snapshot is formed from its ledger, on
+    first read (see TrajectorySolution).
     """
 
     grid: TorusGrid
@@ -129,18 +149,51 @@ class ModeLedger:
     coefficients: np.ndarray
 
     def frequencies(self) -> list:
-        """True frequency of each mode along every axis, broadcast over the lattice."""
-        freqs = [self.grid.frequency(j) for j in range(self.grid.n)]
-        return list(_row_combinations(self.matrix, freqs, range(self.grid.n)))
+        """True frequency of each mode along every axis, broadcast over the lattice.
+
+        Each sum runs on the axes its row of `matrix` couples; the results are
+        read-only views at the lattice shape.
+        """
+        freqs = _axis_vectors(self.grid, self.grid.axis_modes / self.grid.L)
+        return [np.broadcast_to(f, self.grid.shape)
+                for f in _row_combinations(self.matrix, freqs, range(self.grid.n))]
+
+
+class _LedgerFields(Sequence):
+    """The exact route's grid fields, formed from its ledgers when first read.
+
+    Item i is the ledger's amplitudes resampled on the grid by _transport at
+    times[i]; each is formed once and kept, because `solve` reads every field
+    three times (residual, energy, write).
+    """
+
+    def __init__(self, ledgers: tuple, powers: list, order: list, times: np.ndarray):
+        self._ledgers = ledgers
+        self._powers = powers
+        self._order = order
+        self._times = times
+        self._formed = [None] * len(ledgers)
+
+    def __len__(self):
+        return len(self._ledgers)
+
+    def __getitem__(self, i):
+        if self._formed[i] is None:
+            ledger = self._ledgers[i]
+            self._formed[i] = SpectralField(ledger.grid, _transport(
+                ledger.grid, ledger.coefficients, self._powers, self._order, self._times[i]))
+        return self._formed[i]
 
 
 @dataclass(frozen=True)
 class TrajectorySolution:
     """Snapshots of one evolution: times[i] holds fields[i] on a common grid.
 
-    `mode_ledgers` is populated by the exact route only; it carries the same
-    snapshots in per-mode form (true off-lattice frequencies), which norm
-    measurements prefer when present.
+    `mode_ledgers` is populated by the exact route only.  There the ledgers
+    are the solution and `fields` is a sequence that forms snapshot i's grid
+    field from ledger i the first time it is read (through `fields`,
+    `snapshot(i)` or `final`) and keeps it; norm measurements read the
+    ledgers (true off-lattice frequencies) and so never form a field.
     """
 
     spec_name: str
@@ -148,7 +201,7 @@ class TrajectorySolution:
     method: str
     grid: TorusGrid
     times: np.ndarray
-    fields: tuple
+    fields: Sequence
     diagnostics: dict = field(default_factory=dict, compare=False)
     mode_ledgers: tuple | None = None
 
@@ -253,13 +306,17 @@ def _exact_route_supported(spec: ProblemSpec):
 
 
 def _damping_exponent(grid, powers, m0, t, quad_order) -> np.ndarray:
-    """int_0^t |P e^{-tau B} xi|^2 dtau on the full frequency mesh (exact GL)."""
+    """int_0^t |P e^{-tau B} xi|^2 dtau on the full frequency mesh (exact GL).
+
+    Each node's projected frequency spans only the axes its row couples; it
+    is squared there and added into the full mesh.
+    """
     if t == 0.0:
         return np.zeros(grid.shape)
     nodes, weights = leggauss(quad_order)
     taus = 0.5 * t * (nodes + 1.0)
     ws = 0.5 * t * weights
-    freqs = [grid.frequency(ax) for ax in range(grid.n)]
+    freqs = _axis_vectors(grid, grid.axis_modes / grid.L)
     total = np.zeros(grid.shape)
     for tau, w in zip(taus, ws):
         for y in _row_combinations(_matrix_exponential(powers, -tau), freqs, range(m0)):
@@ -268,18 +325,23 @@ def _damping_exponent(grid, powers, m0, t, quad_order) -> np.ndarray:
 
 
 def _transport(grid, coeffs, powers, order, t) -> np.ndarray:
-    """Resample modes at e^{-tB} xi by per-axis fractional phase shifts."""
+    """Resample modes at e^{-tB} xi by per-axis fractional phase shifts.
+
+    The phase along axis ax spans ax and the axes that shift it, so its
+    complex exp runs on those axes only and broadcasts into the grid.
+    """
     if t == 0.0:
         return coeffs.copy()
     M = _matrix_exponential(powers, -t)
     np.fill_diagonal(M, 0.0)  # each axis is shifted by the other axes' modes
-    modes = [grid.frequency(ax) * grid.L for ax in range(grid.n)]
+    modes = [k * grid.L for k in _axis_vectors(grid, grid.axis_modes / grid.L)]
+    coords = _axis_vectors(grid, grid.axis_points)
     out = coeffs
     for ax, shift in zip(order, _row_combinations(M, modes, order)):
         if not np.any(shift):
             continue
         values = np.fft.ifft(out, axis=ax)
-        values *= np.exp(1j * shift * grid.coordinate(ax) / grid.L)
+        values *= np.exp(1j * shift * coords[ax] / grid.L)
         out = np.fft.fft(values, axis=ax)
     return np.asarray(out)
 
@@ -306,20 +368,19 @@ def solve_exact(spec: ProblemSpec, grid: TorusGrid | None = None, times=None,
     a_val = float(spec.a.value)
     base = (u0 if u0 is not None else spec.u0.spectral(grid)).coeffs
     quad_order = spec.n + 1
-    fields = []
-    ledgers = []
-    for t in times:
-        damped = base * np.exp(-a_val * _damping_exponent(grid, powers, spec.m0, t, quad_order))
-        fields.append(SpectralField(grid, _transport(grid, damped, powers, order, t)))
-        ledgers.append(ModeLedger(grid, _matrix_exponential(powers, -t), damped))
+    ledgers = tuple(
+        ModeLedger(grid, _matrix_exponential(powers, -t),
+                   base * np.exp(-a_val * _damping_exponent(grid, powers, spec.m0, t, quad_order)))
+        for t in times
+    )
     return TrajectorySolution(
         spec_name=spec.name,
         spec_hash=spec.spec_hash(),
         method="exact",
         grid=grid,
         times=times,
-        fields=tuple(fields),
-        mode_ledgers=tuple(ledgers),
+        fields=_LedgerFields(ledgers, powers, order, times),
+        mode_ledgers=ledgers,
     )
 
 
@@ -389,13 +450,18 @@ def _upwind_difference(u, u3, u4, positive, axis, h, out) -> np.ndarray:
     return out
 
 
-def _dirichlet_d2(N: int, h: float) -> sp.csr_matrix:
+def _dirichlet_d2(N: int, h: float):
+    import scipy.sparse as sp
+
     main = np.full(N, -2.0)
     off = np.ones(N - 1)
     return sp.diags([off, main, off], [-1, 0, 1], format="csr") / (h * h)
 
 
-def _subgrid_laplacian(N: int, m0: int, h: float) -> sp.csr_matrix:
+def _subgrid_laplacian(N: int, m0: int, h: float):
+    """Sparse CSR Laplacian of the leading m0 axes (3-point Dirichlet stencil)."""
+    import scipy.sparse as sp
+
     D2 = _dirichlet_d2(N, h)
     total = None
     for ax in range(m0):
@@ -435,11 +501,18 @@ def _sine_transform(S, x, spare, m0):
     return x, spare
 
 
+# Refuse a run that needs more time steps than this: even on the smallest
+# grids it would take minutes, and a mistyped --dt would hang the stage.
+_MAX_FD_STEPS = 100_000
+
+
 def _snapshot_segments(times, dt_base, T, strict):
     """Split [0, times[-1]] into (n_steps, dt) runs ending at each snapshot.
 
     With an explicit dt (`strict`), every gap must be an integer multiple of
     it; otherwise each gap uses the largest step <= dt_base that divides it.
+    Refuses, before any step is counted out, a dt that needs more than
+    _MAX_FD_STEPS steps to reach the last snapshot.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -448,6 +521,13 @@ def _snapshot_segments(times, dt_base, T, strict):
         raise SolverError(f"snapshot times must lie in [0, T] = [0, {T}]")
     if np.any(np.diff(times) <= 0):
         raise SolverError("snapshot times must be strictly increasing")
+    end = float(times[-1])
+    needed = end / dt_base if dt_base > 0 else np.inf
+    if not needed <= _MAX_FD_STEPS:  # also refuses a nan, zero or subnormal dt
+        raise SolverError(
+            f"dt = {dt_base:.6g} needs {needed:.3g} steps to reach t = {end:.6g}, "
+            f"more than the limit of {_MAX_FD_STEPS}; retry with "
+            f"dt >= {2.0 * end / _MAX_FD_STEPS:.6g}")
     segments = []
     prev = 0.0
     for target in times:
@@ -473,8 +553,10 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     """IMEX theta-scheme: implicit central diffusion, explicit upwinded transport.
 
     Aborts with CoercivityError when the sampled diffusion coefficient leaves
-    [1/Lambda, Lambda], and with CFLError (carrying a suggested dt) when the
-    advective step bound fails.  Diagnostics record the discrete mass and the
+    [1/Lambda, Lambda], with CFLError (carrying a suggested dt) when the
+    advective step bound fails, and with SolverError (naming a dt that
+    passes) when the run would take more than _MAX_FD_STEPS steps.
+    Diagnostics record the discrete mass and the
     fraction of the solution touching the boundary shell at each snapshot,
     and which implicit slab solver ran (`slab_solver`: "sine",
     "splu-shared" or "splu-per-column", chosen from a's axis dependence).
@@ -538,6 +620,9 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
 
             return solve
     else:
+        import scipy.sparse as sp
+        from scipy.sparse.linalg import splu
+
         eye = sp.identity(M, format="csr")
         a2d = np.broadcast_to(a_vals, grid.shape).reshape(M, R)
         factor_cache = {}

@@ -6,6 +6,12 @@ heavyweight configurations live in the acceptance suite.
 """
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +169,106 @@ def test_solve_keeps_exit_code_contract_for_any_flag_value(tmp_path_factory, box
     assert _exit_code(argv) in {EXIT_OK, EXIT_CONDITION, EXIT_NUMERICAL, EXIT_IO}
 
 
+# work-sizing flags stay small (--grid <= 16, --tgrid <= 9, --dmax <= 6), and
+# the draws include values the parser refuses
+_GRID_POINTS = st.integers(-2, 16)
+_SNAPSHOTS = st.integers(-1, 9)
+_ORDERS = st.integers(-1, 6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(["kolmogorov2d", "brownian-inertia"]), grid=_GRID_POINTS,
+       tgrid=_SNAPSHOTS, dmax=_ORDERS, box=_FLAG_VALUES, dt=_FLAG_VALUES)
+@example(spec="kolmogorov2d", grid=8, tgrid=5, dmax=4, box=1e-80, dt=None)
+@example(spec="brownian-inertia", grid=8, tgrid=5, dmax=2, box=None, dt=1e-9)
+@example(spec="brownian-inertia", grid=8, tgrid=5, dmax=2, box=None, dt=5e-324)
+@example(spec="brownian-inertia", grid=8, tgrid=5, dmax=2, box=float("nan"), dt=float("inf"))
+@example(spec="kolmogorov2d", grid=4, tgrid=1, dmax=1, box=1e-320, dt=None)
+def test_smoothing_keeps_exit_code_contract_for_any_flag_value(tmp_path_factory, spec, grid,
+                                                               tgrid, dmax, box, dt):
+    out = tmp_path_factory.mktemp("smoothing-flags")
+    argv = ["smoothing", "--spec", spec, "--out", str(out), f"--grid={grid}",
+            f"--tgrid={tgrid}", f"--dmax={dmax}"]
+    argv += [f"--{name}={value!r}" for name, value in (("box", box), ("dt", dt))
+             if value is not None]
+    assert _exit_code(argv) in {EXIT_OK, EXIT_CONDITION, EXIT_NUMERICAL, EXIT_IO}
+
+
+# rationals around the admissible range (> 1), and text that is no rational
+_DELTAS = st.one_of(st.fractions(-3, 5, max_denominator=12).map(str),
+                    st.floats().map(repr), st.sampled_from(["1/0", "", "x", "2/"]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(dmax=_ORDERS, seed=st.integers(), deltas=st.lists(_DELTAS, max_size=2))
+@example(dmax=1, seed=0, deltas=["1/2"])
+@example(dmax=1, seed=-1, deltas=["1"])
+@example(dmax=1, seed=10**30, deltas=["1e-320", "inf"])
+def test_verify_keeps_exit_code_contract_for_any_flag_value(tmp_path_factory, dmax, seed,
+                                                            deltas):
+    out = tmp_path_factory.mktemp("verify-flags")
+    argv = ["verify", "--spec", "kolmogorov2d", "--out", str(out), f"--dmax={dmax}",
+            f"--seed={seed}"]
+    argv += [f"--delta={delta}" for delta in deltas]
+    assert _exit_code(argv) in {EXIT_OK, EXIT_CONDITION, EXIT_NUMERICAL, EXIT_IO}
+
+
+_REPORT_KINDS = ("check", "verify", "solve", "smoothing")
+
+
+@pytest.fixture(scope="module")
+def valid_artifacts(tmp_path_factory):
+    """The four kolmogorov2d artifacts report reads, as parsed JSON."""
+    out = tmp_path_factory.mktemp("valid")
+    for argv in (["check"], ["verify", "--dmax", "1"], ["solve", "--grid", "8", "--tgrid", "5"],
+                 ["smoothing", "--grid", "8", "--tgrid", "5", "--dmax", "3"]):
+        assert main([*argv, "--spec", "kolmogorov2d", "--out", str(out)]) == EXIT_OK
+    return {kind: json.loads((out / f"kolmogorov2d.{kind}.json").read_text())
+            for kind in _REPORT_KINDS}
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+_BAD_TEXT = st.sampled_from(["", "{", "NaN", "-Infinity", "1e400", "[1e999]", "9" * 5000,
+                             "[" * 100_000, '{"orders": [1e400]}'])
+
+
+@st.composite
+def _artifact(draw, kind, valid):
+    """None (absent), or the artifact file's bytes."""
+    choice = draw(st.sampled_from(["absent", "valid", "mutated", "json", "text"]))
+    if choice == "absent":
+        return None
+    if choice == "text":
+        return draw(_BAD_TEXT).encode() if draw(st.booleans()) else b"\xff\xfe{"
+    if choice == "json":
+        return json.dumps(draw(_JSON)).encode()
+    doc = json.loads(json.dumps(valid[kind]))
+    if choice == "mutated":
+        key = draw(st.sampled_from(sorted(doc)))
+        doc[key] = draw(_JSON)
+        if kind == "smoothing" and draw(st.booleans()):
+            doc["orders"] = draw(st.lists(_JSON | st.just(valid[kind]["orders"][0]),
+                                          max_size=3))
+    return json.dumps(doc).encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_report_keeps_exit_code_contract_for_any_artifact(tmp_path_factory, valid_artifacts,
+                                                          data):
+    out = tmp_path_factory.mktemp("report-artifacts")
+    for kind in _REPORT_KINDS:
+        raw = data.draw(_artifact(kind, valid_artifacts), label=kind)
+        if raw is not None:
+            (out / f"kolmogorov2d.{kind}.json").write_bytes(raw)
+    code = _exit_code(["report", "--spec", "kolmogorov2d", "--out", str(out)])
+    assert code in {EXIT_OK, EXIT_CONDITION, EXIT_NUMERICAL, EXIT_IO}
+
+
 def test_malformed_json_exits_with_io_code(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{ not json", encoding="utf-8")
@@ -317,6 +423,56 @@ def test_results_that_overflow_abort_before_writing(tmp_path):
         assert run(*argv, "--spec", "kolmogorov2d", "--out", str(out),
                    "--grid", "8", "--box", "1e-80") == EXIT_NUMERICAL
         assert not out.exists()
+
+
+def test_grid_whose_weights_overflow_is_refused_with_a_box_that_passes(tmp_path, capsys):
+    out = tmp_path / "tiny"
+    assert run("solve", "--spec", "kolmogorov2d", "--out", str(out), "--grid", "8",
+               "--tgrid", "5", "--box", "1e-80") == EXIT_NUMERICAL
+    assert not out.exists()
+    message = capsys.readouterr().err
+    assert "overflows" in message
+    box = message.rsplit("L >= ", 1)[1].strip()
+    assert run("solve", "--spec", "kolmogorov2d", "--out", str(tmp_path / "passing"),
+               "--grid", "8", "--tgrid", "5", "--box", box) == EXIT_OK
+
+
+def test_solve_refuses_a_step_count_past_the_limit(tmp_path):
+    # dt = 1e-9 asks for 5e8 explicit steps; the guard refuses before the first
+    out = tmp_path / "steps"
+    started = time.perf_counter()
+    assert run("solve", "--spec", "kolmogorov-general", "--out", str(out), "--grid", "8",
+               "--tgrid", "5", "--dt", "1e-9") == EXIT_NUMERICAL
+    assert time.perf_counter() - started < 10.0
+    assert not out.exists()
+
+
+def test_exact_route_stages_never_import_scipy(tmp_path):
+    # a fresh interpreter: the pytest process imports SciPy through other tests
+    script = textwrap.dedent(f"""
+        import sys
+        from ultraparabolic import cli
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+        assert scipy_modules() == [], scipy_modules()
+        for stage in ("solve", "smoothing"):
+            argv = [stage, "--spec", "kolmogorov2d", "--grid", "16", "--tgrid", "9",
+                    "--out", {str(tmp_path / "exact")!r}]
+            assert cli.main(argv) == 0, stage
+        assert scipy_modules() == [], scipy_modules()
+        argv = ["solve", "--spec", "kolmogorov-general", "--grid", "8", "--tgrid", "5",
+                "--out", {str(tmp_path / "fd")!r}]
+        assert cli.main(argv) == 0
+        assert "scipy.sparse" in sys.modules
+    """)
+    src = str(Path(__import__("ultraparabolic").__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_solve_tgrid_too_small_for_residual(tmp_path):

@@ -23,7 +23,7 @@ from ultraparabolic.smoothing import (
     _mode_data,
 )
 from ultraparabolic.sobolev import SpectralField, TorusGrid, hs_norm
-from ultraparabolic.solver import ModeLedger, TrajectorySolution, solve_exact
+from ultraparabolic.solver import ModeLedger, TrajectorySolution, residual_series, solve_exact
 
 
 def comb(n, k):
@@ -508,3 +508,43 @@ def test_report_level_fit_matches_sequence_level():
         [r.d for r in rep.orders if r.d >= 2], [r.raw_supremum for r in rep.orders if r.d >= 2]
     )
     assert gevrey_fit(rep).sigma == direct.sigma == rep.fit.sigma
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_overflowed_weights_on_zero_coefficients_give_no_nan():
+    # frequencies up to 4/L = 4e80: <xi>^4 and |xi|^4 overflow to inf, while
+    # most coefficients are exactly zero
+    grid = TorusGrid(2, 8, 1e-80)
+    constant = SpectralField.constant(grid, 1.0)
+    assert hs_norm(constant, 2.0) == 1.0
+    assert derivative_norm(constant, (4, 0), 0.0).value == 0.0
+    live = constant + SpectralField.single_mode(grid, (3, 0), 0.5)
+    assert hs_norm(live, 2.0) == np.inf
+    assert derivative_norm(live, (4, 0), 0.0).value == np.inf
+
+    # kolmogorov2d on that box: the data is the constant to double precision,
+    # so the residual and every derivative of order >= 1 are exactly zero
+    spec = load_builtin("kolmogorov2d")
+    sol = solve_exact(spec, grid, times=np.linspace(0.0, spec.T, 5))
+    assert [hs_norm(f, 2.0) for f in sol.fields] == [1.0] * 5
+    assert np.array_equal(residual_series(sol, spec).values, np.zeros(1))
+    rep = smoothing_profile(solve_exact(spec, grid, times=np.linspace(0.01, 1.0, 5)), spec,
+                            d_max=4)
+    for rec in rep.orders[1:]:
+        assert rec.supremum == 0.0 and rec.raw_supremum == 0.0
+
+
+def test_repeated_product_multiplier_matches_powers_within_round_off():
+    # the parent computed |xi_ax|^a with one pow per axis; each order of the
+    # repeated product adds at most one rounding, so d * eps bounds the drift
+    spec = load_builtin("kolmogorov2d-lowreg")
+    ledger = solve_exact(spec, times=np.array([0.5])).mode_ledgers[0]
+    freqs, xi_sq, amplitudes = _mode_data(ledger)
+    for s in (0.0, -1.0):
+        for alpha in ((8, 0), (0, 8), (3, 5), (1, 2), (6, 0)):
+            multiplier = (1.0 + xi_sq) ** (s / 2.0) if s != 0 else np.ones_like(xi_sq)
+            for ax, a in enumerate(alpha):
+                multiplier = multiplier * np.abs(freqs[ax]) ** a
+            powered = float(np.linalg.norm(multiplier * amplitudes))
+            rec = derivative_norm(ledger, alpha, s)
+            assert rec.value == pytest.approx(powered, rel=2 * sum(alpha) * np.finfo(float).eps)

@@ -1,11 +1,16 @@
 """Solvers: exact-characteristics oracle checks, FD scheme behavior, reports."""
 
 import dataclasses
+import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
+
+from ultraparabolic import cli, solver
 
 from ultraparabolic.problems import (
     ConstantPreset,
@@ -16,13 +21,17 @@ from ultraparabolic.problems import (
     load_builtin,
 )
 from ultraparabolic.sobolev import SpectralField, TorusGrid, hs_norm
+from ultraparabolic.smoothing import smoothing_profile
 from ultraparabolic.solver import (
+    _MAX_FD_STEPS,
     CFLError,
     CoercivityError,
     SolverError,
     _axis_order,
     _damping_exponent,
+    _matrix_exponential,
     _nilpotent_powers,
+    _snapshot_segments,
     _transport,
     _upwind_difference,
     energy_check,
@@ -471,3 +480,134 @@ def test_custom_spec_fd_vs_exact_chain3():
     ex = solve_exact(spec, grid, times=times)
     err = (fd.final - ex.final).l2_norm() / ex.final.l2_norm()
     assert err <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# exact route on per-axis vectors against the full-grid reference
+
+
+def _full_grid_row_combinations(M, arrays, rows):
+    """Reference: every sum broadcast to the union of all the input shapes."""
+    shape = np.broadcast_shapes(*(np.shape(a) for a in arrays))
+    for r in rows:
+        out = np.zeros(shape)
+        for j, c in enumerate(M[r]):
+            if c != 0.0:
+                out += c * arrays[j]
+        yield out
+
+
+def _full_grid_damping_exponent(grid, powers, m0, t, quad_order):
+    """Reference: the Gauss-Legendre sum on full N**n frequency views."""
+    if t == 0.0:
+        return np.zeros(grid.shape)
+    nodes, weights = leggauss(quad_order)
+    taus = 0.5 * t * (nodes + 1.0)
+    ws = 0.5 * t * weights
+    freqs = [grid.frequency(ax) for ax in range(grid.n)]
+    total = np.zeros(grid.shape)
+    for tau, w in zip(taus, ws):
+        for y in _full_grid_row_combinations(_matrix_exponential(powers, -tau), freqs, range(m0)):
+            total += w * y**2
+    return total
+
+
+def _full_grid_transport(grid, coeffs, powers, order, t):
+    """Reference: per-axis phase shifts with each phase formed on all N**n points."""
+    if t == 0.0:
+        return coeffs.copy()
+    M = _matrix_exponential(powers, -t)
+    np.fill_diagonal(M, 0.0)
+    modes = [grid.frequency(ax) * grid.L for ax in range(grid.n)]
+    out = coeffs
+    for ax, shift in zip(order, _full_grid_row_combinations(M, modes, order)):
+        if not np.any(shift):
+            continue
+        values = np.fft.ifft(out, axis=ax)
+        values *= np.exp(1j * shift * grid.coordinate(ax) / grid.L)
+        out = np.fft.fft(values, axis=ax)
+    return np.asarray(out)
+
+
+def _reversed_chain3():
+    # edges 2 -> 1 -> 0: the transport visits the axes in the order 2, 1, 0
+    spec = load_builtin("chain3")
+    return dataclasses.replace(spec, name="reversed-chain3", B=_mat(3, {(2, 1): 1, (1, 0): 1}),
+                               m0=1)
+
+
+@pytest.mark.parametrize("spec, N", [
+    (load_builtin("lp-block"), 12),
+    (load_builtin("chain3"), 16),
+    (_reversed_chain3(), 12),
+], ids=["lp-block", "chain3", "reversed-chain3"])
+def test_exact_route_equals_full_grid_reference(spec, N):
+    grid = spec.default_grid(N=N)
+    powers = _nilpotent_powers(spec.B, spec.n)
+    order = _axis_order(spec.B)
+    times = np.array([0.0, 0.37, spec.T])
+    sol = solve_exact(spec, grid, times=times)
+    base = spec.u0.spectral(grid).coeffs
+    for i, t in enumerate(times):
+        D = _damping_exponent(grid, powers, spec.m0, t, spec.n + 1)
+        assert np.array_equal(D, _full_grid_damping_exponent(grid, powers, spec.m0, t, spec.n + 1))
+        damped = base * np.exp(-float(spec.a.value) * D)
+        ledger = sol.mode_ledgers[i]
+        assert np.array_equal(ledger.coefficients, damped)
+        freqs = [grid.frequency(ax) for ax in range(grid.n)]
+        reference = list(_full_grid_row_combinations(ledger.matrix, freqs, range(grid.n)))
+        for got, want in zip(ledger.frequencies(), reference):
+            assert got.shape == grid.shape
+            assert np.array_equal(got, want)
+        want = _full_grid_transport(grid, damped, powers, order, t)
+        assert np.array_equal(_transport(grid, damped, powers, order, t), want)
+        assert np.array_equal(sol.fields[i].coeffs, want)
+
+
+def test_exact_fields_are_formed_on_read_at_most_once(monkeypatch, tmp_path):
+    calls = []
+
+    def counting(grid, coeffs, powers, order, t):
+        calls.append(float(t))
+        return transport(grid, coeffs, powers, order, t)
+
+    transport = solver._transport
+    monkeypatch.setattr(solver, "_transport", counting)
+    spec = load_builtin("kolmogorov2d")
+    times = np.linspace(spec.T / 100, spec.T, 9)
+    sol = solve_exact(spec, TorusGrid(2, 16, 4.0), times=times)
+    smoothing_profile(sol, spec, d_max=4)
+    assert calls == []
+    assert sol.snapshot(3) is sol.fields[3]
+    assert sol.final is sol.fields[-1]
+    assert calls == [times[3], times[-1]]
+
+    calls.clear()
+    out = tmp_path / "solve"
+    assert cli.main(["solve", "--spec", "kolmogorov2d", "--grid", "16", "--tgrid", "9",
+                     "--out", str(out)]) == 0
+    assert len(calls) <= 9
+    assert max(Counter(calls).values()) == 1
+    calls.clear()
+    assert cli.main(["smoothing", "--spec", "kolmogorov2d", "--grid", "16", "--tgrid", "9",
+                     "--out", str(tmp_path / "smoothing")]) == 0
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# step-count guard
+
+
+def test_step_count_guard_refuses_up_front_and_names_a_dt_that_passes():
+    spec = load_builtin("kolmogorov-general")
+    grid = spec.default_grid(N=8)
+    times = np.linspace(0.0, spec.T, 5)
+    with pytest.raises(SolverError, match="limit") as err:
+        solve_fd(spec, grid, dt=1e-9, times=times)
+    suggested = float(re.search(r"dt >= (\S+)$", str(err.value)).group(1))
+    _, segments = _snapshot_segments(times, suggested, spec.T, True)
+    assert sum(steps for steps, _ in segments) <= _MAX_FD_STEPS
+    # a subnormal, zero or nan step is refused the same way, not by an overflow
+    for dt in (5e-324, 0.0, float("nan")):
+        with pytest.raises(SolverError, match="limit"):
+            _snapshot_segments(times, dt, spec.T, True)
