@@ -186,16 +186,29 @@ def _outdir(args) -> Path:
 
 
 def _write_sidecar(args, started: float) -> None:
-    """Volatile run metadata; the only file allowed to differ between reruns."""
+    """Volatile run metadata; the only file allowed to differ between reruns.
+
+    A stage adds its own keys through `args.run_meta` (see _route_meta).
+    """
     meta = {
         "command": args.subcommand,
         "spec": str(args.spec),
         "argv": sys.argv[1:],
         "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "elapsed_seconds": time.perf_counter() - started,
+        **args.run_meta,
     }
     (Path(args.out) / "run_meta.json").write_text(
         json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+
+
+def _route_meta(solution) -> dict:
+    """Which solver route ran and why; on the FD route, its slab solver and step count."""
+    diag = solution.diagnostics
+    meta = {"route": solution.method, "route_reason": diag.get("route_reason")}
+    if solution.method == "fd":
+        meta.update(slab_solver=diag["slab_solver"], fd_steps=diag["steps"])
+    return meta
 
 
 def _grid_for(spec: ProblemSpec, args):
@@ -338,6 +351,7 @@ def cmd_solve(args) -> int:
     _require_representable_weights(spec, grid, max(4.0, 2.0 * float(spec.s)))
     times = np.linspace(0.0, spec.T, args.tgrid)
     solution = solve_auto(spec, grid=grid, dt=args.dt, times=times)
+    args.run_meta.update(_route_meta(solution))
     residual = residual_series(solution, spec)
     energy = energy_check(solution, spec)
     _require_finite(spec, grid, "the residual or energy",
@@ -399,6 +413,7 @@ def cmd_smoothing(args) -> int:
     _require_representable_weights(spec, grid, float(args.dmax))
     times = np.linspace(spec.T / 100.0, spec.T, args.tgrid)
     solution = solve_auto(spec, grid=grid, dt=args.dt, times=times)
+    args.run_meta.update(_route_meta(solution))
     report = smoothing_profile(solution, spec, d_max=args.dmax)
     _require_finite(spec, grid, "a derivative norm",
                     [v for rec in report.orders for v in (rec.supremum, rec.raw_supremum)])
@@ -522,6 +537,7 @@ def cmd_report(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.run_meta = {}
     started = time.perf_counter()
     try:
         code = args.func(args)

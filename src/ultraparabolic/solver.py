@@ -26,21 +26,27 @@ snapshots on one grid):
   Dirichlet data: diffusion (second-order central) is treated implicitly on
   the diffused slabs, drift and the lower-order terms explicitly with
   second-order upwind-biased one-sided differences chosen by the local sign
-  of the transport speed.  When a does not vary along a diffused axis, each
-  implicit step is solved exactly in the DST-I eigenbasis of the Dirichlet
-  slab Laplacian (fast Poisson diagonalisation: a dense sine matrix along
-  each diffused axis, no factorization); otherwise by sparse LU, one
-  factorization shared by all columns when a varies only along diffused
-  axes, one per column else.  The step is refused up front when the
+  of the transport speed.  The explicit half of the diffusion is one 3-point
+  Dirichlet stencil on the diffused axes, written into the right-hand side.
+  When a does not vary along a diffused axis, each implicit step is solved
+  exactly in the DST-I eigenbasis of the Dirichlet slab Laplacian (fast
+  Poisson diagonalisation: a dense sine matrix along each diffused axis, no
+  factorization), on NumPy alone; otherwise by sparse LU, one factorization
+  shared by all columns when a varies only along diffused axes, one per
+  column else.  SciPy (the sparse slab Laplacian and its LU factorization) is
+  imported by these LU paths alone, when one first runs.  Transport speeds
+  span only the axes they vary along.  The step is refused up front when the
   advective CFL number exceeds the limit (the error carries a suggested
   step), when the diffusion coefficient leaves [1/Lambda, Lambda] at a
   sample point, or when reaching the last snapshot takes more than
-  _MAX_FD_STEPS steps (the error names a step that passes).  SciPy (sparse
-  matrices and LU) is imported by this route alone, when it first runs.
+  _MAX_FD_STEPS steps (the error names a step that passes).
 
 residual_series measures how well any trajectory satisfies the PDE (spectral
-space derivatives, fourth-order central time differences), and energy_check
-tracks the parabolic energy balance against its theoretical budget.
+space derivatives, fourth-order central time differences): du/dt and u take
+one n-D inverse FFT each per snapshot, and every first or second derivative
+along an axis one 1-D transform of u's grid values along that axis and back.
+energy_check tracks the parabolic energy balance against its theoretical
+budget.
 """
 
 from __future__ import annotations
@@ -402,19 +408,22 @@ def _sample(preset, grid: TorusGrid) -> np.ndarray:
                         for ax in range(grid.n))].copy()
 
 
-def _transport_speeds(spec: ProblemSpec, grid: TorusGrid):
-    """Yield (axis j, speed) for each axis whose transport speed is not zero.
+def _transport_speeds(spec: ProblemSpec, grid: TorusGrid) -> dict:
+    """{axis j: speed} for each axis whose transport speed is not zero.
 
     The speed along axis j is the drift column sum_k B[k, j] x_k plus the
-    first-order coefficient b_j on diffused axes.  Speeds come one axis at a
-    time, so a caller that uses each once never holds them all.
+    first-order coefficient b_j on diffused axes.  Each spans only the axes
+    it varies along and broadcasts against the grid (see _axis_vectors and
+    _sample), so it costs only those axes.
     """
-    coords = [grid.coordinate(k) for k in range(grid.n)]
+    coords = _axis_vectors(grid, grid.axis_points)
+    speeds = {}
     for j, w in enumerate(_row_combinations(spec.B_float().T, coords, range(grid.n))):
         if j < spec.m0 and not spec.b[j].is_zero:
-            w = w + spec.b[j].evaluate(grid)
+            w = w + _sample(spec.b[j], grid)
         if np.any(w):
-            yield j, w
+            speeds[j] = w
+    return speeds
 
 
 def _upwind_difference(u, u3, u4, positive, axis, h, out) -> np.ndarray:
@@ -447,6 +456,35 @@ def _upwind_difference(u, u3, u4, positive, axis, h, out) -> np.ndarray:
     np.copyto(face(out, 0), face(u3, 0), where=face(positive, 0))
     np.subtract(face(u3, 1), face(u4, 0), out=face(out, 1), where=face(positive, 1))
     out /= 2.0 * h
+    return out
+
+
+def _slab_laplacian(u, m0, h, out, neighbour, centre) -> np.ndarray:
+    """3-point Dirichlet Laplacian of u along its leading m0 axes, written into `out`.
+
+    Zeros stand in for values outside the box, so this is
+    _subgrid_laplacian(N, m0, h) applied to every column of u, without a
+    sparse matrix and without allocating.  It uses that matrix's coefficients
+    and adds each row's terms in its column order (lower neighbours by axis,
+    the diagonal, upper neighbours in reverse axis order), so it reproduces
+    the sparse product bit for bit.  `out`, `neighbour` and `centre` are
+    arrays of u's shape that overlap neither u nor each other; the last two
+    are overwritten.
+    """
+    c = 1.0 / (h * h)
+    d = -2.0 * c
+    for _ in range(m0 - 1):  # the diagonal as the sparse sum of the axis terms forms it
+        d = d + (-2.0 * c)
+    np.multiply(u, c, out=neighbour)
+    np.multiply(u, d, out=centre)
+    out.fill(0.0)
+    faces = [((slice(None),) * ax + (slice(None, -1),), (slice(None),) * ax + (slice(1, None),))
+             for ax in range(m0)]
+    for lower, upper in faces:
+        np.add(out[upper], neighbour[lower], out=out[upper])
+    np.add(out, centre, out=out)
+    for lower, upper in reversed(faces):
+        np.add(out[lower], neighbour[upper], out=out[lower])
     return out
 
 
@@ -558,8 +596,11 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     passes) when the run would take more than _MAX_FD_STEPS steps.
     Diagnostics record the discrete mass and the
     fraction of the solution touching the boundary shell at each snapshot,
-    and which implicit slab solver ran (`slab_solver`: "sine",
-    "splu-shared" or "splu-per-column", chosen from a's axis dependence).
+    which implicit slab solver ran (`slab_solver`: "sine",
+    "splu-shared" or "splu-per-column", chosen from a's axis dependence),
+    the number of time steps taken (`steps`) and why the spec needs this
+    route (`route_reason`, from _exact_route_supported; None when the exact
+    route would apply).
     """
     grid = grid or spec.default_grid()
     if grid.n != spec.n:
@@ -570,7 +611,7 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     h = grid.spacing
     n, m0, N = spec.n, spec.m0, grid.N
 
-    speeds = dict(_transport_speeds(spec, grid))
+    speeds = _transport_speeds(spec, grid)
     b0_vals = None if spec.b0.is_zero else _sample(spec.b0, grid)
     g_vals = None if spec.g.is_zero else _sample(spec.g, grid)
     a_vals = _sample(spec.a, grid)
@@ -591,9 +632,6 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     times, segments = _snapshot_segments(times, dt, spec.T, strict)
 
     # implicit diffusion operator on the leading m0-dimensional slabs
-    lap = _subgrid_laplacian(N, m0, h).tocsr()
-    M = N**m0
-    R = N ** (n - m0)
     depends = spec.a.depends_axes(n)
     if depends is not None and all(ax >= m0 for ax in depends):
         slab_solver = "sine"  # a is constant on every slab
@@ -602,9 +640,10 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     else:
         slab_solver = "splu-per-column"
 
-    # work arrays, allocated once per solve
-    u3, u4, rate, work = (np.empty(grid.shape) for _ in range(4))
-    upwind = {j: (w, w > 0) for j, w in speeds.items()}
+    # work arrays, allocated once per solve; the flattened `where=` of
+    # _upwind_difference needs each mask at full shape and C-contiguous
+    u3, u4, rate, work, rhs = (np.empty(grid.shape) for _ in range(5))
+    upwind = {j: (w, np.broadcast_to(w > 0, grid.shape).copy()) for j, w in speeds.items()}
 
     if slab_solver == "sine":
         S, lam = _slab_sine_basis(N, m0, n, h)
@@ -623,6 +662,9 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
         import scipy.sparse as sp
         from scipy.sparse.linalg import splu
 
+        M = N**m0
+        R = N ** (n - m0)
+        lap = _subgrid_laplacian(N, m0, h)
         eye = sp.identity(M, format="csr")
         a2d = np.broadcast_to(a_vals, grid.shape).reshape(M, R)
         factor_cache = {}
@@ -639,13 +681,15 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
             lus = factor_cache[step_dt]
 
             def solve(rhs):
+                # the result goes back into rhs's C-ordered buffer, as on the
+                # sine path (SuperLU returns Fortran order)
                 rhs2d = rhs.reshape(M, R)
                 if slab_solver == "splu-shared":
-                    return lus[0].solve(rhs2d).reshape(grid.shape)
-                out = np.empty_like(rhs2d)
-                for j in range(R):
-                    out[:, j] = lus[j].solve(rhs2d[:, j])
-                return out.reshape(grid.shape)
+                    rhs2d[...] = lus[0].solve(rhs2d)
+                else:
+                    for j in range(R):
+                        rhs2d[:, j] = lus[j].solve(rhs2d[:, j])
+                return rhs
 
             return solve
 
@@ -673,7 +717,9 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
         sl[ax] = N - 1
         boundary_mask[tuple(sl)] = True
 
-    u = spec.u0.evaluate(grid).astype(float)
+    # a fresh C-ordered copy: its buffer becomes a right-hand side, which the
+    # sine solver reshapes in place
+    u = np.array(spec.u0.evaluate(grid), dtype=float, order="C")
     fields, mass, boundary_fraction = [], [], []
     volume_element = h**n
 
@@ -688,13 +734,14 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
         solve = implicit_solver(step_dt) if steps else None
         for _ in range(steps):
             # u + dt ((1 - theta) a lap u + explicit terms), formed in place
-            rhs = (lap @ u.reshape(M, R)).reshape(grid.shape)
+            _slab_laplacian(u, m0, h, rhs, u3, u4)
             rhs *= a_vals
             rhs *= 1.0 - theta
             rhs += explicit_terms(u)
             rhs *= step_dt
             rhs += u
-            u = solve(rhs)
+            # every slab solver returns rhs's buffer; u's takes the next right-hand side
+            rhs, u = u, solve(rhs)
         record(u)
 
     return TrajectorySolution(
@@ -710,6 +757,8 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
             "mass": np.array(mass),
             "boundary_fraction": np.array(boundary_fraction),
             "slab_solver": slab_solver,
+            "steps": sum(steps for steps, _ in segments),
+            "route_reason": _exact_route_supported(spec),
         },
     )
 
@@ -742,7 +791,11 @@ def residual_series(solution: TrajectorySolution, spec: ProblemSpec) -> Residual
 
     Time derivative: fourth-order five-point central stencil, so the snapshot
     times must be uniformly spaced with at least five entries; space
-    derivatives are spectral on the snapshot grid.
+    derivatives are spectral on the snapshot grid.  Per snapshot, du/dt and
+    u take one n-D inverse FFT each; each first and second derivative along
+    an axis comes from u's grid values by a 1-D FFT along that axis, a
+    multiplication by i xi or -xi^2 and a 1-D inverse FFT, and only one such
+    axis transform is held at a time.
     """
     times = solution.times
     if len(times) < 5:
@@ -757,26 +810,39 @@ def residual_series(solution: TrajectorySolution, spec: ProblemSpec) -> Residual
     a_vals = _sample(spec.a, grid)
     b0_vals = None if spec.b0.is_zero else _sample(spec.b0, grid)
     g_vals = None if spec.g.is_zero else _sample(spec.g, grid)
+    speeds = _transport_speeds(spec, grid)
+    freqs = _axis_vectors(grid, grid.axis_modes / grid.L)
+    axes = sorted(set(speeds) | set(range(spec.m0)))
 
     out_times, out_values = [], []
     coeff_stack = [f.coeffs for f in solution.fields]
     for i in range(2, len(times) - 2):
-        dt_coeffs = (
+        residual = SpectralField(grid, (
             coeff_stack[i - 2] - 8.0 * coeff_stack[i - 1]
             + 8.0 * coeff_stack[i + 1] - coeff_stack[i + 2]
-        ) / (12.0 * dt)
-        residual = SpectralField(grid, dt_coeffs).grid_values()
+        ) / (12.0 * dt)).grid_values()
         u = solution.fields[i]
-        for j, w in _transport_speeds(spec, grid):
-            grad = u.partial_derivative(tuple(int(k == j) for k in range(grid.n))).grid_values()
-            residual = residual + w * grad
+        values = u.grid_values()
+        for ax in axes:
+            # i xi applied in place, once for the first derivative and once
+            # more for the second; each inverse transform runs in place too
+            spectrum = np.fft.fft(values, axis=ax)
+            spectrum *= 1j * freqs[ax]
+            if ax in speeds:
+                grad = spectrum.copy() if ax < spec.m0 else spectrum
+                np.fft.ifft(grad, axis=ax, out=grad)
+                grad *= speeds[ax]
+                residual += grad
+                del grad
+            if ax < spec.m0:
+                spectrum *= 1j * freqs[ax]
+                np.fft.ifft(spectrum, axis=ax, out=spectrum)
+                spectrum *= a_vals
+                residual -= spectrum
         if b0_vals is not None:
-            residual = residual + b0_vals * u.grid_values()
-        for ax in range(spec.m0):
-            alpha = tuple(2 * int(j == ax) for j in range(grid.n))
-            residual = residual - a_vals * u.partial_derivative(alpha).grid_values()
+            residual += b0_vals * values
         if g_vals is not None:
-            residual = residual - g_vals
+            residual -= g_vals
         value = float(np.sqrt(np.mean(np.abs(residual) ** 2))) / (hs_norm(u, 2.0) + 1.0)
         out_times.append(times[i])
         out_values.append(value)

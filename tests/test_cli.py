@@ -27,6 +27,8 @@ from ultraparabolic.cli import (
     main,
 )
 from ultraparabolic.fieldio import read_field
+from ultraparabolic.problems import load_builtin
+from ultraparabolic.solver import solve_fd
 
 
 def run(*argv):
@@ -475,6 +477,36 @@ def test_exact_route_stages_never_import_scipy(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+def test_sine_route_stages_never_import_scipy(tmp_path):
+    # a fresh interpreter: the pytest process imports SciPy through other tests
+    script = textwrap.dedent(f"""
+        import sys
+        from ultraparabolic import cli
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+        for spec, grid in (("fokkerplanck", "6"), ("brownian-inertia", "16")):
+            for stage, extra in (("solve", []), ("smoothing", ["--dmax", "3"])):
+                argv = [stage, "--spec", spec, "--grid", grid, "--tgrid", "5", *extra,
+                        "--out", {str(tmp_path / "sine")!r}]
+                assert cli.main(argv) == 0, (spec, stage)
+        assert scipy_modules() == [], scipy_modules()
+        argv = ["solve", "--spec", "kolmogorov-general", "--grid", "8", "--tgrid", "5",
+                "--out", {str(tmp_path / "splu")!r}]
+        assert cli.main(argv) == 0
+        assert "scipy.sparse" in sys.modules
+    """)
+    src = str(Path(__import__("ultraparabolic").__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    for spec in ("fokkerplanck", "brownian-inertia"):
+        assert json.loads((tmp_path / "sine" / f"{spec}.solve.json").read_text())["method"] == "fd"
+
+
 def test_solve_tgrid_too_small_for_residual(tmp_path):
     spec = write_spec(tmp_path)
     assert run("solve", "--spec", str(spec), "--out", str(tmp_path),
@@ -582,6 +614,28 @@ def test_repeat_runs_are_byte_identical(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
         compared += 1
     assert compared >= 12
+
+
+def test_run_meta_records_the_route_and_the_fd_step_count(tmp_path):
+    for stage, extra in (("solve", ()), ("smoothing", ("--dmax", "3"))):
+        for spec, grid, reason in (("kolmogorov2d", "16", None),
+                                   ("brownian-inertia", "16", "first-order transport coefficients b"),
+                                   ("kolmogorov-general", "8", "variable diffusion coefficient")):
+            out = tmp_path / stage / spec
+            assert run(stage, "--spec", spec, "--grid", grid, "--tgrid", "5", *extra,
+                       "--out", str(out)) == EXIT_OK
+            meta = json.loads((out / "run_meta.json").read_text())
+            assert meta["route"] == ("exact" if reason is None else "fd")
+            assert meta["route_reason"] == reason
+            if reason is None:
+                assert "slab_solver" not in meta and "fd_steps" not in meta
+                continue
+            loaded = load_builtin(spec)
+            times = (np.linspace(0.0, loaded.T, 5) if stage == "solve"
+                     else np.linspace(loaded.T / 100.0, loaded.T, 5))
+            sol = solve_fd(loaded, loaded.default_grid(N=int(grid)), times=times)
+            assert meta["slab_solver"] == sol.diagnostics["slab_solver"]
+            assert meta["fd_steps"] == sol.diagnostics["steps"] > 0
 
 
 def test_run_meta_sidecar_holds_volatile_fields(tmp_path):

@@ -18,6 +18,7 @@ from ultraparabolic.problems import (
     LinearPreset,
     ProblemSpec,
     SinPerturbPreset,
+    builtin_spec_names,
     load_builtin,
 )
 from ultraparabolic.sobolev import SpectralField, TorusGrid, hs_norm
@@ -31,8 +32,11 @@ from ultraparabolic.solver import (
     _damping_exponent,
     _matrix_exponential,
     _nilpotent_powers,
+    _slab_laplacian,
     _snapshot_segments,
+    _subgrid_laplacian,
     _transport,
+    _transport_speeds,
     _upwind_difference,
     energy_check,
     residual_series,
@@ -427,6 +431,108 @@ def test_residual_covers_lower_order_terms():
     rep = residual_series(sol, spec)
     assert np.all(np.isfinite(rep.values))
     assert rep.max_value < 0.5
+
+
+def _full_grid_speeds(spec, grid):
+    """Reference: each nonzero transport speed as a full N**n array."""
+    coords = [grid.coordinate(k) for k in range(grid.n)]
+    for j, w in enumerate(_full_grid_row_combinations(spec.B_float().T, coords, range(grid.n))):
+        if j < spec.m0 and not spec.b[j].is_zero:
+            w = w + spec.b[j].evaluate(grid)
+        if np.any(w):
+            yield j, w
+
+
+def _residual_reference(solution, spec):
+    """Reference: the per-term residual loop, one full n-D inverse FFT per term."""
+    times = solution.times
+    dt = float(times[1] - times[0])
+    grid = solution.grid
+    a_vals = spec.a.evaluate(grid)
+    coeff_stack = [f.coeffs for f in solution.fields]
+    values = []
+    for i in range(2, len(times) - 2):
+        dt_coeffs = (
+            coeff_stack[i - 2] - 8.0 * coeff_stack[i - 1]
+            + 8.0 * coeff_stack[i + 1] - coeff_stack[i + 2]
+        ) / (12.0 * dt)
+        residual = SpectralField(grid, dt_coeffs).grid_values()
+        u = solution.fields[i]
+        for j, w in _full_grid_speeds(spec, grid):
+            grad = u.partial_derivative(tuple(int(k == j) for k in range(grid.n))).grid_values()
+            residual = residual + w * grad
+        if not spec.b0.is_zero:
+            residual = residual + spec.b0.evaluate(grid) * u.grid_values()
+        for ax in range(spec.m0):
+            alpha = tuple(2 * int(j == ax) for j in range(grid.n))
+            residual = residual - a_vals * u.partial_derivative(alpha).grid_values()
+        if not spec.g.is_zero:
+            residual = residual - spec.g.evaluate(grid)
+        values.append(float(np.sqrt(np.mean(np.abs(residual) ** 2))) / (hs_norm(u, 2.0) + 1.0))
+    return np.array(values)
+
+
+def _assert_residual_matches_reference(solution, spec):
+    # The per-axis transforms round differently from the per-term n-D ones.
+    # The residual is normalised by ||u||_{H^2} + 1 >= 1 and is a difference
+    # of terms of about that size, so an absolute 1e-16 is below one ulp of
+    # the normaliser: a residual near round-off level agrees to that, every
+    # other residual to 1e-13 relative.
+    got = residual_series(solution, spec).values
+    want = _residual_reference(solution, spec)
+    assert np.all(want > 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-16)
+
+
+@pytest.mark.parametrize("name", builtin_spec_names())
+def test_residual_matches_per_term_reference_on_both_routes(name):
+    spec = load_builtin(name)
+    grid = spec.default_grid(N=8)
+    times = np.linspace(0.0, spec.T, 9)
+    solutions = [solve_auto(spec, grid, times=times)]
+    if solutions[0].method == "exact":
+        solutions.append(solve_fd(spec, grid, times=times))
+    for sol in solutions:
+        _assert_residual_matches_reference(sol, spec)
+
+
+def test_residual_matches_per_term_reference_with_every_lower_order_term():
+    # variable a, linear b on both diffused axes, non-constant b0 and g
+    base = load_builtin("kolmogorov-general")
+    spec = dataclasses.replace(
+        base, name="every-term",
+        a=SinPerturbPreset(axis=1, amplitude=0.2),
+        b=(LinearPreset(axis=0, slope=-0.5, intercept=0.1),
+           LinearPreset(axis=2, slope=0.3, intercept=-0.2)),
+        b0=SinPerturbPreset(axis=3, amplitude=0.4, base=0.5),
+        g=GaussianPreset(width=0.9))
+    grid = spec.default_grid(N=8)
+    sol = solve_fd(spec, grid, times=np.linspace(0.0, spec.T, 9))
+    assert sol.diagnostics["slab_solver"] == "splu-shared"
+    _assert_residual_matches_reference(sol, spec)
+
+
+def test_compact_transport_speeds_equal_the_full_grid_speeds():
+    # fokkerplanck: every speed varies along one axis (a drift column or b_j)
+    spec = load_builtin("fokkerplanck")
+    grid = spec.default_grid(N=6)
+    speeds = _transport_speeds(spec, grid)
+    reference = dict(_full_grid_speeds(spec, grid))
+    assert sorted(speeds) == sorted(reference) == list(range(6))
+    for j, w in speeds.items():
+        assert w.ndim == grid.n and w.size == grid.N  # one axis, not N**n points
+        assert np.array_equal(np.broadcast_to(w, grid.shape), reference[j])
+
+
+@pytest.mark.parametrize("m0", [1, 2, 3])
+def test_slab_laplacian_equals_the_sparse_matrix(m0):
+    N, h = 6, 0.37
+    u = np.random.default_rng(m0).standard_normal((N,) * (m0 + 1))
+    for ax in range(m0 + 1):  # nonzero values on every face
+        assert np.all(np.take(u, [0, N - 1], axis=ax) != 0.0)
+    want = (_subgrid_laplacian(N, m0, h) @ u.reshape(N**m0, N)).reshape(u.shape)
+    got = _slab_laplacian(u, m0, h, *(np.empty_like(u) for _ in range(3)))
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_energy_heat_within_budget():
