@@ -794,8 +794,8 @@ def residual_series(solution: TrajectorySolution, spec: ProblemSpec) -> Residual
     derivatives are spectral on the snapshot grid.  Per snapshot, du/dt and
     u take one n-D inverse FFT each; each first and second derivative along
     an axis comes from u's grid values by a 1-D FFT along that axis, a
-    multiplication by i xi or -xi^2 and a 1-D inverse FFT, and only one such
-    axis transform is held at a time.
+    multiplication by i xi or -xi^2 and a 1-D inverse FFT; at most one
+    axis's spectrum and one inverse transform are held at a time.
     """
     times = solution.times
     if len(times) < 5:
@@ -825,18 +825,18 @@ def residual_series(solution: TrajectorySolution, spec: ProblemSpec) -> Residual
         values = u.grid_values()
         for ax in axes:
             # i xi applied in place, once for the first derivative and once
-            # more for the second; each inverse transform runs in place too
+            # more for the second; at most two axis-sized arrays are alive,
+            # the spectrum and one inverse transform
             spectrum = np.fft.fft(values, axis=ax)
             spectrum *= 1j * freqs[ax]
             if ax in speeds:
-                grad = spectrum.copy() if ax < spec.m0 else spectrum
-                np.fft.ifft(grad, axis=ax, out=grad)
+                grad = np.fft.ifft(spectrum, axis=ax)
                 grad *= speeds[ax]
                 residual += grad
                 del grad
             if ax < spec.m0:
                 spectrum *= 1j * freqs[ax]
-                np.fft.ifft(spectrum, axis=ax, out=spectrum)
+                spectrum = np.fft.ifft(spectrum, axis=ax)
                 spectrum *= a_vals
                 residual -= spectrum
         if b0_vals is not None:

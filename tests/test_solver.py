@@ -532,7 +532,7 @@ def test_slab_laplacian_equals_the_sparse_matrix(m0):
         assert np.all(np.take(u, [0, N - 1], axis=ax) != 0.0)
     want = (_subgrid_laplacian(N, m0, h) @ u.reshape(N**m0, N)).reshape(u.shape)
     got = _slab_laplacian(u, m0, h, *(np.empty_like(u) for _ in range(3)))
-    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.array_equal(got, want)  # same terms, same order: bit for bit
 
 
 def test_energy_heat_within_budget():
