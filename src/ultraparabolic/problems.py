@@ -37,7 +37,6 @@ from .sobolev import SpectralField, TorusGrid, hs_norm, random_band_limited
 from .vfalgebra import (
     BracketTower,
     LPStructure,
-    RationalPolyVectorField,
     as_fraction,
     bracket_tower,
     hormander_check,
@@ -86,15 +85,16 @@ class Preset:
         return False
 
     def evaluate(self, grid: TorusGrid) -> np.ndarray:
+        """Grid samples, of length 1 on each axis the field does not vary along.
+
+        They broadcast against grid.shape; a constant has shape (1,) * n.
+        """
         raise NotImplementedError
 
     def spectral(self, grid: TorusGrid) -> SpectralField:
         """Fourier-side form; overridden where exact band limits matter."""
-        return SpectralField.from_grid_values(grid, self.evaluate(grid))
-
-    def depends_axes(self, n: int):
-        """Axes the field varies along (frozenset), or None for all axes."""
-        return None
+        values = np.broadcast_to(self.evaluate(grid), grid.shape)
+        return SpectralField.from_grid_values(grid, values)
 
     def to_json_dict(self) -> dict:
         raise NotImplementedError
@@ -107,10 +107,7 @@ class ConstantPreset(Preset):
     kind = "constant"
 
     def evaluate(self, grid):
-        return np.full(grid.shape, float(self.value))
-
-    def depends_axes(self, n):
-        return frozenset()
+        return np.full((1,) * grid.n, float(self.value))
 
     def to_json_dict(self):
         return {"kind": self.kind, "value": float(self.value)}
@@ -134,9 +131,6 @@ class SinPerturbPreset(Preset):
         if not 0 <= self.axis < grid.n:
             raise ProblemSpecError(f"sin_perturb axis {self.axis} out of range for n={grid.n}")
         return self.base + self.amplitude * np.sin(grid.coordinate(self.axis) / grid.L)
-
-    def depends_axes(self, n):
-        return frozenset({self.axis})
 
     def to_json_dict(self):
         return {
@@ -188,9 +182,6 @@ class LinearPreset(Preset):
         if not 0 <= self.axis < grid.n:
             raise ProblemSpecError(f"linear axis {self.axis} out of range for n={grid.n}")
         return self.slope * grid.coordinate(self.axis) + self.intercept
-
-    def depends_axes(self, n):
-        return frozenset({self.axis})
 
     def to_json_dict(self):
         return {
@@ -366,9 +357,6 @@ class ProblemSpec:
             self._tower_cache.append(bracket_tower(self.B, self.m0))
         return self._tower_cache[0]
 
-    def drift_vector_field(self) -> RationalPolyVectorField:
-        return RationalPolyVectorField.drift(self.B)
-
     def lp_structure(self) -> LPStructure | None:
         return lp_check(self.blocks) if self.blocks is not None else None
 
@@ -382,9 +370,6 @@ class ProblemSpec:
             return TorusGrid(self.n, int(N), float(L))
         except ValueError as exc:
             raise ProblemSpecError(f"no grid for {self.name}: {exc}") from exc
-
-    def has_lower_order_terms(self) -> bool:
-        return not all(p.is_zero for p in (*self.b, self.b0, self.g))
 
     # -- serialization --------------------------------------------------------
 
@@ -589,11 +574,10 @@ def coercivity_check(spec: ProblemSpec, grid: TorusGrid | None = None) -> Coerci
     bound = float(spec.Lambda)
     tol = 1e-12 * bound
     ok = lo >= 1.0 / bound - tol and hi <= bound + tol
-    if ok:
-        worst_idx = np.unravel_index(int(np.argmin(values)), grid.shape)
-    else:
-        low_bad = (1.0 / bound - lo) >= (hi - bound)
-        target = np.argmin(values) if low_bad else np.argmax(values)
-        worst_idx = np.unravel_index(int(target), grid.shape)
+    low_bad = ok or (1.0 / bound - lo) >= (hi - bound)
+    target = np.argmin(values) if low_bad else np.argmax(values)
+    # unravelled on the sample's own shape: an axis a does not vary along has
+    # length 1, index 0, where the full grid's first extremum lies too
+    worst_idx = np.unravel_index(int(target), values.shape)
     worst_point = tuple(float(grid.axis_points[i]) for i in worst_idx)
     return CoercivityReport(ok=ok, minimum=lo, maximum=hi, bound=bound, worst_point=worst_point)

@@ -44,7 +44,7 @@ import numpy as np
 
 from .problems import ProblemSpec
 from .solver import ModeLedger, TrajectorySolution
-from .sobolev import SpectralField
+from .sobolev import SpectralField, _bessel_weight, _frequency_sq
 
 __all__ = [
     "DerivativeSelector",
@@ -141,8 +141,10 @@ def _mode_data(source):
     """(per-axis frequency arrays, |xi|^2, |c|) of one snapshot.
 
     A ledger gives its modes' true frequencies e^{-tB} xi, a grid field the
-    lattice frequencies; smoothing_profile builds the triple once per snapshot
-    and measures every derivative order on it.
+    lattice frequencies; each frequency array spans only the axes it varies
+    along and broadcasts over the grid, while |xi|^2 and |c| have the grid
+    shape.  smoothing_profile builds the triple once per snapshot and
+    measures every derivative order on it.
     """
     if isinstance(source, ModeLedger):
         freqs, coeffs = source.frequencies(), source.coefficients
@@ -150,12 +152,7 @@ def _mode_data(source):
         freqs, coeffs = [source.grid.frequency(ax) for ax in range(source.grid.n)], source.coeffs
     else:
         raise TypeError(f"expected SpectralField or ModeLedger, got {type(source).__name__}")
-    return freqs, sum(f**2 for f in freqs), np.abs(coeffs)
-
-
-def _bessel_multiplier(xi_sq, s: float) -> np.ndarray:
-    """<xi>^s = (1 + |xi|^2)^(s/2) at every mode, the order-0 multiplier."""
-    return (1.0 + xi_sq) ** (s / 2.0) if s != 0 else np.ones_like(xi_sq)
+    return freqs, _frequency_sq(freqs, source.grid.shape), np.abs(coeffs)
 
 
 def _record(multiplier, amplitudes, amplitude_norm: float, alpha) -> DerivativeRecord:
@@ -180,7 +177,7 @@ def _norm_of_modes(modes, alpha, s: float) -> DerivativeRecord:
     product, one factor per order, so both give the same floats.
     """
     freqs, xi_sq, amplitudes = modes
-    multiplier = _bessel_multiplier(xi_sq, s)
+    multiplier = _bessel_weight(xi_sq, s)
     for ax, a in enumerate(alpha):
         if a:
             step = np.abs(freqs[ax])
@@ -367,7 +364,7 @@ def smoothing_profile(solution: TrajectorySolution, spec: ProblemSpec, d_max: in
         amplitude_norm = float(np.linalg.norm(amplitudes))
         steps = {ax: np.abs(freqs[ax]) for ax in axes}
         # the axis ladder: ladder[ax] is <xi>^s |xi_ax|^d, one factor more per order
-        ladder = dict.fromkeys(axes, _bessel_multiplier(xi_sq, s))
+        ladder = dict.fromkeys(axes, _bessel_weight(xi_sq, s))
         for d in range(d_max + 1):
             weight = t ** (kappa * d)
             axis_records = {}

@@ -83,33 +83,47 @@ class TorusGrid:
         return -np.pi * self.L + self.spacing * np.arange(self.N)
 
     def coordinate(self, axis: int) -> np.ndarray:
-        """Physical coordinate array of the given axis, broadcast to the grid shape."""
-        shape = [1] * self.n
-        shape[axis] = self.N
-        return np.broadcast_to(self.axis_points.reshape(shape), self.shape)
+        """Coordinates along `axis`, shaped (1, ..., N, ..., 1) to broadcast over the grid."""
+        return _along(self.axis_points, axis, self.n)
 
     def frequency(self, axis: int) -> np.ndarray:
-        shape = [1] * self.n
-        shape[axis] = self.N
-        return np.broadcast_to((self.axis_modes / self.L).reshape(shape), self.shape)
+        """Frequencies k/L of the given axis, shaped (1, ..., N, ..., 1) like coordinate."""
+        return _along(self.axis_modes / self.L, axis, self.n)
 
     @cached_property
     def frequency_sq(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        for axis in range(self.n):
-            out = out + self.frequency(axis) ** 2
-        return out
+        return _frequency_sq([self.frequency(axis) for axis in range(self.n)], self.shape)
 
     def bessel_weight(self, s: float) -> np.ndarray:
         """<xi>^s = (1 + |xi|^2)^(s/2) over the grid frequencies."""
-        if s == 0:
-            return np.ones(self.shape)
-        return np.power(1.0 + self.frequency_sq, 0.5 * s)
+        return _bessel_weight(self.frequency_sq, s)
 
     def frequency_vectors(self) -> np.ndarray:
         """All grid frequencies as an (N^n, n) array (for pointwise inequality sweeps)."""
         axes = np.meshgrid(*(self.axis_modes / self.L for _ in range(self.n)), indexing="ij")
         return np.stack([a.ravel() for a in axes], axis=-1)
+
+
+def _along(vector: np.ndarray, axis: int, n: int) -> np.ndarray:
+    """A 1-D vector shaped (1, ..., len, ..., 1) to lie along `axis` of n axes."""
+    shape = [1] * n
+    shape[axis] = len(vector)
+    return vector.reshape(shape)
+
+
+def _frequency_sq(freqs, shape) -> np.ndarray:
+    """|xi|^2 at `shape`: zeros plus each per-axis frequency squared, in axis order."""
+    out = np.zeros(shape)
+    for f in freqs:
+        out = out + f**2
+    return out
+
+
+def _bessel_weight(xi_sq: np.ndarray, s: float) -> np.ndarray:
+    """<xi>^s = (1 + |xi|^2)^(s/2) from |xi|^2; ones for s = 0."""
+    if s == 0:
+        return np.ones_like(xi_sq)
+    return np.power(1.0 + xi_sq, 0.5 * s)
 
 
 class SpectralField:
@@ -274,19 +288,6 @@ def _box_index(grid: TorusGrid, R: int):
     return np.ix_(*(np.arange(-R, R + 1) % grid.N,) * grid.n)
 
 
-def _box_bessel_weight(grid: TorusGrid, R: int, s: float) -> np.ndarray:
-    """<xi>^s on the centred box |k_i| <= R, with the operations of ``bessel_weight``."""
-    if s == 0:
-        return np.ones((2 * R + 1,) * grid.n)
-    freq = np.arange(-R, R + 1) / grid.L
-    freq_sq = np.zeros((2 * R + 1,) * grid.n)
-    for axis in range(grid.n):
-        shape = [1] * grid.n
-        shape[axis] = 2 * R + 1
-        freq_sq = freq_sq + freq.reshape(shape) ** 2
-    return np.power(1.0 + freq_sq, 0.5 * s)
-
-
 def _windows(modes: np.ndarray, pad: int, R: int):
     """For each eta, the slices reading a box padded by ``pad`` at xi - eta, xi in the box.
 
@@ -350,7 +351,9 @@ def commutator_bound_test(h: SpectralField, f: SpectralField, s: float) -> Bound
     h_modes, h_vals, r_h = _band_support(h, "h")
     r_f = _band_support(f, "f")[2]
     R = r_h + r_f
-    m = _box_bessel_weight(grid, R, s)
+    # <xi>^s on the box, by the operations of grid.bessel_weight
+    box_freqs = [_along(np.arange(-R, R + 1) / grid.L, ax, grid.n) for ax in range(grid.n)]
+    m = _bessel_weight(_frequency_sq(box_freqs, (2 * R + 1,) * grid.n), s)
     f_box = f.coeffs[_box_index(grid, R)]
     f_pad, mf_pad = np.pad(f_box, r_h), np.pad(m * f_box, r_h)
     acc = np.zeros(f_box.shape, dtype=np.complex128)

@@ -19,8 +19,9 @@ snapshots on one grid):
   e^{-tB} xi).  A snapshot's grid field is formed from its ledger by the
   resampling the first time `fields`, `snapshot(i)` or `final` reads it, and
   is then kept, so a stage that reads only the ledgers never resamples.  The
-  phases, damping and frequencies are built from per-axis vectors that
-  broadcast over the grid, so each costs only the axes it varies along.
+  phases, damping and frequencies are built from the per-axis vectors of
+  grid.frequency and grid.coordinate, which broadcast over the grid, so
+  each costs only the axes it varies along.
 
 * solve_fd -- theta-method IMEX finite differences on the same box with zero
   Dirichlet data: diffusion (second-order central) is treated implicitly on
@@ -34,8 +35,9 @@ snapshots on one grid):
   factorization), on NumPy alone; otherwise by sparse LU, one factorization
   shared by all columns when a varies only along diffused axes, one per
   column else.  SciPy (the sparse slab Laplacian and its LU factorization) is
-  imported by these LU paths alone, when one first runs.  Transport speeds
-  span only the axes they vary along.  The step is refused up front when the
+  imported by these LU paths alone, when one first runs.  Coefficients and
+  transport speeds keep the per-axis form of Preset.evaluate; only the state
+  u has the full grid shape.  The step is refused up front when the
   advective CFL number exceeds the limit (the error carries a suggested
   step), when the diffusion coefficient leaves [1/Lambda, Lambda] at a
   sample point, or when reaching the last snapshot takes more than
@@ -59,7 +61,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .problems import ConstantPreset, ProblemSpec, coercivity_check
-from .sobolev import SpectralField, TorusGrid, hs_norm
+from .sobolev import SpectralField, TorusGrid, _along, hs_norm
 from .vfalgebra import _matmul
 
 __all__ = [
@@ -108,10 +110,11 @@ def _row_combinations(M: np.ndarray, arrays, rows):
     """Yield sum_j M[r, j] * arrays[j] for each r in rows, one row at a time.
 
     Zero entries of M are skipped, and each sum broadcasts over only the
-    arrays it adds, so per-axis arrays (see _axis_vectors) give a result that
-    spans just the axes its row couples.  This is the one place where a drift
-    matrix meets per-axis arrays: the transformed frequencies e^{-tB} xi, the
-    phase shifts of the exact transport, and the speeds sum_k B[k, j] x_k.
+    arrays it adds, so per-axis arrays (grid.frequency, grid.coordinate) give
+    a result that spans just the axes its row couples.  This is the one place
+    where a drift matrix meets per-axis arrays: the transformed frequencies
+    e^{-tB} xi, the phase shifts of the exact transport, and the speeds
+    sum_k B[k, j] x_k.
     """
     for r in rows:
         used = [j for j, c in enumerate(M[r]) if c != 0.0]
@@ -119,17 +122,6 @@ def _row_combinations(M: np.ndarray, arrays, rows):
         for j in used:
             out += M[r, j] * arrays[j]
         yield out
-
-
-def _axis_vectors(grid: TorusGrid, values: np.ndarray) -> list:
-    """One length-N vector per axis, shaped (1, ..., N, ..., 1) to broadcast over the grid.
-
-    `values` is grid.axis_modes / grid.L for frequencies, grid.axis_points
-    for coordinates: the numbers of grid.frequency and grid.coordinate,
-    without the N**n broadcast.
-    """
-    n = grid.n
-    return [values.reshape((1,) * ax + (grid.N,) + (1,) * (n - 1 - ax)) for ax in range(n)]
 
 
 @dataclass(frozen=True)
@@ -144,7 +136,7 @@ class ModeLedger:
     dominated by the spreading rather than by the solution.  The ledger keeps
     the evolution in its native form: `coefficients[idx]` is the damped
     amplitude of the mode at initial lattice index idx, and its true frequency
-    along axis ax is `frequencies()[ax][idx]` = sum_j matrix[ax, j] * xi_j(idx).
+    along axis ax is sum_j matrix[ax, j] * xi_j(idx), from `frequencies()[ax]`.
     Weighted mode sums computed from the ledger are exact at any order.
     The exact route's grid field of a snapshot is formed from its ledger, on
     first read (see TrajectorySolution).
@@ -155,14 +147,13 @@ class ModeLedger:
     coefficients: np.ndarray
 
     def frequencies(self) -> list:
-        """True frequency of each mode along every axis, broadcast over the lattice.
+        """True frequency of each mode along every axis.
 
-        Each sum runs on the axes its row of `matrix` couples; the results are
-        read-only views at the lattice shape.
+        Each spans only the axes its row of `matrix` couples and broadcasts
+        over the lattice.
         """
-        freqs = _axis_vectors(self.grid, self.grid.axis_modes / self.grid.L)
-        return [np.broadcast_to(f, self.grid.shape)
-                for f in _row_combinations(self.matrix, freqs, range(self.grid.n))]
+        freqs = [self.grid.frequency(ax) for ax in range(self.grid.n)]
+        return list(_row_combinations(self.matrix, freqs, range(self.grid.n)))
 
 
 class _LedgerFields(Sequence):
@@ -322,7 +313,7 @@ def _damping_exponent(grid, powers, m0, t, quad_order) -> np.ndarray:
     nodes, weights = leggauss(quad_order)
     taus = 0.5 * t * (nodes + 1.0)
     ws = 0.5 * t * weights
-    freqs = _axis_vectors(grid, grid.axis_modes / grid.L)
+    freqs = [grid.frequency(ax) for ax in range(grid.n)]
     total = np.zeros(grid.shape)
     for tau, w in zip(taus, ws):
         for y in _row_combinations(_matrix_exponential(powers, -tau), freqs, range(m0)):
@@ -340,14 +331,13 @@ def _transport(grid, coeffs, powers, order, t) -> np.ndarray:
         return coeffs.copy()
     M = _matrix_exponential(powers, -t)
     np.fill_diagonal(M, 0.0)  # each axis is shifted by the other axes' modes
-    modes = [k * grid.L for k in _axis_vectors(grid, grid.axis_modes / grid.L)]
-    coords = _axis_vectors(grid, grid.axis_points)
+    modes = [grid.frequency(ax) * grid.L for ax in range(grid.n)]
     out = coeffs
     for ax, shift in zip(order, _row_combinations(M, modes, order)):
         if not np.any(shift):
             continue
         values = np.fft.ifft(out, axis=ax)
-        values *= np.exp(1j * shift * coords[ax] / grid.L)
+        values *= np.exp(1j * shift * grid.coordinate(ax) / grid.L)
         out = np.fft.fft(values, axis=ax)
     return np.asarray(out)
 
@@ -394,33 +384,19 @@ def solve_exact(spec: ProblemSpec, grid: TorusGrid | None = None, times=None,
 # finite-difference route
 
 
-def _sample(preset, grid: TorusGrid) -> np.ndarray:
-    """preset.evaluate(grid), kept only along the axes the preset varies on.
-
-    The result broadcasts against the grid to the full sample, so arithmetic
-    with it gives the same numbers, while a constant costs one value, not N**n.
-    """
-    values = preset.evaluate(grid)
-    depends = preset.depends_axes(grid.n)
-    if depends is None:
-        return values
-    return values[tuple(slice(None) if ax in depends else slice(0, 1)
-                        for ax in range(grid.n))].copy()
-
-
 def _transport_speeds(spec: ProblemSpec, grid: TorusGrid) -> dict:
     """{axis j: speed} for each axis whose transport speed is not zero.
 
     The speed along axis j is the drift column sum_k B[k, j] x_k plus the
-    first-order coefficient b_j on diffused axes.  Each spans only the axes
-    it varies along and broadcasts against the grid (see _axis_vectors and
-    _sample), so it costs only those axes.
+    first-order coefficient b_j on diffused axes.  Both come in per-axis form
+    (grid.coordinate, Preset.evaluate), so each speed spans only the axes it
+    varies along, broadcasts against the grid, and costs only those axes.
     """
-    coords = _axis_vectors(grid, grid.axis_points)
+    coords = [grid.coordinate(ax) for ax in range(grid.n)]
     speeds = {}
     for j, w in enumerate(_row_combinations(spec.B_float().T, coords, range(grid.n))):
         if j < spec.m0 and not spec.b[j].is_zero:
-            w = w + _sample(spec.b[j], grid)
+            w = w + spec.b[j].evaluate(grid)
         if np.any(w):
             speeds[j] = w
     return speeds
@@ -523,7 +499,7 @@ def _slab_sine_basis(N: int, m0: int, n: int, h: float):
     k = np.arange(1, N + 1)
     S = np.sqrt(2.0 / (N + 1)) * np.sin(np.pi * np.outer(k, k) / (N + 1))
     mu = -(4.0 / (h * h)) * np.sin(np.pi * k / (2.0 * (N + 1))) ** 2
-    lam = sum(mu.reshape((1,) * ax + (N,) + (1,) * (n - 1 - ax)) for ax in range(m0))
+    lam = sum(_along(mu, ax, n) for ax in range(m0))
     return S, lam
 
 
@@ -597,7 +573,7 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     Diagnostics record the discrete mass and the
     fraction of the solution touching the boundary shell at each snapshot,
     which implicit slab solver ran (`slab_solver`: "sine",
-    "splu-shared" or "splu-per-column", chosen from a's axis dependence),
+    "splu-shared" or "splu-per-column", chosen from the shape of a's sample),
     the number of time steps taken (`steps`) and why the spec needs this
     route (`route_reason`, from _exact_route_supported; None when the exact
     route would apply).
@@ -612,9 +588,9 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     n, m0, N = spec.n, spec.m0, grid.N
 
     speeds = _transport_speeds(spec, grid)
-    b0_vals = None if spec.b0.is_zero else _sample(spec.b0, grid)
-    g_vals = None if spec.g.is_zero else _sample(spec.g, grid)
-    a_vals = _sample(spec.a, grid)
+    b0_vals = None if spec.b0.is_zero else spec.b0.evaluate(grid)
+    g_vals = None if spec.g.is_zero else spec.g.evaluate(grid)
+    a_vals = spec.a.evaluate(grid)
 
     max_speed = float(np.max(sum(np.abs(w) for w in speeds.values())))
     strict = dt is not None
@@ -632,10 +608,10 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     times, segments = _snapshot_segments(times, dt, spec.T, strict)
 
     # implicit diffusion operator on the leading m0-dimensional slabs
-    depends = spec.a.depends_axes(n)
-    if depends is not None and all(ax >= m0 for ax in depends):
+    varies = [ax for ax, size in enumerate(np.shape(a_vals)) if size > 1]
+    if all(ax >= m0 for ax in varies):
         slab_solver = "sine"  # a is constant on every slab
-    elif depends is not None and all(ax < m0 for ax in depends):
+    elif all(ax < m0 for ax in varies):
         slab_solver = "splu-shared"  # every column sees the same slab operator
     else:
         slab_solver = "splu-per-column"
@@ -709,17 +685,14 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
             np.add(rate, g_vals, out=rate)
         return rate
 
+    edge = np.isin(np.arange(N), (0, N - 1))
     boundary_mask = np.zeros(grid.shape, dtype=bool)
     for ax in range(n):
-        sl = [slice(None)] * n
-        sl[ax] = 0
-        boundary_mask[tuple(sl)] = True
-        sl[ax] = N - 1
-        boundary_mask[tuple(sl)] = True
+        boundary_mask |= _along(edge, ax, n)
 
-    # a fresh C-ordered copy: its buffer becomes a right-hand side, which the
-    # sine solver reshapes in place
-    u = np.array(spec.u0.evaluate(grid), dtype=float, order="C")
+    # a fresh C-ordered copy at the full grid shape: its buffer becomes a
+    # right-hand side, which the sine solver reshapes in place
+    u = np.array(np.broadcast_to(spec.u0.evaluate(grid), grid.shape), dtype=float, order="C")
     fields, mass, boundary_fraction = [], [], []
     volume_element = h**n
 
@@ -807,11 +780,11 @@ def residual_series(solution: TrajectorySolution, spec: ProblemSpec) -> Residual
     grid = solution.grid
     if grid.n != spec.n:
         raise SolverError("solution grid does not match the spec dimension")
-    a_vals = _sample(spec.a, grid)
-    b0_vals = None if spec.b0.is_zero else _sample(spec.b0, grid)
-    g_vals = None if spec.g.is_zero else _sample(spec.g, grid)
+    a_vals = spec.a.evaluate(grid)
+    b0_vals = None if spec.b0.is_zero else spec.b0.evaluate(grid)
+    g_vals = None if spec.g.is_zero else spec.g.evaluate(grid)
     speeds = _transport_speeds(spec, grid)
-    freqs = _axis_vectors(grid, grid.axis_modes / grid.L)
+    freqs = [grid.frequency(ax) for ax in range(grid.n)]
     axes = sorted(set(speeds) | set(range(spec.m0)))
 
     out_times, out_values = [], []
@@ -887,7 +860,8 @@ def energy_check(solution: TrajectorySolution, spec: ProblemSpec,
     if spec.g.is_zero:
         source = 0.0
     else:
-        g_norm = hs_norm(SpectralField.from_grid_values(grid, spec.g.evaluate(grid)), s)
+        g_vals = np.broadcast_to(spec.g.evaluate(grid), grid.shape)
+        g_norm = hs_norm(SpectralField.from_grid_values(grid, g_vals), s)
         source = (g_norm * float(times[-1] - times[0])) ** 2
     budget = norms_sq[0] + source
     if budget == 0.0:

@@ -21,7 +21,9 @@ from ultraparabolic.problems import (
     load_spec_file,
     preset_from_json,
 )
+from ultraparabolic.solver import _exact_route_supported
 from ultraparabolic.sobolev import SpectralField, TorusGrid, hs_norm
+from ultraparabolic.vfalgebra import RationalPolyVectorField
 
 ALL_BUILTINS = (
     "brownian-inertia",
@@ -46,10 +48,9 @@ def test_builtin_catalogue_complete():
 def test_constant_preset():
     grid = TorusGrid(2, 8)
     vals = ConstantPreset(2.5).evaluate(grid)
-    assert vals.shape == grid.shape
+    assert vals.shape == (1, 1)
     assert np.all(vals == 2.5)
     assert ConstantPreset(0.0).is_zero
-    assert ConstantPreset(0.0).depends_axes(2) == frozenset()
 
 
 def test_only_a_zero_constant_preset_is_zero():
@@ -65,7 +66,6 @@ def test_sin_perturb_matches_formula():
     vals = p.evaluate(grid)
     oracle = 1.0 + 0.25 * np.sin(grid.coordinate(1) / 2.0)
     assert np.array_equal(vals, oracle)
-    assert p.depends_axes(2) == {1}
     with pytest.raises(ProblemSpecError):
         SinPerturbPreset(axis=5).evaluate(grid)
 
@@ -77,7 +77,6 @@ def test_gaussian_matches_formula():
     x, y = grid.coordinate(0), grid.coordinate(1)
     oracle = np.exp(-((x - 1.0) ** 2 + (y + 0.5) ** 2) / (2 * 0.75**2))
     assert np.max(np.abs(vals - oracle)) == 0.0
-    assert p.depends_axes(2) is None
     with pytest.raises(ProblemSpecError):
         GaussianPreset(width=0.5, center=(1.0,)).evaluate(grid)
     with pytest.raises(ProblemSpecError):
@@ -88,7 +87,31 @@ def test_linear_matches_coordinate():
     grid = TorusGrid(3, 8, L=2.0)
     p = LinearPreset(axis=2, slope=-1.5, intercept=0.25)
     assert np.array_equal(p.evaluate(grid), -1.5 * grid.coordinate(2) + 0.25)
-    assert p.depends_axes(3) == {2}
+
+
+_CONTRACT_GRID = TorusGrid(3, 8, L=2.0)
+
+
+@pytest.mark.parametrize("preset, formula, varies", [
+    (ConstantPreset(2.5), lambda x: np.full(x[0].shape, 2.5), ()),
+    (SinPerturbPreset(axis=1, amplitude=0.25, base=1.0),
+     lambda x: 1.0 + 0.25 * np.sin(x[1] / 2.0), (1,)),
+    (GaussianPreset(width=0.75, center=(1.0, -0.5, 0.0)),
+     lambda x: np.exp(-((x[0] - 1.0) ** 2 + (x[1] + 0.5) ** 2 + (x[2] - 0.0) ** 2)
+                      / (2 * 0.75**2)), (0, 1, 2)),
+    (LinearPreset(axis=2, slope=-1.5, intercept=0.25), lambda x: -1.5 * x[2] + 0.25, (2,)),
+    (LowRegularityPreset(exponent=0.25, seed=7),
+     lambda x: LowRegularityPreset(exponent=0.25, seed=7).spectral(_CONTRACT_GRID)
+     .grid_values().real, (0, 1, 2)),
+], ids=["constant", "sin_perturb", "gaussian", "linear", "low_regularity"])
+def test_preset_samples_span_only_the_axes_they_vary_along(preset, formula, varies):
+    # the per-axis contract of Preset.evaluate: the sample broadcasts to the
+    # formula on the full grid and has length 1 on exactly the other axes
+    grid = _CONTRACT_GRID
+    x = np.meshgrid(*(grid.axis_points,) * grid.n, indexing="ij")
+    values = preset.evaluate(grid)
+    assert np.array_equal(np.broadcast_to(values, grid.shape), formula(x))
+    assert values.shape == tuple(grid.N if ax in varies else 1 for ax in range(grid.n))
 
 
 def test_low_regularity_deterministic_band_limited_normalized():
@@ -258,9 +281,9 @@ def test_default_grid_hints_and_overrides():
 
 
 def test_lower_order_term_detection():
-    assert not load_builtin("kolmogorov2d").has_lower_order_terms()
-    assert load_builtin("fokkerplanck").has_lower_order_terms()
-    assert load_builtin("brownian-inertia").has_lower_order_terms()
+    assert _exact_route_supported(load_builtin("kolmogorov2d")) is None
+    for name in ("fokkerplanck", "brownian-inertia"):
+        assert _exact_route_supported(load_builtin(name)) == "first-order transport coefficients b"
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +346,27 @@ def test_coercivity_flags_violation():
     assert "leaves" in report.message()
 
 
+def test_coercivity_worst_point_matches_full_grid_argmax():
+    import dataclasses
+
+    base = load_builtin("chain3")
+    grid = base.default_grid(N=16)
+    # a ramp along the last axis that overshoots Lambda = 2 but stays above 1/2
+    spec = dataclasses.replace(base, a=LinearPreset(axis=2, slope=0.05, intercept=1.5))
+    report = coercivity_check(spec, grid)
+    assert not report.ok
+    full = np.broadcast_to(spec.a.evaluate(grid), grid.shape)
+    idx = np.unravel_index(int(np.argmax(full)), grid.shape)
+    assert idx == (0, 0, grid.N - 1)
+    assert report.worst_point == tuple(float(grid.axis_points[i]) for i in idx)
+    assert report.maximum == float(full.max())
+
+
 def test_float_drift_and_vector_field():
     spec = load_builtin("kolmogorov2d")
     B = spec.B_float()
     assert B.tolist() == [[0.0, 1.0], [0.0, 0.0]]
-    X = spec.drift_vector_field()
+    X = RationalPolyVectorField.drift(spec.B)
     assert X.constant_row() is None or True  # drift is genuinely linear, not constant
     tower = spec.tower()
     assert tower.r == 1

@@ -1,9 +1,13 @@
 """Solvers: exact-characteristics oracle checks, FD scheme behavior, reports."""
 
 import dataclasses
+import importlib.util
 import re
+import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,7 +121,7 @@ def test_damping_matches_adaptive_quadrature():
     powers = _nilpotent_powers(B, 3)
     t = 0.61
     D = _damping_exponent(grid, powers, 1, t, quad_order=4)
-    K = [grid.frequency(ax) * grid.L for ax in range(3)]
+    K = [np.broadcast_to(grid.frequency(ax) * grid.L, grid.shape) for ax in range(3)]
     for idx in [(1, 2, 3), (0, 5, 1), (7, 7, 7)]:
         k0, k1, k2 = (float(K[ax][idx]) for ax in range(3))
         # e^{-tau B} row 0 = (1, -tau, tau^2/2) for the length-3 chain
@@ -134,8 +138,8 @@ def test_exact_matches_brute_force_mode_sum():
     grid = TorusGrid(2, 32, 4.0)
     u0 = spec.u0.spectral(grid)
     sol = solve_exact(spec, grid, times=[0.0, t])
-    K0 = (grid.frequency(0) * grid.L).astype(int)
-    K1 = (grid.frequency(1) * grid.L).astype(int)
+    K0, K1 = (np.broadcast_to(grid.frequency(ax) * grid.L, grid.shape).astype(int)
+              for ax in range(2))
     x0, x1 = grid.coordinate(0), grid.coordinate(1)
     acc = np.zeros(grid.shape, dtype=complex)
     L = grid.L
@@ -301,26 +305,31 @@ def test_fd_coercivity_abort_names_point():
     spec = dataclasses.replace(
         load_builtin("kolmogorov2d"), a=SinPerturbPreset(axis=0, amplitude=1.5, base=1.0)
     )
-    with pytest.raises(CoercivityError, match="at x ="):
-        solve_fd(spec, TorusGrid(2, 16, 4.0))
+    grid = TorusGrid(2, 16, 4.0)
+    with pytest.raises(CoercivityError, match="at x =") as info:
+        solve_fd(spec, grid)
+    # the sample spans axis 0 only; the point is the full grid's first minimum
+    full = np.broadcast_to(spec.a.evaluate(grid), grid.shape)
+    idx = np.unravel_index(int(np.argmin(full)), grid.shape)
+    assert info.value.report.worst_point == tuple(float(grid.axis_points[i]) for i in idx)
 
 
 class _VariesEverywhereConstant(ConstantPreset):
-    """A constant that declares no axis structure: forces one factorization per column."""
+    """A constant sampled at the full grid shape: forces one factorization per column."""
 
-    def depends_axes(self, n):
-        return None
+    def evaluate(self, grid):
+        return np.broadcast_to(super().evaluate(grid), grid.shape).copy()
 
 
 class _VariesEverywhereLinear(LinearPreset):
-    """A ramp that declares no axis structure: its per-column factorization twin."""
+    """A ramp sampled at the full grid shape: its per-column factorization twin."""
 
-    def depends_axes(self, n):
-        return None
+    def evaluate(self, grid):
+        return np.broadcast_to(super().evaluate(grid), grid.shape).copy()
 
 
 def test_fd_slab_batching_consistent():
-    # the three slab solvers, picked from depends_axes, solve the same steps;
+    # the three slab solvers, picked from the shape of a's sample, solve the same steps;
     # fokkerplanck (m0 = 3, with b and b0) runs the sine matrix along 3 axes
     for name, N, dt in (("kolmogorov2d", 16, 0.0125), ("fokkerplanck", 6, 0.25 / 64)):
         base = load_builtin(name)
@@ -610,7 +619,7 @@ def _full_grid_damping_exponent(grid, powers, m0, t, quad_order):
     nodes, weights = leggauss(quad_order)
     taus = 0.5 * t * (nodes + 1.0)
     ws = 0.5 * t * weights
-    freqs = [grid.frequency(ax) for ax in range(grid.n)]
+    freqs = [np.broadcast_to(grid.frequency(ax), grid.shape) for ax in range(grid.n)]
     total = np.zeros(grid.shape)
     for tau, w in zip(taus, ws):
         for y in _full_grid_row_combinations(_matrix_exponential(powers, -tau), freqs, range(m0)):
@@ -624,7 +633,7 @@ def _full_grid_transport(grid, coeffs, powers, order, t):
         return coeffs.copy()
     M = _matrix_exponential(powers, -t)
     np.fill_diagonal(M, 0.0)
-    modes = [grid.frequency(ax) * grid.L for ax in range(grid.n)]
+    modes = [np.broadcast_to(grid.frequency(ax) * grid.L, grid.shape) for ax in range(grid.n)]
     out = coeffs
     for ax, shift in zip(order, _full_grid_row_combinations(M, modes, order)):
         if not np.any(shift):
@@ -660,11 +669,10 @@ def test_exact_route_equals_full_grid_reference(spec, N):
         damped = base * np.exp(-float(spec.a.value) * D)
         ledger = sol.mode_ledgers[i]
         assert np.array_equal(ledger.coefficients, damped)
-        freqs = [grid.frequency(ax) for ax in range(grid.n)]
+        freqs = [np.broadcast_to(grid.frequency(ax), grid.shape) for ax in range(grid.n)]
         reference = list(_full_grid_row_combinations(ledger.matrix, freqs, range(grid.n)))
         for got, want in zip(ledger.frequencies(), reference):
-            assert got.shape == grid.shape
-            assert np.array_equal(got, want)
+            assert np.array_equal(np.broadcast_to(got, grid.shape), want)
         want = _full_grid_transport(grid, damped, powers, order, t)
         assert np.array_equal(_transport(grid, damped, powers, order, t), want)
         assert np.array_equal(sol.fields[i].coeffs, want)
@@ -717,3 +725,39 @@ def test_step_count_guard_refuses_up_front_and_names_a_dt_that_passes():
     for dt in (5e-324, 0.0, float("nan")):
         with pytest.raises(SolverError, match="limit"):
             _snapshot_segments(times, dt, spec.T, True)
+
+
+def test_transport_speeds_never_hold_a_full_grid():
+    # each speed spans one or two axes; building them must not pass through
+    # one full N**n float array (12**6 * 8 B = 22.8 MiB on fokkerplanck)
+    spec = load_builtin("fokkerplanck")
+    grid = spec.default_grid(N=12)
+    tracemalloc.start()
+    try:
+        speeds = _transport_speeds(spec, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(speeds) == list(range(spec.n))
+    assert peak < 8 * grid.N**grid.n
+
+
+def _benchmark_fd_steps():
+    """perfbench's own copy of the FD step rule, loaded from its script."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "traced_stage.py"
+    module_spec = importlib.util.spec_from_file_location("traced_stage", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module.fd_steps
+
+
+@pytest.mark.parametrize("name", ["brownian-inertia", "fokkerplanck", "kolmogorov-general"])
+def test_benchmark_step_rule_matches_solver(name, monkeypatch):
+    # the benchmark counts FD steps by re-deriving the solver's rule; keep the two in step
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends perfbench/
+    fd_steps = _benchmark_fd_steps()
+    spec = load_builtin(name)
+    grid = spec.default_grid(N=6)
+    for times in (None, [0.0, 0.1 * spec.T, 0.55 * spec.T, spec.T]):
+        sol = solve_fd(spec, grid, times=times)
+        assert fd_steps(sol.times, sol.diagnostics["dt"]) == sol.diagnostics["steps"], times
