@@ -203,11 +203,16 @@ def _write_sidecar(args, started: float) -> None:
 
 
 def _route_meta(solution) -> dict:
-    """Which solver route ran and why; on the FD route, its slab solver and step count."""
+    """Which solver route ran and why.
+
+    On the FD route also its slab solver, step count, and advective CFL
+    number next to its limit.
+    """
     diag = solution.diagnostics
     meta = {"route": solution.method, "route_reason": diag.get("route_reason")}
     if solution.method == "fd":
-        meta.update(slab_solver=diag["slab_solver"], fd_steps=diag["steps"])
+        meta.update(slab_solver=diag["slab_solver"], fd_steps=diag["steps"],
+                    cfl=diag["cfl"], cfl_limit=diag["cfl_limit"])
     return meta
 
 

@@ -157,8 +157,9 @@ class GaussianPreset(Preset):
         if len(center) != grid.n:
             raise ProblemSpecError(f"gaussian center has {len(center)} entries, need {grid.n}")
         q = np.zeros(grid.shape)
-        for axis, c in enumerate(center):
-            q = q + (grid.coordinate(axis) - float(c)) ** 2
+        with np.errstate(over="ignore"):  # an overflowed square is an exact zero below
+            for axis, c in enumerate(center):
+                q = q + (grid.coordinate(axis) - float(c)) ** 2
         return np.exp(-q / (2.0 * self.width**2))
 
     def to_json_dict(self):
@@ -218,9 +219,13 @@ class LowRegularityPreset(Preset):
         rng = np.random.default_rng(self.seed)
         rough = random_band_limited(grid, rng, decay=self.exponent)
         window = np.ones(grid.shape)
-        sigma = np.pi * grid.L / 3.0
+        # x and sigma in units of 2**e, about L: a power-of-two scale leaves
+        # every rounding as it was and keeps the squares finite for any box
+        e = math.frexp(grid.L)[1]
+        sigma = math.ldexp(np.pi * grid.L / 3.0, -e)
         for axis in range(grid.n):
-            window = window * np.exp(-grid.coordinate(axis) ** 2 / (2.0 * sigma**2))
+            x = np.ldexp(grid.coordinate(axis), -e)
+            window = window * np.exp(-x**2 / (2.0 * sigma**2))
         values = rough.grid_values().real * window
         coeffs = np.fft.fftn(values) / values.size
         keep = np.ones(grid.shape, dtype=bool)

@@ -27,8 +27,12 @@ snapshots on one grid):
   Dirichlet data: diffusion (second-order central) is treated implicitly on
   the diffused slabs, drift and the lower-order terms explicitly with
   second-order upwind-biased one-sided differences chosen by the local sign
-  of the transport speed.  The explicit half of the diffusion is one 3-point
-  Dirichlet stencil on the diffused axes, written into the right-hand side.
+  of the transport speed.  The explicit transport is regrouped as one centre
+  term for all axes (the upwind diagonals and b0, built once per solve) plus
+  each axis's neighbour terms, formed box by box over the boxes where the
+  speed has one sign, as shifted slices with long inner loops.  The explicit
+  half of the diffusion is one 3-point Dirichlet stencil on the diffused
+  axes, written into the right-hand side.
   When a does not vary along a diffused axis, each implicit step is solved
   exactly in the DST-I eigenbasis of the Dirichlet slab Laplacian (fast
   Poisson diagonalisation: a dense sine matrix along each diffused axis, no
@@ -402,36 +406,120 @@ def _transport_speeds(spec: ProblemSpec, grid: TorusGrid) -> dict:
     return speeds
 
 
-def _upwind_difference(u, u3, u4, positive, axis, h, out) -> np.ndarray:
-    """Second-order one-sided difference along axis, biased against the speed sign.
+def _constant_boxes(mask):
+    """Yield (box, value): boxes of slices that cover `mask`, each where it is constant.
 
-    Where `positive` (the mask speed > 0, at u's shape):
-    (3u_i - 4u_{i-1} + u_{i-2}) / (2h); elsewhere (-3u_i + 4u_{i+1} - u_{i+2}) / (2h);
-    zeros stand in for values outside the box (Dirichlet ghosts).  `u3` and
-    `u4` hold 3u and 4u, so every axis shares them.  The value lands in `out`,
-    a C-contiguous array of u's shape.  Each difference is formed on the
-    flattened arrays as a contiguous shift by the axis stride; that shift wraps
-    across rows at the two cells nearest each face, and those cells are formed
-    again from slices.
+    Along each axis in turn, consecutive equal sub-arrays form one run, and
+    each run is split further along the later axes, so the boxes come in C
+    order and cover every cell once.  A run over a whole axis is
+    slice(None), as is every axis of length 1, so a box of a compact mask
+    also indexes the full grid it broadcasts over.
     """
-    N = u.shape[axis]
-    s = int(np.prod(u.shape[axis + 1:], dtype=int))
-    f3, f4, fu, fo, fp = (x.reshape(-1) for x in (u3, u4, u, out, positive))
+    def split(sub, box):
+        if sub.ndim == 0:
+            yield box, bool(sub)
+            return
+        start, length = 0, sub.shape[0]
+        for i in range(1, length + 1):
+            if i == length or not np.array_equal(sub[i], sub[start]):
+                run = slice(None) if (start, i) == (0, length) else slice(start, i)
+                yield from split(sub[start], box + (run,))
+                start = i
 
-    def face(x, i):
-        return x[(slice(None),) * axis + (slice(i, i + 1),)]
+    yield from split(np.asarray(mask), ())
 
-    np.subtract(f4[s:], f3[:-s], out=fo[:-s])
-    np.subtract(fo[:-2 * s], fu[2 * s:], out=fo[:-2 * s])
-    np.subtract(face(u4, N - 1), face(u3, N - 2), out=face(out, N - 2))
-    # multiply, not np.negative: NumPy 2.4 writes wrong values when
-    # np.negative fills a strided view through out=
-    np.multiply(face(u3, N - 1), -1.0, out=face(out, N - 1))
-    np.subtract(f3[s:], f4[:-s], out=fo[s:], where=fp[s:])
-    np.add(fo[2 * s:], fu[:-2 * s], out=fo[2 * s:], where=fp[2 * s:])
-    np.copyto(face(out, 0), face(u3, 0), where=face(positive, 0))
-    np.subtract(face(u3, 1), face(u4, 0), out=face(out, 1), where=face(positive, 1))
-    out /= 2.0 * h
+
+def _transport_plan(speeds: dict, b0_vals, h: float, shape: tuple):
+    """-sum_j w_j D_j u - b0 u as one centre term plus upwind neighbour terms.
+
+    D_j is the second-order one-sided difference biased against the sign of
+    w_j: (3u_i - 4u_{i-1} + u_{i-2}) / (2h) where w_j > 0, else
+    (-3u_i + 4u_{i+1} - u_{i+2}) / (2h), with zeros outside the box (Dirichlet
+    ghosts).  So the sum equals
+
+        centre * u + sum_j c_j (4 u[i + sigma] - u[i + 2 sigma]),
+
+    centre = -(3/(2h)) sum_j |w_j| - b0, c_j = |w_j| / (2h), and sigma = -1
+    where w_j > 0, +1 elsewhere.  Returns (centre, boxes): centre in the
+    per-axis form of the speeds, and one tuple
+    (box, c, view, dest, near, far, faces) per axis j and per box of
+    _constant_boxes(w_j > 0), on which sigma is fixed:
+
+    * `box` indexes the full grid and `c` is c_j on it;
+    * `view` is the grid shape with the axes after the box's last cut merged
+      into one run; `dest`, `near` and `far` index that view at the cells
+      and at their shifts by sigma and 2 sigma.  When the box is cut along
+      axis j or a later one, the shift runs along axis j and stops short of
+      the two cells nearest the face.  Otherwise it is a flat shift by axis
+      j's stride along the merged run, so the inner loops stay long; it
+      then also reaches the two cells nearest the face, which read across
+      rows;
+    * `faces` re-forms those cells: (cells, None) where both neighbours are
+      ghosts, (cells, source) where 4 u[source] is the only term.
+    """
+    n = len(shape)
+    total = np.zeros((1,) * n)
+    for w in speeds.values():
+        total = total + np.abs(w)
+    centre = (-3.0 / (2.0 * h)) * total
+    if b0_vals is not None:
+        centre = centre - b0_vals
+    boxes = []
+    for j, w in speeds.items():
+        N = shape[j]
+        c_j = np.abs(w) / (2.0 * h)
+        for box, positive in _constant_boxes(w > 0):
+            sigma = -1 if positive else 1
+            cut = max((ax + 1 for ax, s in enumerate(box) if s != slice(None)), default=0)
+            view = shape[:cut] + (int(np.prod(shape[cut:], dtype=int)),)
+            if j < cut:
+                ax, step = j, 1
+                lo, hi, _ = box[j].indices(N)
+            else:
+                ax, step = cut, int(np.prod(shape[j + 1:], dtype=int))
+                lo, hi = 0, view[cut]
+            if positive:
+                lo = max(lo, 2 * step)
+            else:
+                hi = min(hi, view[ax] - 2 * step)
+            hi = max(hi, lo)
+
+            def shifted(offset):
+                index = list(box[:cut]) + [slice(None)]
+                index[ax] = slice(lo + offset, hi + offset)
+                return tuple(index)
+
+            def at_j(i):
+                return box[:j] + (slice(i, i + 1),) + box[j + 1:]
+
+            rows = range(*box[j].indices(N))
+            edge = 0 if positive else N - 1  # both neighbours of the edge cell are ghosts
+            faces = [(at_j(i), source) for i, source in ((edge, None), (edge - sigma, at_j(edge)))
+                     if i in rows]
+            boxes.append((box, c_j[box], view, shifted(0), shifted(sigma * step),
+                          shifted(2 * sigma * step), faces))
+    return centre, boxes
+
+
+def _apply_transport(plan, u, u4, spare, out) -> np.ndarray:
+    """centre * u + sum_j c_j (4 u[i + sigma] - u[i + 2 sigma]), written into `out`.
+
+    `plan` comes from _transport_plan for u's shape.  u is C-contiguous; u4
+    (overwritten with 4u), `spare` (the neighbour terms of one box at a
+    time) and `out` are C-contiguous arrays of u's shape that overlap
+    neither u nor each other.  Per box: one pass for the shifted difference,
+    one for the factor c_j and one to add it in.
+    """
+    centre, boxes = plan
+    np.multiply(centre, u, out=out)
+    np.multiply(u, 4.0, out=u4)
+    for box, c, view, dest, near, far, faces in boxes:
+        np.subtract(u4.reshape(view)[near], u.reshape(view)[far], out=spare.reshape(view)[dest])
+        for cells, source in faces:
+            spare[cells] = 0.0 if source is None else u4[source]
+        term = spare[box]
+        term *= c
+        np.add(out[box], term, out=out[box])
     return out
 
 
@@ -572,6 +660,7 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     passes) when the run would take more than _MAX_FD_STEPS steps.
     Diagnostics record the discrete mass and the
     fraction of the solution touching the boundary shell at each snapshot,
+    the advective CFL number (`cfl`) and its limit (`cfl_limit`),
     which implicit slab solver ran (`slab_solver`: "sine",
     "splu-shared" or "splu-per-column", chosen from the shape of a's sample),
     the number of time steps taken (`steps`) and why the spec needs this
@@ -616,10 +705,10 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     else:
         slab_solver = "splu-per-column"
 
-    # work arrays, allocated once per solve; the flattened `where=` of
-    # _upwind_difference needs each mask at full shape and C-contiguous
-    u3, u4, rate, work, rhs = (np.empty(grid.shape) for _ in range(5))
-    upwind = {j: (w, np.broadcast_to(w > 0, grid.shape).copy()) for j, w in speeds.items()}
+    # work arrays, allocated once per solve; `spare` serves in turn the slab
+    # Laplacian, the upwind neighbour terms and the sine solver
+    spare, u4, rate, rhs = (np.empty(grid.shape) for _ in range(4))
+    plan = _transport_plan(speeds, b0_vals, h, grid.shape)
 
     if slab_solver == "sine":
         S, lam = _slab_sine_basis(N, m0, n, h)
@@ -628,7 +717,7 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
             denominator = 1.0 - theta * step_dt * a_vals * lam
 
             def solve(rhs):
-                x, free = _sine_transform(S, rhs, u3, m0)
+                x, free = _sine_transform(S, rhs, spare, m0)
                 np.divide(x, denominator, out=x)
                 # 2 * m0 swaps in all: the result is back in rhs's buffer
                 return _sine_transform(S, x, free, m0)[0]
@@ -670,25 +759,12 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
             return solve
 
     def explicit_terms(u):
-        rate.fill(0.0)
-        if upwind:
-            np.multiply(u, 3.0, out=u3)
-            np.multiply(u, 4.0, out=u4)
-        for j, (w, positive) in upwind.items():
-            d = _upwind_difference(u, u3, u4, positive, j, h, work)
-            d *= w
-            np.subtract(rate, d, out=rate)
-        if b0_vals is not None:
-            np.multiply(b0_vals, u, out=work)
-            np.subtract(rate, work, out=rate)
+        _apply_transport(plan, u, u4, spare, rate)
         if g_vals is not None:
             np.add(rate, g_vals, out=rate)
         return rate
 
-    edge = np.isin(np.arange(N), (0, N - 1))
-    boundary_mask = np.zeros(grid.shape, dtype=bool)
-    for ax in range(n):
-        boundary_mask |= _along(edge, ax, n)
+    shell = [(slice(None),) * ax + (i,) for ax in range(n) for i in (0, N - 1)]  # 2n faces
 
     # a fresh C-ordered copy at the full grid shape: its buffer becomes a
     # right-hand side, which the sine solver reshapes in place
@@ -699,15 +775,16 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     def record(u):
         fields.append(SpectralField.from_grid_values(grid, u))
         mass.append(float(u.sum()) * volume_element)
-        peak = float(np.abs(u).max())
-        edge = float(np.abs(u[boundary_mask]).max())
+        magnitude = np.abs(u)
+        peak = float(magnitude.max())
+        edge = max(float(magnitude[face].max()) for face in shell)
         boundary_fraction.append(edge / peak if peak > 0 else 0.0)
 
     for steps, step_dt in segments:
         solve = implicit_solver(step_dt) if steps else None
         for _ in range(steps):
             # u + dt ((1 - theta) a lap u + explicit terms), formed in place
-            _slab_laplacian(u, m0, h, rhs, u3, u4)
+            _slab_laplacian(u, m0, h, rhs, spare, u4)
             rhs *= a_vals
             rhs *= 1.0 - theta
             rhs += explicit_terms(u)
@@ -727,6 +804,7 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
         diagnostics={
             "dt": dt,
             "cfl": cfl,
+            "cfl_limit": cfl_limit,
             "mass": np.array(mass),
             "boundary_fraction": np.array(boundary_fraction),
             "slab_solver": slab_solver,

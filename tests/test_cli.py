@@ -11,6 +11,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +170,19 @@ def test_solve_keeps_exit_code_contract_for_any_flag_value(tmp_path_factory, box
     argv += [f"--{name}={value!r}" for name, value in (("box", box), ("dt", dt), ("tol", tol))
              if value is not None]
     assert _exit_code(argv) in {EXIT_OK, EXIT_CONDITION, EXIT_NUMERICAL, EXIT_IO}
+
+
+@pytest.mark.parametrize("spec", ["kolmogorov2d", "kolmogorov2d-lowreg"])
+def test_huge_box_solves_without_warnings(tmp_path, spec):
+    # x**2 and the window width sigma**2 overflow at L = 1e160: the Gaussian's
+    # overflowed squares are exact zeros, the rough data's window is formed
+    # in units of L, and neither may warn or raise
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("solve", "--spec", spec, "--out", str(tmp_path), "--grid", "8",
+                   "--tgrid", "5", "--box", "1e160") == EXIT_OK
+    result = json.loads((tmp_path / f"{spec}.solve.json").read_text())
+    assert np.isfinite(result["residual_max"])
 
 
 # work-sizing flags stay small (--grid <= 16, --tgrid <= 9, --dmax <= 6), and
@@ -628,7 +642,7 @@ def test_run_meta_records_the_route_and_the_fd_step_count(tmp_path):
             assert meta["route"] == ("exact" if reason is None else "fd")
             assert meta["route_reason"] == reason
             if reason is None:
-                assert "slab_solver" not in meta and "fd_steps" not in meta
+                assert not {"slab_solver", "fd_steps", "cfl", "cfl_limit"} & set(meta)
                 continue
             loaded = load_builtin(spec)
             times = (np.linspace(0.0, loaded.T, 5) if stage == "solve"
@@ -636,6 +650,8 @@ def test_run_meta_records_the_route_and_the_fd_step_count(tmp_path):
             sol = solve_fd(loaded, loaded.default_grid(N=int(grid)), times=times)
             assert meta["slab_solver"] == sol.diagnostics["slab_solver"]
             assert meta["fd_steps"] == sol.diagnostics["steps"] > 0
+            assert meta["cfl"] == sol.diagnostics["cfl"]
+            assert 0.0 < meta["cfl"] <= meta["cfl_limit"] == sol.diagnostics["cfl_limit"] == 0.8
 
 
 def test_run_meta_sidecar_holds_volatile_fields(tmp_path):

@@ -32,7 +32,9 @@ from ultraparabolic.solver import (
     CFLError,
     CoercivityError,
     SolverError,
+    _apply_transport,
     _axis_order,
+    _constant_boxes,
     _damping_exponent,
     _matrix_exponential,
     _nilpotent_powers,
@@ -40,8 +42,8 @@ from ultraparabolic.solver import (
     _snapshot_segments,
     _subgrid_laplacian,
     _transport,
+    _transport_plan,
     _transport_speeds,
-    _upwind_difference,
     energy_check,
     residual_series,
     solve_auto,
@@ -71,9 +73,26 @@ def _upwind_derivative(u, speed, axis, h):
     return np.where(speed > 0, backward, forward)
 
 
-def _upwind(u, speed, axis, h):
-    """The solver's stencil on a fresh output buffer."""
-    return _upwind_difference(u, 3.0 * u, 4.0 * u, speed > 0, axis, h, np.empty_like(u))
+def _explicit_transport(u, speeds, h, b0=None):
+    """The solver's explicit transport -sum_j w_j D_j u - b0 u on fresh buffers."""
+    plan = _transport_plan(speeds, b0, h, u.shape)
+    return _apply_transport(plan, u, *(np.empty_like(u) for _ in range(3)))
+
+
+def _centre_neighbour_reference(u, speeds, h, b0=None):
+    """Reference: centre * u + sum_j c_j * where(w_j > 0, 4 S_-1 u - S_-2 u, 4 S_+1 u - S_+2 u)."""
+    total = np.zeros((1,) * u.ndim)
+    for w in speeds.values():
+        total = total + np.abs(w)
+    centre = (-3.0 / (2.0 * h)) * total
+    if b0 is not None:
+        centre = centre - b0
+    out = centre * u
+    for j, w in speeds.items():
+        backward = 4.0 * _shifted(u, j, -1) - _shifted(u, j, -2)
+        forward = 4.0 * _shifted(u, j, 1) - _shifted(u, j, 2)
+        out = out + (np.abs(w) / (2.0 * h)) * np.where(w > 0, backward, forward)
+    return out
 
 
 def _mat(n, entries):
@@ -217,23 +236,87 @@ def test_shifted_zero_fill():
     u = np.arange(1.0, 6.0)
     assert _shifted(u, 0, 1).tolist() == [2.0, 3.0, 4.0, 5.0, 0.0]
     assert _shifted(u, 0, -2).tolist() == [0.0, 0.0, 1.0, 2.0, 3.0]
-    # the solver's stencil reads zeros beyond each face (h = 1/2, so 2h = 1)
-    backward = _upwind(u, np.ones_like(u), 0, 0.5)
-    assert backward.tolist() == [3.0, 2.0, 2.0, 2.0, 2.0]
-    forward = _upwind(u, -np.ones_like(u), 0, 0.5)
+    # the solver's stencil reads zeros beyond each face (h = 1/2, so 2h = 1);
+    # the transport is -w D u, so w = 1 gives -D u and w = -1 gives D u
+    backward = _explicit_transport(u, {0: np.ones(1)}, 0.5)
+    assert backward.tolist() == [-3.0, -2.0, -2.0, -2.0, -2.0]
+    forward = _explicit_transport(u, {0: -np.ones(1)}, 0.5)
     assert forward.tolist() == [2.0, 2.0, 2.0, 8.0, -15.0]
+
+
+def _random_speeds(rng, shape):
+    """Speed sets on a 3-D grid that reach every layout of a sign box.
+
+    Full-shape speeds with zeros; compact speeds that vary along a later
+    axis than their own, along the axis just before it, or along two
+    earlier ones; constant speeds of both signs and one along its own axis.
+    """
+    full = {}
+    for axis in range(len(shape)):
+        speed = rng.standard_normal(shape)
+        speed[0, 0, :2] = 0.0  # zero speed takes the forward branch
+        speed[2:4, 1] = 0.0
+        full[axis] = speed
+    compact = {0: rng.standard_normal((1, shape[1], 1)),
+               1: rng.standard_normal((shape[0], 1, 1)),
+               2: rng.standard_normal((shape[0], shape[1], 1))}
+    compact[1][1] = 0.0
+    constant = {0: np.full((1, 1, 1), 0.7), 1: np.full((1, 1, 1), -1.3),
+                2: rng.standard_normal((1, 1, shape[2]))}
+    return full, compact, constant
 
 
 def test_upwind_stencil_equals_roll_reference():
     # same operations in the same order as the rolled-copy reference, so the
-    # values must be equal, not close, on every axis and both sign branches
+    # values must be equal, not close, on every axis and both sign branches,
+    # for speeds that vary along every axis and for speeds that vary along
+    # some (the flat shifts along merged axes, re-formed at the faces)
     rng = np.random.default_rng(7)
     u = rng.standard_normal((6, 7, 8))
     h = 0.37
-    for axis in range(3):
-        speed = rng.standard_normal(u.shape)
-        speed[0, 0, :2] = 0.0  # zero speed takes the forward branch
-        assert np.array_equal(_upwind(u, speed, axis, h), _upwind_derivative(u, speed, axis, h))
+    b0 = rng.standard_normal((1, 7, 1))
+    for speeds in _random_speeds(rng, u.shape):
+        for b in (None, b0):
+            want = _centre_neighbour_reference(u, speeds, h, b)
+            assert np.array_equal(_explicit_transport(u, speeds, h, b), want)
+            for axis, w in speeds.items():  # one axis at a time
+                assert np.array_equal(_explicit_transport(u, {axis: w}, h),
+                                      _centre_neighbour_reference(u, {axis: w}, h))
+
+
+def test_transport_equals_the_per_axis_upwind_form():
+    # regrouping the centre terms of all axes moves the sum by round-off only
+    rng = np.random.default_rng(11)
+    u = rng.standard_normal((6, 7, 8))
+    h = 0.37
+    b0 = rng.standard_normal((6, 1, 1))
+    for speeds in _random_speeds(rng, u.shape):
+        want = -b0 * u
+        for axis, w in speeds.items():
+            want = want - w * _upwind_derivative(u, w, axis, h)
+        got = _explicit_transport(u, speeds, h, b0)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("case", ["fokkerplanck", "lp-block", "random"])
+def test_constant_boxes_cover_every_cell_once(case):
+    if case == "random":
+        shape = (5, 6, 7)
+        masks = [np.random.default_rng(3).standard_normal(shape) > 0]
+    else:
+        spec = load_builtin(case)
+        grid = spec.default_grid(N=8)
+        shape = grid.shape
+        masks = [w > 0 for w in _transport_speeds(spec, grid).values()]
+    for mask in masks:
+        full = np.broadcast_to(mask, shape)
+        cover = np.zeros(shape, dtype=int)
+        boxes = list(_constant_boxes(mask))
+        for box, value in boxes:
+            cover[box] += 1
+            assert np.all(full[box] == value)
+        assert np.all(cover == 1)
+        assert len(boxes) <= mask.size
 
 
 def test_upwind_exact_on_quadratic():
@@ -243,7 +326,7 @@ def test_upwind_exact_on_quadratic():
     u = x**2
     h = grid.spacing
     for sign in (1.0, -1.0):
-        d = _upwind(u, sign * np.ones_like(u), 0, h)
+        d = -sign * _explicit_transport(u, {0: sign * np.ones_like(u)}, h)
         interior = slice(3, -3)
         assert np.max(np.abs(d[interior] - 2 * x[interior])) <= 1e-11
 
@@ -740,6 +823,26 @@ def test_transport_speeds_never_hold_a_full_grid():
         tracemalloc.stop()
     assert sorted(speeds) == list(range(spec.n))
     assert peak < 8 * grid.N**grid.n
+
+
+def test_transport_plan_never_holds_a_full_grid():
+    # the centre term and the factors c_j keep the per-axis form of the
+    # speeds, and the sign boxes are slices: building the plan must stay
+    # below one full bool grid (the masks it replaces were six of them,
+    # 6 * 12**6 B = 17.9 MB on fokkerplanck)
+    spec = load_builtin("fokkerplanck")
+    grid = spec.default_grid(N=12)
+    speeds = _transport_speeds(spec, grid)
+    b0 = spec.b0.evaluate(grid)
+    tracemalloc.start()
+    try:
+        centre, boxes = _transport_plan(speeds, b0, grid.spacing, grid.shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert centre.size == grid.N**3  # the speeds vary along axes 0-2
+    assert len(boxes) == 2 * spec.n  # each speed changes sign once
+    assert peak < grid.N**grid.n
 
 
 def _benchmark_fd_steps():
