@@ -770,7 +770,10 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     # right-hand side, which the sine solver reshapes in place
     u = np.array(np.broadcast_to(spec.u0.evaluate(grid), grid.shape), dtype=float, order="C")
     fields, mass, boundary_fraction = [], [], []
-    volume_element = h**n
+    # inf, not OverflowError, once a huge box scale takes the cell volume
+    # out of the float range
+    with np.errstate(over="ignore"):
+        volume_element = float(np.float64(h) ** n)
 
     def record(u):
         fields.append(SpectralField.from_grid_values(grid, u))

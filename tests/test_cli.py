@@ -200,6 +200,7 @@ _ORDERS = st.integers(-1, 6)
 @example(spec="brownian-inertia", grid=8, tgrid=5, dmax=2, box=None, dt=5e-324)
 @example(spec="brownian-inertia", grid=8, tgrid=5, dmax=2, box=float("nan"), dt=float("inf"))
 @example(spec="kolmogorov2d", grid=4, tgrid=1, dmax=1, box=1e-320, dt=None)
+@example(spec="brownian-inertia", grid=4, tgrid=1, dmax=1, box=1e160, dt=None)
 def test_smoothing_keeps_exit_code_contract_for_any_flag_value(tmp_path_factory, spec, grid,
                                                                tgrid, dmax, box, dt):
     out = tmp_path_factory.mktemp("smoothing-flags")
