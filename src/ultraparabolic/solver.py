@@ -29,8 +29,9 @@ snapshots on one grid):
   second-order upwind-biased one-sided differences chosen by the local sign
   of the transport speed.  The explicit transport is regrouped as one centre
   term for all axes (the upwind diagonals and b0, built once per solve) plus
-  each axis's neighbour terms, formed box by box over the boxes where the
-  speed has one sign, as shifted slices with long inner loops.  The explicit
+  each axis's neighbour terms, formed on at most two boxes per axis (the
+  smallest box holding each sign of the speed, whatever its sign pattern),
+  as shifted slices with long inner loops.  The explicit
   half of the diffusion is one 3-point Dirichlet stencil on the diffused
   axes, written into the right-hand side.
   When a does not vary along a diffused axis, each implicit step is solved
@@ -406,27 +407,21 @@ def _transport_speeds(spec: ProblemSpec, grid: TorusGrid) -> dict:
     return speeds
 
 
-def _constant_boxes(mask):
-    """Yield (box, value): boxes of slices that cover `mask`, each where it is constant.
+def _sign_box(mask):
+    """The smallest box of slices that holds every True cell of `mask`, or None.
 
-    Along each axis in turn, consecutive equal sub-arrays form one run, and
-    each run is split further along the later axes, so the boxes come in C
-    order and cover every cell once.  A run over a whole axis is
-    slice(None), as is every axis of length 1, so a box of a compact mask
-    also indexes the full grid it broadcasts over.
+    An axis the box spans whole is slice(None), as is every axis of length
+    1, so the box of a compact mask also indexes the full grid it
+    broadcasts over.
     """
-    def split(sub, box):
-        if sub.ndim == 0:
-            yield box, bool(sub)
-            return
-        start, length = 0, sub.shape[0]
-        for i in range(1, length + 1):
-            if i == length or not np.array_equal(sub[i], sub[start]):
-                run = slice(None) if (start, i) == (0, length) else slice(start, i)
-                yield from split(sub[start], box + (run,))
-                start = i
-
-    yield from split(np.asarray(mask), ())
+    if not mask.any():
+        return None
+    box = []
+    for ax, size in enumerate(mask.shape):
+        hits = np.flatnonzero(mask.any(axis=tuple(a for a in range(mask.ndim) if a != ax)))
+        lo, hi = int(hits[0]), int(hits[-1]) + 1
+        box.append(slice(None) if (lo, hi) == (0, size) else slice(lo, hi))
+    return tuple(box)
 
 
 def _transport_plan(speeds: dict, b0_vals, h: float, shape: tuple):
@@ -441,11 +436,15 @@ def _transport_plan(speeds: dict, b0_vals, h: float, shape: tuple):
 
     centre = -(3/(2h)) sum_j |w_j| - b0, c_j = |w_j| / (2h), and sigma = -1
     where w_j > 0, +1 elsewhere.  Returns (centre, boxes): centre in the
-    per-axis form of the speeds, and one tuple
-    (box, c, view, dest, near, far, faces) per axis j and per box of
-    _constant_boxes(w_j > 0), on which sigma is fixed:
+    per-axis form of the speeds, and at most two tuples
+    (box, c, view, dest, near, far, faces) per axis j, one for each sigma
+    that occurs:
 
-    * `box` indexes the full grid and `c` is c_j on it;
+    * `box` (from _sign_box) is the smallest box that holds every cell where
+      sigma w_j < 0; it indexes the full grid.  `c` is c_j there and 0 on
+      the cells of the box where sigma w_j >= 0, so the two boxes of an axis
+      may overlap, and the cost of an axis never exceeds two full-grid terms
+      whatever the shape of its sign pattern;
     * `view` is the grid shape with the axes after the box's last cut merged
       into one run; `dest`, `near` and `far` index that view at the cells
       and at their shifts by sigma and 2 sigma.  When the box is cut along
@@ -467,9 +466,12 @@ def _transport_plan(speeds: dict, b0_vals, h: float, shape: tuple):
     boxes = []
     for j, w in speeds.items():
         N = shape[j]
-        c_j = np.abs(w) / (2.0 * h)
-        for box, positive in _constant_boxes(w > 0):
-            sigma = -1 if positive else 1
+        for sigma in (-1, 1):
+            upwind = -sigma * w  # > 0 where this sigma applies
+            box = _sign_box(upwind > 0)
+            if box is None:
+                continue
+            c = np.maximum(upwind, 0.0) / (2.0 * h)
             cut = max((ax + 1 for ax, s in enumerate(box) if s != slice(None)), default=0)
             view = shape[:cut] + (int(np.prod(shape[cut:], dtype=int)),)
             if j < cut:
@@ -478,7 +480,7 @@ def _transport_plan(speeds: dict, b0_vals, h: float, shape: tuple):
             else:
                 ax, step = cut, int(np.prod(shape[j + 1:], dtype=int))
                 lo, hi = 0, view[cut]
-            if positive:
+            if sigma < 0:
                 lo = max(lo, 2 * step)
             else:
                 hi = min(hi, view[ax] - 2 * step)
@@ -493,10 +495,10 @@ def _transport_plan(speeds: dict, b0_vals, h: float, shape: tuple):
                 return box[:j] + (slice(i, i + 1),) + box[j + 1:]
 
             rows = range(*box[j].indices(N))
-            edge = 0 if positive else N - 1  # both neighbours of the edge cell are ghosts
+            edge = 0 if sigma < 0 else N - 1  # both neighbours of the edge cell are ghosts
             faces = [(at_j(i), source) for i, source in ((edge, None), (edge - sigma, at_j(edge)))
                      if i in rows]
-            boxes.append((box, c_j[box], view, shifted(0), shifted(sigma * step),
+            boxes.append((box, c[box], view, shifted(0), shifted(sigma * step),
                           shifted(2 * sigma * step), faces))
     return centre, boxes
 
@@ -505,14 +507,15 @@ def _apply_transport(plan, u, u4, spare, out) -> np.ndarray:
     """centre * u + sum_j c_j (4 u[i + sigma] - u[i + 2 sigma]), written into `out`.
 
     `plan` comes from _transport_plan for u's shape.  u is C-contiguous; u4
-    (overwritten with 4u), `spare` (the neighbour terms of one box at a
-    time) and `out` are C-contiguous arrays of u's shape that overlap
-    neither u nor each other.  Per box: one pass for the shifted difference,
-    one for the factor c_j and one to add it in.
+    (overwritten with 4u when the plan has boxes), `spare` (the neighbour
+    terms of one box at a time) and `out` are C-contiguous arrays of u's
+    shape that overlap neither u nor each other.  Per box: one pass for the
+    shifted difference, one for the factor c_j and one to add it in.
     """
     centre, boxes = plan
     np.multiply(centre, u, out=out)
-    np.multiply(u, 4.0, out=u4)
+    if boxes:
+        np.multiply(u, 4.0, out=u4)
     for box, c, view, dest, near, far, faces in boxes:
         np.subtract(u4.reshape(view)[near], u.reshape(view)[far], out=spare.reshape(view)[dest])
         for cells, source in faces:

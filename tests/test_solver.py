@@ -34,7 +34,6 @@ from ultraparabolic.solver import (
     SolverError,
     _apply_transport,
     _axis_order,
-    _constant_boxes,
     _damping_exponent,
     _matrix_exponential,
     _nilpotent_powers,
@@ -247,9 +246,11 @@ def test_shifted_zero_fill():
 def _random_speeds(rng, shape):
     """Speed sets on a 3-D grid that reach every layout of a sign box.
 
-    Full-shape speeds with zeros; compact speeds that vary along a later
-    axis than their own, along the axis just before it, or along two
-    earlier ones; constant speeds of both signs and one along its own axis.
+    Full-shape speeds with zeros (both boxes span the grid); compact random
+    speeds with zeros (boxes that overlap); monotone ramps whose boxes are
+    cut along a later axis than their own, along the axis just before it,
+    along two earlier ones and along their own; constant speeds of both
+    signs.
     """
     full = {}
     for axis in range(len(shape)):
@@ -257,13 +258,17 @@ def _random_speeds(rng, shape):
         speed[0, 0, :2] = 0.0  # zero speed takes the forward branch
         speed[2:4, 1] = 0.0
         full[axis] = speed
-    compact = {0: rng.standard_normal((1, shape[1], 1)),
-               1: rng.standard_normal((shape[0], 1, 1)),
-               2: rng.standard_normal((shape[0], shape[1], 1))}
-    compact[1][1] = 0.0
+    rough = {0: rng.standard_normal((1, shape[1], 1)),
+             1: rng.standard_normal((shape[0], 1, 1)),
+             2: rng.standard_normal((shape[0], shape[1], 1))}
+    rough[1][1] = 0.0
+    ramp = [np.linspace(-1.0, 2.0, size) for size in shape]
+    ramps = {0: ramp[1].reshape(1, -1, 1),
+             1: -ramp[0].reshape(-1, 1, 1),
+             2: ramp[0].reshape(-1, 1, 1) + 2.0 * ramp[1].reshape(1, -1, 1)}
     constant = {0: np.full((1, 1, 1), 0.7), 1: np.full((1, 1, 1), -1.3),
-                2: rng.standard_normal((1, 1, shape[2]))}
-    return full, compact, constant
+                2: -ramp[2].reshape(1, 1, -1)}
+    return full, rough, ramps, constant
 
 
 def test_upwind_stencil_equals_roll_reference():
@@ -299,24 +304,32 @@ def test_transport_equals_the_per_axis_upwind_form():
 
 
 @pytest.mark.parametrize("case", ["fokkerplanck", "lp-block", "random"])
-def test_constant_boxes_cover_every_cell_once(case):
+def test_sign_boxes_hold_every_cell_of_their_sign(case):
+    # at most two boxes per speed, one per sign; a box's factor is |w| / (2h)
+    # on the cells of its sign and 0 on the rest, so each cell with a
+    # nonzero speed gets its term from exactly one box
     if case == "random":
         shape = (5, 6, 7)
-        masks = [np.random.default_rng(3).standard_normal(shape) > 0]
+        speeds = [np.random.default_rng(3).standard_normal(shape)]
     else:
         spec = load_builtin(case)
         grid = spec.default_grid(N=8)
         shape = grid.shape
-        masks = [w > 0 for w in _transport_speeds(spec, grid).values()]
-    for mask in masks:
-        full = np.broadcast_to(mask, shape)
+        speeds = list(_transport_speeds(spec, grid).values())
+    h = 0.5
+    for j, w in enumerate(speeds):
+        full = np.broadcast_to(w, shape)
+        _, boxes = _transport_plan({j: w}, None, h, shape)
+        assert 1 <= len(boxes) <= 2
         cover = np.zeros(shape, dtype=int)
-        boxes = list(_constant_boxes(mask))
-        for box, value in boxes:
-            cover[box] += 1
-            assert np.all(full[box] == value)
-        assert np.all(cover == 1)
-        assert len(boxes) <= mask.size
+        signs = set()
+        for box, c, *_ in boxes:
+            c = np.broadcast_to(c, full[box].shape)
+            assert np.array_equal(c[c > 0], np.abs(full[box][c > 0]) / (2 * h))
+            signs.add(np.unique(np.sign(full[box][c > 0])).item())
+            cover[box] += c > 0
+        assert len(signs) == len(boxes)
+        assert np.array_equal(cover, (full != 0).astype(int))
 
 
 def test_upwind_exact_on_quadratic():
@@ -841,7 +854,7 @@ def test_transport_plan_never_holds_a_full_grid():
     finally:
         tracemalloc.stop()
     assert centre.size == grid.N**3  # the speeds vary along axes 0-2
-    assert len(boxes) == 2 * spec.n  # each speed changes sign once
+    assert len(boxes) == 2 * spec.n  # every speed takes both signs
     assert peak < grid.N**grid.n
 
 
