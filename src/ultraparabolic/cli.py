@@ -15,7 +15,8 @@ Sobolev weights overflow, or a result that overflows on the chosen grid),
 
 Primary outputs are deterministic: the same spec, knobs, and seed produce
 byte-identical JSON/CSV/binary files.  Volatile metadata (timestamps, wall
-time) is segregated into a ``run_meta.json`` sidecar, never into result files.
+time, peak resident memory) is segregated into a ``run_meta.json`` sidecar,
+never into result files.
 """
 
 from __future__ import annotations
@@ -29,6 +30,11 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+
+try:
+    import resource
+except ImportError:  # Unix only; elsewhere peak_rss_mb is null
+    resource = None
 
 import numpy as np
 
@@ -189,27 +195,38 @@ def _write_sidecar(args, started: float) -> None:
     """Volatile run metadata; the only file allowed to differ between reruns.
 
     A stage adds its own keys through `args.run_meta` (see _route_meta).
+    `peak_rss_mb` is the process's peak resident set size so far, in units
+    of 2^20 bytes.
     """
+    peak = None
+    if resource is not None:
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB; bytes on macOS
+        peak /= 2.0**20 if sys.platform == "darwin" else 2.0**10
     meta = {
         "command": args.subcommand,
         "spec": str(args.spec),
         "argv": sys.argv[1:],
         "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "elapsed_seconds": time.perf_counter() - started,
+        "peak_rss_mb": peak,
         **args.run_meta,
     }
     (Path(args.out) / "run_meta.json").write_text(
         json.dumps(meta, indent=2) + "\n", encoding="utf-8")
 
 
-def _route_meta(solution) -> dict:
-    """Which solver route ran and why.
+def _route_meta(solution, args) -> dict:
+    """Which solver route ran and why, and the options it did not use.
 
-    On the FD route also its slab solver, step count, and advective CFL
-    number next to its limit.
+    `unused_options` maps each given option the route ignored to its value:
+    the exact route takes no time step, so it ignores --dt.  On the FD route
+    also its slab solver, step count, and advective CFL number next to its
+    limit.
     """
     diag = solution.diagnostics
-    meta = {"route": solution.method, "route_reason": diag.get("route_reason")}
+    unused = {"--dt": args.dt} if solution.method == "exact" and args.dt is not None else {}
+    meta = {"route": solution.method, "route_reason": diag.get("route_reason"),
+            "unused_options": unused}
     if solution.method == "fd":
         meta.update(slab_solver=diag["slab_solver"], fd_steps=diag["steps"],
                     cfl=diag["cfl"], cfl_limit=diag["cfl_limit"])
@@ -356,7 +373,7 @@ def cmd_solve(args) -> int:
     _require_representable_weights(spec, grid, max(4.0, 2.0 * float(spec.s)))
     times = np.linspace(0.0, spec.T, args.tgrid)
     solution = solve_auto(spec, grid=grid, dt=args.dt, times=times)
-    args.run_meta.update(_route_meta(solution))
+    args.run_meta.update(_route_meta(solution, args))
     residual = residual_series(solution, spec)
     energy = energy_check(solution, spec)
     _require_finite(spec, grid, "the residual or energy",
@@ -418,7 +435,7 @@ def cmd_smoothing(args) -> int:
     _require_representable_weights(spec, grid, float(args.dmax))
     times = np.linspace(spec.T / 100.0, spec.T, args.tgrid)
     solution = solve_auto(spec, grid=grid, dt=args.dt, times=times)
-    args.run_meta.update(_route_meta(solution))
+    args.run_meta.update(_route_meta(solution, args))
     report = smoothing_profile(solution, spec, d_max=args.dmax)
     _require_finite(spec, grid, "a derivative norm",
                     [v for rec in report.orders for v in (rec.supremum, rec.raw_supremum)])

@@ -45,28 +45,34 @@ snapshots on one grid):
   u has the full grid shape.  The step is refused up front when the
   advective CFL number exceeds the limit (the error carries a suggested
   step), when the diffusion coefficient leaves [1/Lambda, Lambda] at a
-  sample point, or when reaching the last snapshot takes more than
-  _MAX_FD_STEPS steps (the error names a step that passes).
+  sample point, when reaching the last snapshot takes more than
+  _MAX_FD_STEPS steps (the error names a step that passes), or when the
+  snapshots and work arrays would not fit in physical memory (the error
+  names a grid that fits).  The route keeps its native output, one real
+  grid array per snapshot; a snapshot's spectrum is formed each time it is
+  read.
 
 residual_series measures how well any trajectory satisfies the PDE (spectral
-space derivatives, fourth-order central time differences): du/dt and u take
-one n-D inverse FFT each per snapshot, and every first or second derivative
-along an axis one 1-D transform of u's grid values along that axis and back.
-energy_check tracks the parabolic energy balance against its theoretical
-budget.
+space derivatives, fourth-order central time differences); every first or
+second derivative along an axis is one 1-D transform of u's grid values along
+that axis and back, a real rfft/irfft pair on the FD route.  energy_check
+tracks the parabolic energy balance against its theoretical budget.  Both
+norms come from one weighted power spectrum per snapshot.
 """
 
 from __future__ import annotations
 
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .problems import ConstantPreset, ProblemSpec, coercivity_check
-from .sobolev import SpectralField, TorusGrid, _along, hs_norm
+from .sobolev import SpectralField, TorusGrid, _along, _bessel_weight, _frequency_sq, hs_norm
 from .vfalgebra import _matmul
 
 __all__ = [
@@ -161,6 +167,25 @@ class ModeLedger:
         return list(_row_combinations(self.matrix, freqs, range(self.grid.n)))
 
 
+class _GridFields(Sequence):
+    """The FD route's snapshots: real grid values, their spectra formed on read.
+
+    `values[i]` is the real state u at times[i]; item i is
+    SpectralField.from_grid_values of it, formed each time it is read and not
+    kept, so a solution holds 8 bytes per grid point and snapshot.
+    """
+
+    def __init__(self, grid: TorusGrid, values: tuple):
+        self.grid = grid
+        self.values = values
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, i):
+        return SpectralField.from_grid_values(self.grid, self.values[i])
+
+
 class _LedgerFields(Sequence):
     """The exact route's grid fields, formed from its ledgers when first read.
 
@@ -195,7 +220,9 @@ class TrajectorySolution:
     are the solution and `fields` is a sequence that forms snapshot i's grid
     field from ledger i the first time it is read (through `fields`,
     `snapshot(i)` or `final`) and keeps it; norm measurements read the
-    ledgers (true off-lattice frequencies) and so never form a field.
+    ledgers (true off-lattice frequencies) and so never form a field.  On the
+    FD route `fields` holds the real grid values (`fields.values`) and forms
+    a snapshot's spectrum each time it is read.
     """
 
     spec_name: str
@@ -606,6 +633,35 @@ def _sine_transform(S, x, spare, m0):
     return x, spare
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where the platform does not say."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        return float("inf")
+
+
+def _require_memory(snapshots: int, n: int, N: int) -> None:
+    """Refuse, before allocating, an FD run whose arrays exceed physical memory.
+
+    The run holds one float64 grid array per snapshot plus five work arrays
+    (the state and four step buffers).  The error names the largest N that fits.
+    """
+    def need(size):
+        return (snapshots + 5) * 8.0 * float(size) ** n
+
+    budget = _physical_memory()
+    if need(N) <= budget:
+        return
+    fit = int((budget / need(1)) ** (1.0 / n)) // 2 * 2 + 2  # the root, rounded, plus one step
+    while fit >= 4 and need(fit) > budget:
+        fit -= 2
+    raise SolverError(
+        f"the FD route needs about {need(N) / 2**20:.4g} MiB for {snapshots} snapshots and "
+        f"5 work arrays on N = {N} in {n}-D, more than the {budget / 2**20:.4g} MiB of "
+        f"physical memory; " + (f"retry with N <= {fit}" if fit >= 4 else "no grid fits"))
+
+
 # Refuse a run that needs more time steps than this: even on the smallest
 # grids it would take minutes, and a mistyped --dt would hang the stage.
 _MAX_FD_STEPS = 100_000
@@ -659,9 +715,11 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
 
     Aborts with CoercivityError when the sampled diffusion coefficient leaves
     [1/Lambda, Lambda], with CFLError (carrying a suggested dt) when the
-    advective step bound fails, and with SolverError (naming a dt that
-    passes) when the run would take more than _MAX_FD_STEPS steps.
-    Diagnostics record the discrete mass and the
+    advective step bound fails, and with SolverError when the run would take
+    more than _MAX_FD_STEPS steps (naming a dt that passes) or when its
+    snapshots and work arrays would not fit in physical memory (naming the
+    largest N that fits).  `fields` keeps each snapshot's real grid values
+    and forms its spectrum on read (see _GridFields).  Diagnostics record the discrete mass and the
     fraction of the solution touching the boundary shell at each snapshot,
     the advective CFL number (`cfl`) and its limit (`cfl_limit`),
     which implicit slab solver ran (`slab_solver`: "sine",
@@ -698,6 +756,7 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
 
     times = np.linspace(0.0, spec.T, 9) if times is None else np.asarray(times, dtype=float)
     times, segments = _snapshot_segments(times, dt, spec.T, strict)
+    _require_memory(len(times), n, N)
 
     # implicit diffusion operator on the leading m0-dimensional slabs
     varies = [ax for ax, size in enumerate(np.shape(a_vals)) if size > 1]
@@ -772,14 +831,14 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     # a fresh C-ordered copy at the full grid shape: its buffer becomes a
     # right-hand side, which the sine solver reshapes in place
     u = np.array(np.broadcast_to(spec.u0.evaluate(grid), grid.shape), dtype=float, order="C")
-    fields, mass, boundary_fraction = [], [], []
+    values, mass, boundary_fraction = [], [], []
     # inf, not OverflowError, once a huge box scale takes the cell volume
     # out of the float range
     with np.errstate(over="ignore"):
         volume_element = float(np.float64(h) ** n)
 
     def record(u):
-        fields.append(SpectralField.from_grid_values(grid, u))
+        values.append(u.copy())
         mass.append(float(u.sum()) * volume_element)
         magnitude = np.abs(u)
         peak = float(magnitude.max())
@@ -806,7 +865,7 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
         method="fd",
         grid=grid,
         times=times,
-        fields=tuple(fields),
+        fields=_GridFields(grid, tuple(values)),
         diagnostics={
             "dt": dt,
             "cfl": cfl,
@@ -843,16 +902,56 @@ class ResidualReport:
         return float(np.max(self.values))
 
 
+def _weighted_spectra(solution: TrajectorySolution, s: float):
+    """(freqs, power): power(i) is <xi>^{2s} |c|^2 of snapshot i, laid out on freqs.
+
+    power(i) sums to ||u(t_i)||_{H^s}^2.  On the FD route c is the half
+    spectrum rfftn(u) / N^n of the real grid values, each bin counted twice
+    except k = 0 and k = N/2 of the last axis, which have no distinct
+    conjugate partner; on the exact route c is the kept coefficients.  The
+    weight is built once per call.  A weight that overflows to inf on a zero
+    coefficient adds nothing, as in hs_norm.
+    """
+    grid = solution.grid
+    real = isinstance(solution.fields, _GridFields)
+    freqs = [grid.frequency(ax) for ax in range(grid.n)]
+    if real:
+        freqs[-1] = freqs[-1][..., :grid.N // 2 + 1]
+    shape = np.broadcast_shapes(*(f.shape for f in freqs))
+    weight = _bessel_weight(_frequency_sq(freqs, shape), 2.0 * s)
+    if real:
+        weight[..., 1:-1] *= 2.0
+    overflow = weight.max() == np.inf
+
+    def power(i):
+        c = (np.fft.rfftn(solution.fields.values[i]) / grid.N**grid.n if real
+             else solution.fields[i].coeffs)
+        out = c.real**2 + c.imag**2
+        if overflow:
+            return np.multiply(weight, out, out=out, where=out != 0)
+        out *= weight
+        return out
+
+    return freqs, power
+
+
 def residual_series(solution: TrajectorySolution, spec: ProblemSpec) -> ResidualReport:
     """||du/dt + Xu + Yu - a lap u - g||_{L2} / (||u||_{H2} + 1) at interior times.
 
     Time derivative: fourth-order five-point central stencil, so the snapshot
     times must be uniformly spaced with at least five entries; space
-    derivatives are spectral on the snapshot grid.  Per snapshot, du/dt and
-    u take one n-D inverse FFT each; each first and second derivative along
-    an axis comes from u's grid values by a 1-D FFT along that axis, a
-    multiplication by i xi or -xi^2 and a 1-D inverse FFT; at most one
-    axis's spectrum and one inverse transform are held at a time.
+    derivatives are spectral on the snapshot grid, and the normaliser is one
+    weighted spectrum per snapshot (_weighted_spectra).  Each first and second
+    derivative along an axis is a 1-D transform of u's grid values along that
+    axis, a multiplication by i xi or -xi^2 and the inverse transform; at most
+    one axis's spectrum and one inverse transform are held at a time.  On the
+    FD route u is real: the stencil runs on the grid values and each axis
+    takes an rfft/irfft pair.  A complex pair leaves the Nyquist term
+    (-1)^j i xi_{N/2} F_{N/2} / N of a first derivative in its imaginary
+    part (F_{N/2} is real), which irfft drops; it is added back, so the FD
+    residual is the one the complex transforms measure.  The exact route's
+    grid fields are complex, so there du/dt and u take one n-D inverse FFT
+    each and the axis pairs are complex.
     """
     times = solution.times
     if len(times) < 5:
@@ -868,39 +967,55 @@ def residual_series(solution: TrajectorySolution, spec: ProblemSpec) -> Residual
     b0_vals = None if spec.b0.is_zero else spec.b0.evaluate(grid)
     g_vals = None if spec.g.is_zero else spec.g.evaluate(grid)
     speeds = _transport_speeds(spec, grid)
-    freqs = [grid.frequency(ax) for ax in range(grid.n)]
     axes = sorted(set(speeds) | set(range(spec.m0)))
+    N, n = grid.N, grid.n
+    real = isinstance(solution.fields, _GridFields)
+    if real:
+        stack = solution.fields.values
+        modes = grid.axis_modes[:N // 2 + 1]  # ends at the Nyquist mode -N/2
+        alternating = (-1.0) ** np.arange(N)
+        forward, inverse = np.fft.rfft, partial(np.fft.irfft, n=N)
+    else:
+        stack = [f.coeffs for f in solution.fields]
+        modes = grid.axis_modes
+        forward, inverse = np.fft.fft, np.fft.ifft
+    freqs = [_along(modes / grid.L, ax, n) for ax in range(n)]
+    _, weighted = _weighted_spectra(solution, 2.0)
 
     out_times, out_values = [], []
-    coeff_stack = [f.coeffs for f in solution.fields]
     for i in range(2, len(times) - 2):
-        residual = SpectralField(grid, (
-            coeff_stack[i - 2] - 8.0 * coeff_stack[i - 1]
-            + 8.0 * coeff_stack[i + 1] - coeff_stack[i + 2]
-        ) / (12.0 * dt)).grid_values()
-        u = solution.fields[i]
-        values = u.grid_values()
+        residual = (stack[i - 2] - 8.0 * stack[i - 1]
+                    + 8.0 * stack[i + 1] - stack[i + 2]) / (12.0 * dt)
+        if real:
+            values = stack[i]
+        else:
+            residual = SpectralField(grid, residual).grid_values()
+            values = solution.fields[i].grid_values()
+        imag = 0.0  # the Nyquist terms irfft drops
         for ax in axes:
             # i xi applied in place, once for the first derivative and once
-            # more for the second; at most two axis-sized arrays are alive,
-            # the spectrum and one inverse transform
-            spectrum = np.fft.fft(values, axis=ax)
+            # more for the second
+            spectrum = forward(values, axis=ax)
             spectrum *= 1j * freqs[ax]
             if ax in speeds:
-                grad = np.fft.ifft(spectrum, axis=ax)
+                grad = inverse(spectrum, axis=ax)
                 grad *= speeds[ax]
                 residual += grad
                 del grad
+                if real:
+                    nyquist = np.take(spectrum, [N // 2], axis=ax).imag / N
+                    imag = imag + speeds[ax] * nyquist * _along(alternating, ax, n)
             if ax < spec.m0:
                 spectrum *= 1j * freqs[ax]
-                spectrum = np.fft.ifft(spectrum, axis=ax)
+                spectrum = inverse(spectrum, axis=ax)
                 spectrum *= a_vals
                 residual -= spectrum
         if b0_vals is not None:
             residual += b0_vals * values
         if g_vals is not None:
             residual -= g_vals
-        value = float(np.sqrt(np.mean(np.abs(residual) ** 2))) / (hs_norm(u, 2.0) + 1.0)
+        power = np.abs(residual) ** 2 + imag**2
+        value = float(np.sqrt(np.mean(power))) / (float(np.sqrt(np.sum(weighted(i)))) + 1.0)
         out_times.append(times[i])
         out_values.append(value)
     return ResidualReport(times=np.array(out_times), values=np.array(out_values))
@@ -928,15 +1043,26 @@ class EnergyReport:
 
 def energy_check(solution: TrajectorySolution, spec: ProblemSpec,
                  s: float | None = None) -> EnergyReport:
+    """The EnergyReport of a trajectory, from one weighted spectrum per snapshot.
+
+    ||u||_{H^s}^2 is the sum of the spectrum P = <xi>^{2s} |c|^2
+    (_weighted_spectra), and ||d_k u||_{H^s}^2 is its marginal along axis k
+    against xi_k^2, so no derivative field is formed.
+    """
     s = float(spec.s) if s is None else float(s)
     grid = solution.grid
     times = solution.times
-    norms_sq = solution.hs_series(s) ** 2
+    freqs, weighted = _weighted_spectra(solution, s)
+    norms_sq = np.zeros(len(times))
     dissipation = np.zeros(len(times))
-    for ax in range(spec.m0):
-        alpha = tuple(int(j == ax) for j in range(grid.n))
-        rates = np.array([hs_norm(f.partial_derivative(alpha), s) ** 2 for f in solution.fields])
-        dissipation = dissipation + rates
+    for i in range(len(times)):
+        power = weighted(i)
+        norms_sq[i] = np.sum(power)
+        for ax in range(spec.m0):
+            # xi_k = 0 sits at index 0 alone; leaving it out keeps an
+            # overflowed weight there from adding inf * 0
+            marginal = power.sum(axis=tuple(a for a in range(grid.n) if a != ax))
+            dissipation[i] += marginal[1:] @ freqs[ax].ravel()[1:] ** 2
     integral = np.concatenate(
         [[0.0], np.cumsum(0.5 * (dissipation[1:] + dissipation[:-1]) * np.diff(times))]
     )

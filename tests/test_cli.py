@@ -655,6 +655,29 @@ def test_run_meta_records_the_route_and_the_fd_step_count(tmp_path):
             assert 0.0 < meta["cfl"] <= meta["cfl_limit"] == sol.diagnostics["cfl_limit"] == 0.8
 
 
+def test_run_meta_records_peak_rss_on_every_stage_and_an_unused_dt(tmp_path):
+    for stage, extra in (("check", ()), ("verify", ()), ("solve", ("--grid", "16", "--tgrid", "5")),
+                         ("smoothing", ("--grid", "16", "--tgrid", "5", "--dmax", "3"))):
+        out = tmp_path / stage
+        assert run(stage, "--spec", "kolmogorov2d", *extra, "--out", str(out)) == EXIT_OK
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["peak_rss_mb"] > 1.0, stage
+    assert run("report", "--spec", "kolmogorov2d", "--out", str(tmp_path / "solve")) == EXIT_OK
+    assert json.loads((tmp_path / "solve" / "run_meta.json").read_text())["peak_rss_mb"] > 1.0
+    # the exact route takes no step: a given --dt is recorded as unused, not dropped
+    # (the smoothing stage's first snapshot gap, T/100, admits no round FD step)
+    for stage, extra in (("solve", ()), ("smoothing", ("--dmax", "3"))):
+        for spec, dt, unused in (("kolmogorov2d", "0.01", {"--dt": 0.01}),
+                                 ("kolmogorov2d", None, {}),
+                                 ("brownian-inertia", "0.0025" if stage == "solve" else None, {})):
+            out = tmp_path / "dt" / stage / spec / str(dt)
+            flags = ("--dt", dt) if dt else ()
+            assert run(stage, "--spec", spec, "--grid", "16", "--tgrid", "5", *extra, *flags,
+                       "--out", str(out)) == EXIT_OK
+            meta = json.loads((out / "run_meta.json").read_text())
+            assert meta["unused_options"] == unused, (stage, spec, dt)
+
+
 def test_run_meta_sidecar_holds_volatile_fields(tmp_path):
     assert run("check", "--spec", "heat", "--out", str(tmp_path)) == EXIT_OK
     meta = json.loads((tmp_path / "run_meta.json").read_text())

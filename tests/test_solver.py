@@ -668,6 +668,81 @@ def test_energy_monotone_infinite_when_budget_zero_but_energy_not():
     assert np.isinf(rep.ratio[2])
 
 
+def _energy_reference(solution, spec):
+    """Reference: the per-axis energy, one derivative field and hs_norm per axis and snapshot."""
+    s = float(spec.s)
+    norms_sq = solution.hs_series(s) ** 2
+    dissipation = np.zeros(len(solution.times))
+    for ax in range(spec.m0):
+        alpha = tuple(int(j == ax) for j in range(solution.grid.n))
+        dissipation = dissipation + np.array(
+            [hs_norm(f.partial_derivative(alpha), s) ** 2 for f in solution.fields])
+    integral = np.concatenate([[0.0], np.cumsum(
+        0.5 * (dissipation[1:] + dissipation[:-1]) * np.diff(solution.times))])
+    return norms_sq + integral / float(spec.Lambda)
+
+
+@pytest.mark.parametrize("name", builtin_spec_names())
+def test_one_pass_energy_equals_the_per_axis_derivative_form_on_both_routes(name):
+    spec = load_builtin(name)
+    grid = spec.default_grid(N=8)
+    times = np.linspace(0.0, spec.T, 9)
+    solutions = [solve_auto(spec, grid, times=times)]
+    if solutions[0].method == "exact":
+        solutions.append(solve_fd(spec, grid, times=times))
+    for sol in solutions:
+        want = _energy_reference(sol, spec)
+        assert np.all(want > 0.0)
+        np.testing.assert_allclose(energy_check(sol, spec).energy, want, rtol=1e-13, atol=0.0)
+
+
+def test_fd_snapshots_are_real_grid_values_with_spectra_formed_on_read():
+    spec = load_builtin("fokkerplanck")
+    grid = spec.default_grid(N=8)
+    times = np.linspace(0.0, spec.T, 9)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sol = solve_fd(spec, grid, times=times)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # one float64 array per snapshot (complex spectra would take twice that)
+    # plus slack for the diagnostics and the container
+    assert retained <= len(times) * grid.N**grid.n * 8 + 2**16
+    values = sol.fields.values
+    assert len(values) == len(sol) and all(v.dtype == np.float64 for v in values)
+    for i, v in enumerate(values):
+        want = SpectralField.from_grid_values(grid, v).coeffs
+        assert np.array_equal(sol.fields[i].coeffs, want)  # same fftn: bit for bit
+        assert sol.fields[i] is not sol.fields[i]  # formed on each read, not kept
+    assert np.array_equal(sol.final.coeffs, sol.fields[len(sol) - 1].coeffs)
+
+
+def test_fd_memory_guard_refuses_before_allocating_and_names_an_n_that_fits(monkeypatch, tmp_path):
+    spec = load_builtin("fokkerplanck")
+    grid = spec.default_grid(N=8)
+    times = np.linspace(0.0, spec.T, 9)
+    # 9 snapshots + 5 work arrays of 8**6 float64 = 29.4 MB; 6**6 ones take 5.2 MB
+    monkeypatch.setattr(solver, "_physical_memory", lambda: 10e6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SolverError, match=r"retry with N <= 6\b"):
+            solve_fd(spec, grid, times=times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * grid.N**grid.n  # refused before one grid array was allocated
+    assert solve_fd(spec, spec.default_grid(N=6), times=times).diagnostics["steps"] > 0
+    monkeypatch.setattr(solver, "_physical_memory", lambda: 1e3)
+    with pytest.raises(SolverError, match="no grid fits"):
+        solve_fd(spec, grid, times=times)
+    out = tmp_path / "out"
+    code = cli.main(["solve", "--spec", "fokkerplanck", "--grid", "8", "--tgrid", "9",
+                     "--out", str(out)])
+    assert code == cli.EXIT_NUMERICAL and not out.exists()
+
+
 def test_trajectory_container_invariants():
     spec = load_builtin("kolmogorov2d")
     grid = TorusGrid(2, 32, 4.0)
