@@ -34,12 +34,16 @@ snapshots on one grid):
   as shifted slices with long inner loops.  The explicit
   half of the diffusion is one 3-point Dirichlet stencil on the diffused
   axes, written into the right-hand side.
-  When a does not vary along a diffused axis, each implicit step is solved
-  exactly in the DST-I eigenbasis of the Dirichlet slab Laplacian (fast
-  Poisson diagonalisation: a dense sine matrix along each diffused axis, no
-  factorization), on NumPy alone; otherwise by sparse LU, one factorization
-  shared by all columns when a varies only along diffused axes, one per
-  column else.  SciPy (the sparse slab Laplacian and its LU factorization) is
+  Each implicit step (theta = 1/2, Crank-Nicolson) applies the DST-I matrix
+  along every diffused axis that a does not vary along: the eigenbasis of
+  the 3-point Dirichlet second difference there (fast Poisson
+  diagonalisation, a dense sine matrix per axis, no factorization).  When a
+  varies along no diffused axis, the step is then one division; when it
+  varies along one, a batched tridiagonal (Thomas) sweep along that axis.
+  Both run on NumPy alone.  Only an a that varies along two or more diffused
+  axes (no builtin spec has one) takes sparse LU: one factorization shared
+  by all columns when a varies only along diffused axes, one per column
+  else.  SciPy (the sparse slab Laplacian and its LU factorization) is
   imported by these LU paths alone, when one first runs.  Coefficients and
   transport speeds keep the per-axis form of Preset.evaluate; only the state
   u has the full grid shape.  The step is refused up front when the
@@ -604,33 +608,113 @@ def _subgrid_laplacian(N: int, m0: int, h: float):
     return total
 
 
-def _slab_sine_basis(N: int, m0: int, n: int, h: float):
-    """Orthonormal DST-I matrix S and the eigenvalues of the slab Laplacian.
+def _slab_sine_basis(N: int, axes, n: int, h: float):
+    """Orthonormal DST-I matrix S and the eigenvalues of the Laplacian along `axes`.
 
     S[j, k] = sqrt(2/(N+1)) sin(pi j k/(N+1)) is symmetric and its own
     inverse, and D2 = S diag(mu) S for the 3-point Dirichlet second difference,
-    mu_k = -(4/h^2) sin^2(pi k/(2(N+1))).  Applied along each of the m0
-    diffused axes, S diagonalises the slab Laplacian.  Its eigenvalues are
-    sums of one mu per diffused axis; they are returned with shape
-    (N,) * m0 + (1,) * (n - m0), so they broadcast over the grid.
+    mu_k = -(4/h^2) sin^2(pi k/(2(N+1))).  Applied along each of `axes`, S
+    diagonalises the 3-point Laplacian along them.  Its eigenvalues are sums
+    of one mu per axis; they are returned with length N on `axes` and 1
+    elsewhere, so they broadcast over the grid (0.0 when `axes` is empty).
     """
     k = np.arange(1, N + 1)
     S = np.sqrt(2.0 / (N + 1)) * np.sin(np.pi * np.outer(k, k) / (N + 1))
     mu = -(4.0 / (h * h)) * np.sin(np.pi * k / (2.0 * (N + 1))) ** 2
-    lam = sum(_along(mu, ax, n) for ax in range(m0))
+    lam = sum((_along(mu, ax, n) for ax in axes), 0.0)
     return S, lam
 
 
-def _sine_transform(S, x, spare, m0):
-    """Apply S along each of the leading m0 axes of x; return (result, free buffer).
+def _sine_transform(S, x, spare, axes):
+    """Apply S along each of `axes` of x; return (result, free buffer).
 
     x and spare take turns as input and output, so nothing is allocated.
     """
     N = S.shape[0]
-    for ax in range(m0):
+    for ax in axes:
         np.matmul(S, x.reshape(N**ax, N, -1), out=spare.reshape(N**ax, N, -1))
         x, spare = spare, x
     return x, spare
+
+
+def _sine_slab_solver(a_vals, m0: int, h: float, spare):
+    """implicit_solver(step_dt) -> solve(rhs) when a varies along at most one diffused axis.
+
+    solve(rhs) solves (I - theta dt a lap) x = rhs, lap the 3-point Dirichlet
+    Laplacian of the leading m0 axes, and returns x in rhs's buffer; `spare`
+    is a work array of rhs's shape.  The DST-I matrix S (_slab_sine_basis)
+    is applied along every diffused axis on which a's sample has length 1.
+    Multiplication by a commutes with S there, so the system splits:
+
+    * a constant on every diffused axis: each sine mode is divided by
+      1 - theta dt a lam, lam the slab eigenvalue (fast Poisson
+      diagonalisation);
+    * a varying along one diffused axis l: each sine mode of the other
+      diffused axes is a tridiagonal system along l, with off-diagonals
+      -theta dt a / h^2 and diagonal 1 + theta dt a (2/h^2 - lam_other),
+      lam_other the sum of the other diffused axes' eigenvalues.  A batched
+      Thomas sweep solves it.  With the reciprocal pivots p_i and the
+      modified super-diagonal c_i = off_i p_i, the right-hand side is
+      scaled by p once, then y_i -= c_i y_{i-1} runs forward and
+      x_i -= c_i x_{i+1} backward, each a pass over one slice of N^(n-1)
+      points through one kept slice buffer.  The sweep needs no pivoting:
+      lam_other <= 0, and the coercivity guard runs first and gives
+      a >= 1/Lambda > 0, so each diagonal exceeds the sum of its
+      off-diagonals by at least 1 and every pivot is at least 1.
+
+    The denominator, or the factors p and c (of the broadcast shape of a and
+    lam_other), are built once per step_dt.
+    """
+    n, N = spare.ndim, spare.shape[0]
+    lines = [ax for ax in range(m0) if np.shape(a_vals)[ax] > 1]
+    axes = [ax for ax in range(m0) if ax not in lines]
+    S, lam = _slab_sine_basis(N, axes, n, h)
+    if not lines:
+        def implicit_solver(step_dt):
+            denominator = 1.0 - _THETA * step_dt * a_vals * lam
+
+            def solve(rhs):
+                x, free = _sine_transform(S, rhs, spare, axes)
+                np.divide(x, denominator, out=x)
+                # 2 * m0 swaps in all: the result is back in rhs's buffer
+                return _sine_transform(S, x, free, axes)[0]
+
+            return solve
+
+        return implicit_solver
+
+    cells = [(slice(None),) * lines[0] + (i,) for i in range(N)]  # slice i along l
+    line = np.empty(spare[cells[0]].shape)
+    factor_cache = {}
+
+    def implicit_solver(step_dt):
+        if step_dt not in factor_cache:
+            off = (-_THETA * step_dt / (h * h)) * a_vals
+            diag = 1.0 + _THETA * step_dt * a_vals * (2.0 / (h * h) - lam)
+            pivot, upper = np.empty(diag.shape), np.empty(diag.shape)
+            pivot[cells[0]] = 1.0 / diag[cells[0]]
+            upper[cells[0]] = off[cells[0]] * pivot[cells[0]]
+            for prev, cell in zip(cells, cells[1:]):
+                pivot[cell] = 1.0 / (diag[cell] - off[cell] * upper[prev])
+                upper[cell] = off[cell] * pivot[cell]
+            factor_cache[step_dt] = pivot, upper
+        pivot, upper = factor_cache[step_dt]
+
+        def solve(rhs):
+            x, free = _sine_transform(S, rhs, spare, axes)
+            x *= pivot
+            for prev, cell in zip(cells, cells[1:]):
+                np.multiply(upper[cell], x[prev], out=line)
+                np.subtract(x[cell], line, out=x[cell])
+            for cell, succ in zip(cells[-2::-1], cells[::-1]):
+                np.multiply(upper[cell], x[succ], out=line)
+                np.subtract(x[cell], line, out=x[cell])
+            # 2 * (m0 - 1) swaps in all: the result is back in rhs's buffer
+            return _sine_transform(S, x, free, axes)[0]
+
+        return solve
+
+    return implicit_solver
 
 
 def _physical_memory() -> float:
@@ -641,14 +725,26 @@ def _physical_memory() -> float:
         return float("inf")
 
 
-def _require_memory(snapshots: int, n: int, N: int) -> None:
+# Full float64 grid arrays a solve stage holds beyond its snapshots, summed
+# over its phases: the state and four step buffers (5), the transients of
+# residual_series (about 5) and the complex spectrum of each .upf write (2,
+# at 16 B per point).  The phases do not overlap, so the sum also covers the
+# largest of them (7.6 arrays in the residual on fokkerplanck at N = 8) and
+# leaves room for the interpreter and the libraries.
+_FD_STAGE_ARRAYS = 5 + 5 + 2
+
+
+def _require_memory(snapshots: int, n: int, N: int, solver_axes=()) -> None:
     """Refuse, before allocating, an FD run whose arrays exceed physical memory.
 
-    The run holds one float64 grid array per snapshot plus five work arrays
-    (the state and four step buffers).  The error names the largest N that fits.
+    The run holds one float64 grid array per snapshot plus _FD_STAGE_ARRAYS
+    more, and one float64 array of N**k values for each k in `solver_axes`
+    (the slab solver's factors and slice buffer).  The error names the
+    largest N that fits.
     """
     def need(size):
-        return (snapshots + 5) * 8.0 * float(size) ** n
+        size = float(size)
+        return 8.0 * ((snapshots + _FD_STAGE_ARRAYS) * size**n + sum(size**k for k in solver_axes))
 
     budget = _physical_memory()
     if need(N) <= budget:
@@ -658,9 +754,14 @@ def _require_memory(snapshots: int, n: int, N: int) -> None:
         fit -= 2
     raise SolverError(
         f"the FD route needs about {need(N) / 2**20:.4g} MiB for {snapshots} snapshots and "
-        f"5 work arrays on N = {N} in {n}-D, more than the {budget / 2**20:.4g} MiB of "
-        f"physical memory; " + (f"retry with N <= {fit}" if fit >= 4 else "no grid fits"))
+        f"{_FD_STAGE_ARRAYS} work and transient arrays on N = {N} in {n}-D, more than the "
+        f"{budget / 2**20:.4g} MiB of physical memory; "
+        + (f"retry with N <= {fit}" if fit >= 4 else "no grid fits"))
 
+
+# The implicit weight of the theta scheme: Crank-Nicolson.  Every slab solver
+# reads it.
+_THETA = 0.5
 
 # Refuse a run that needs more time steps than this: even on the smallest
 # grids it would take minutes, and a mistyped --dt would hang the stage.
@@ -710,20 +811,23 @@ def _snapshot_segments(times, dt_base, T, strict):
 
 
 def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None = None,
-             times=None, cfl_limit: float = 0.8, theta: float = 0.5) -> TrajectorySolution:
-    """IMEX theta-scheme: implicit central diffusion, explicit upwinded transport.
+             times=None, cfl_limit: float = 0.8) -> TrajectorySolution:
+    """IMEX Crank-Nicolson scheme: implicit central diffusion, explicit upwinded transport.
 
     Aborts with CoercivityError when the sampled diffusion coefficient leaves
     [1/Lambda, Lambda], with CFLError (carrying a suggested dt) when the
     advective step bound fails, and with SolverError when the run would take
     more than _MAX_FD_STEPS steps (naming a dt that passes) or when its
-    snapshots and work arrays would not fit in physical memory (naming the
-    largest N that fits).  `fields` keeps each snapshot's real grid values
-    and forms its spectrum on read (see _GridFields).  Diagnostics record the discrete mass and the
+    snapshots, work arrays and the solve stage's transients would not fit in
+    physical memory (naming the largest N that fits, see _require_memory).
+    `fields` keeps each snapshot's real grid values and forms its spectrum
+    on read (see _GridFields).  Diagnostics record the discrete mass and the
     fraction of the solution touching the boundary shell at each snapshot,
     the advective CFL number (`cfl`) and its limit (`cfl_limit`),
-    which implicit slab solver ran (`slab_solver`: "sine",
-    "splu-shared" or "splu-per-column", chosen from the shape of a's sample),
+    which implicit slab solver ran (`slab_solver`, chosen from the diffused
+    axes a's sample varies along: "sine" for none, "sine-tridiagonal" for
+    one, see _sine_slab_solver; "splu-shared" for two or more when a varies
+    along no other axis, else "splu-per-column"),
     the number of time steps taken (`steps`) and why the spec needs this
     route (`route_reason`, from _exact_route_supported; None when the exact
     route would apply).
@@ -756,35 +860,31 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
 
     times = np.linspace(0.0, spec.T, 9) if times is None else np.asarray(times, dtype=float)
     times, segments = _snapshot_segments(times, dt, spec.T, strict)
-    _require_memory(len(times), n, N)
 
-    # implicit diffusion operator on the leading m0-dimensional slabs
+    # the implicit slab solver, chosen from the diffused axes a varies along
     varies = [ax for ax, size in enumerate(np.shape(a_vals)) if size > 1]
-    if all(ax >= m0 for ax in varies):
+    lines = [ax for ax in varies if ax < m0]
+    if not lines:
         slab_solver = "sine"  # a is constant on every slab
-    elif all(ax < m0 for ax in varies):
+    elif len(lines) == 1:
+        slab_solver = "sine-tridiagonal"
+    elif varies == lines:
         slab_solver = "splu-shared"  # every column sees the same slab operator
     else:
         slab_solver = "splu-per-column"
+    # the tridiagonal factors span the axes of a and of the other diffused
+    # axes' eigenvalues; the sweep keeps one slice of n - 1 axes
+    factor_axes = len(set(varies) | set(range(m0)))
+    _require_memory(len(times), n, N, (factor_axes, factor_axes, n - 1)
+                    if slab_solver == "sine-tridiagonal" else ())
 
     # work arrays, allocated once per solve; `spare` serves in turn the slab
-    # Laplacian, the upwind neighbour terms and the sine solver
+    # Laplacian, the upwind neighbour terms and the sine solvers
     spare, u4, rate, rhs = (np.empty(grid.shape) for _ in range(4))
     plan = _transport_plan(speeds, b0_vals, h, grid.shape)
 
-    if slab_solver == "sine":
-        S, lam = _slab_sine_basis(N, m0, n, h)
-
-        def implicit_solver(step_dt):
-            denominator = 1.0 - theta * step_dt * a_vals * lam
-
-            def solve(rhs):
-                x, free = _sine_transform(S, rhs, spare, m0)
-                np.divide(x, denominator, out=x)
-                # 2 * m0 swaps in all: the result is back in rhs's buffer
-                return _sine_transform(S, x, free, m0)[0]
-
-            return solve
+    if slab_solver.startswith("sine"):
+        implicit_solver = _sine_slab_solver(a_vals, m0, h, spare)
     else:
         import scipy.sparse as sp
         from scipy.sparse.linalg import splu
@@ -799,7 +899,7 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
         def implicit_solver(step_dt):
             if step_dt not in factor_cache:
                 def factor(a_col):
-                    return splu((eye - theta * step_dt * sp.diags(a_col) @ lap).tocsc())
+                    return splu((eye - _THETA * step_dt * sp.diags(a_col) @ lap).tocsc())
 
                 if slab_solver == "splu-shared":
                     factor_cache[step_dt] = [factor(a2d[:, 0])]
@@ -809,7 +909,7 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
 
             def solve(rhs):
                 # the result goes back into rhs's C-ordered buffer, as on the
-                # sine path (SuperLU returns Fortran order)
+                # sine paths (SuperLU returns Fortran order)
                 rhs2d = rhs.reshape(M, R)
                 if slab_solver == "splu-shared":
                     rhs2d[...] = lus[0].solve(rhs2d)
@@ -851,7 +951,7 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
             # u + dt ((1 - theta) a lap u + explicit terms), formed in place
             _slab_laplacian(u, m0, h, rhs, spare, u4)
             rhs *= a_vals
-            rhs *= 1.0 - theta
+            rhs *= 1.0 - _THETA
             rhs += explicit_terms(u)
             rhs *= step_dt
             rhs += u

@@ -464,8 +464,16 @@ def test_solve_refuses_a_step_count_past_the_limit(tmp_path):
     assert not out.exists()
 
 
+def _two_diffused_axes_spec(tmp_path):
+    """A written spec whose a varies along both of its diffused axes: only sparse LU solves it."""
+    return write_spec(tmp_path, name="two-axis-a", m0=2, B=[["0", "0"], ["0", "0"]],
+                      a={"kind": "gaussian", "width": 10.0},
+                      b=[{"kind": "constant", "value": 0.0}] * 2)
+
+
 def test_exact_route_stages_never_import_scipy(tmp_path):
     # a fresh interpreter: the pytest process imports SciPy through other tests
+    two_axis = _two_diffused_axes_spec(tmp_path)
     script = textwrap.dedent(f"""
         import sys
         from ultraparabolic import cli
@@ -479,7 +487,7 @@ def test_exact_route_stages_never_import_scipy(tmp_path):
                     "--out", {str(tmp_path / "exact")!r}]
             assert cli.main(argv) == 0, stage
         assert scipy_modules() == [], scipy_modules()
-        argv = ["solve", "--spec", "kolmogorov-general", "--grid", "8", "--tgrid", "5",
+        argv = ["solve", "--spec", {str(two_axis)!r}, "--grid", "8", "--tgrid", "5",
                 "--out", {str(tmp_path / "fd")!r}]
         assert cli.main(argv) == 0
         assert "scipy.sparse" in sys.modules
@@ -493,21 +501,29 @@ def test_exact_route_stages_never_import_scipy(tmp_path):
 
 
 def test_sine_route_stages_never_import_scipy(tmp_path):
-    # a fresh interpreter: the pytest process imports SciPy through other tests
+    # a fresh interpreter: the pytest process imports SciPy through other tests;
+    # kolmogorov-general's a varies along one diffused axis
+    two_axis = _two_diffused_axes_spec(tmp_path)
     script = textwrap.dedent(f"""
-        import sys
+        import json, sys
+        from pathlib import Path
         from ultraparabolic import cli
 
         def scipy_modules():
             return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-        for spec, grid in (("fokkerplanck", "6"), ("brownian-inertia", "16")):
+        out = Path({str(tmp_path / "sine")!r})
+        for spec, grid, slab_solver in (("fokkerplanck", "6", "sine"),
+                                        ("brownian-inertia", "16", "sine"),
+                                        ("kolmogorov-general", "8", "sine-tridiagonal")):
             for stage, extra in (("solve", []), ("smoothing", ["--dmax", "3"])):
                 argv = [stage, "--spec", spec, "--grid", grid, "--tgrid", "5", *extra,
-                        "--out", {str(tmp_path / "sine")!r}]
+                        "--out", str(out)]
                 assert cli.main(argv) == 0, (spec, stage)
+                meta = json.loads((out / "run_meta.json").read_text())
+                assert meta["slab_solver"] == slab_solver, (spec, stage, meta)
         assert scipy_modules() == [], scipy_modules()
-        argv = ["solve", "--spec", "kolmogorov-general", "--grid", "8", "--tgrid", "5",
+        argv = ["solve", "--spec", {str(two_axis)!r}, "--grid", "8", "--tgrid", "5",
                 "--out", {str(tmp_path / "splu")!r}]
         assert cli.main(argv) == 0
         assert "scipy.sparse" in sys.modules
@@ -518,8 +534,10 @@ def test_sine_route_stages_never_import_scipy(tmp_path):
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    for spec in ("fokkerplanck", "brownian-inertia"):
+    for spec in ("fokkerplanck", "brownian-inertia", "kolmogorov-general"):
         assert json.loads((tmp_path / "sine" / f"{spec}.solve.json").read_text())["method"] == "fd"
+    meta = json.loads((tmp_path / "splu" / "run_meta.json").read_text())
+    assert meta["slab_solver"] == "splu-shared"
 
 
 def test_solve_tgrid_too_small_for_residual(tmp_path):

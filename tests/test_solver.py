@@ -410,23 +410,28 @@ def test_fd_coercivity_abort_names_point():
     assert info.value.report.worst_point == tuple(float(grid.axis_points[i]) for i in idx)
 
 
-class _VariesEverywhereConstant(ConstantPreset):
-    """A constant sampled at the full grid shape: forces one factorization per column."""
-
-    def evaluate(self, grid):
-        return np.broadcast_to(super().evaluate(grid), grid.shape).copy()
-
-
 class _VariesEverywhereLinear(LinearPreset):
-    """A ramp sampled at the full grid shape: its per-column factorization twin."""
+    """A ramp sampled at the full grid shape: a twin that takes a per-column slab solver."""
 
     def evaluate(self, grid):
         return np.broadcast_to(super().evaluate(grid), grid.shape).copy()
+
+
+@dataclasses.dataclass(frozen=True)
+class _SpanningConstant(ConstantPreset):
+    """A constant sampled with length N on `axes`: steers the slab solver choice."""
+
+    axes: tuple = ()
+
+    def evaluate(self, grid):
+        shape = [grid.N if ax in self.axes else 1 for ax in range(grid.n)]
+        return np.broadcast_to(super().evaluate(grid), shape).copy()
 
 
 def test_fd_slab_batching_consistent():
-    # the three slab solvers, picked from the shape of a's sample, solve the same steps;
-    # fokkerplanck (m0 = 3, with b and b0) runs the sine matrix along 3 axes
+    # the slab solvers, picked from the diffused axes a's sample varies along,
+    # solve the same steps; fokkerplanck (m0 = 3, with b and b0) runs the sine
+    # matrix along 3 axes, and reaches sparse LU when a spans two of them
     for name, N, dt in (("kolmogorov2d", 16, 0.0125), ("fokkerplanck", 6, 0.25 / 64)):
         base = load_builtin(name)
         grid = base.default_grid(N=N)
@@ -437,17 +442,92 @@ def test_fd_slab_batching_consistent():
             assert sol.diagnostics["slab_solver"] == slab_solver
             return sol.final
 
+        # a full-grid sample spans every diffused axis: one on kolmogorov2d, three on fokkerplanck
+        everywhere = "sine-tridiagonal" if base.m0 == 1 else "splu-per-column"
         sine = final(ConstantPreset(1.0), "sine")
-        for a, slab_solver in ((SinPerturbPreset(axis=0, amplitude=0.0), "splu-shared"),
-                               (_VariesEverywhereConstant(1.0), "splu-per-column")):
+        cases = [(SinPerturbPreset(axis=0, amplitude=0.0), "sine-tridiagonal"),
+                 (_SpanningConstant(1.0, axes=tuple(range(base.n))), everywhere)]
+        if base.m0 >= 2:
+            cases += [(_SpanningConstant(1.0, axes=(0, 1)), "splu-shared"),
+                      (_SpanningConstant(1.0, axes=(0, 1, base.n - 1)), "splu-per-column")]
+        for a, slab_solver in cases:
             gap = (sine - final(a, slab_solver)).l2_norm()
             assert gap <= 1e-13 * sine.l2_norm(), (name, slab_solver)
         # a ramp along the last (non-diffused) axis keeps the sine solver
         ramp = {"axis": base.n - 1, "slope": 0.02, "intercept": 1.0}
         sloped = final(LinearPreset(**ramp), "sine")
-        twin = final(_VariesEverywhereLinear(**ramp), "splu-per-column")
+        twin = final(_VariesEverywhereLinear(**ramp), everywhere)
         assert (sloped - twin).l2_norm() <= 1e-13 * twin.l2_norm(), name
         assert (sloped - sine).l2_norm() > 1e-6 * sine.l2_norm(), name
+
+
+def _splu_slab_solver(a_vals, m0, h, spare):
+    """Reference: the implicit slab step by sparse LU, one factorization per column.
+
+    Same signature as solver._sine_slab_solver: implicit_solver(step_dt)
+    returns solve(rhs), which solves (I - dt a lap / 2) x = rhs and writes x
+    into rhs's buffer.
+    """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
+    N, n = spare.shape[0], spare.ndim
+    M, R = N**m0, N ** (n - m0)
+    lap = _subgrid_laplacian(N, m0, h)
+    a2d = np.broadcast_to(a_vals, spare.shape).reshape(M, R)
+
+    def implicit_solver(step_dt):
+        lus = [splu((sp.identity(M, format="csr") - 0.5 * step_dt * sp.diags(a2d[:, j]) @ lap)
+                    .tocsc()) for j in range(R)]
+
+        def solve(rhs):
+            rhs2d = rhs.reshape(M, R)
+            for j, lu in enumerate(lus):
+                rhs2d[:, j] = lu.solve(rhs2d[:, j])
+            return rhs
+
+        return solve
+
+    return implicit_solver
+
+
+@pytest.mark.parametrize("n, m0, line, other", [
+    (2, 1, 0, None),  # m0 = 1: the sweep alone
+    (3, 2, 0, None),  # l the first diffused axis
+    (3, 2, 1, None),  # l the last
+    (4, 3, 1, None),  # l a middle one
+    (4, 3, 2, 3),     # l the last, and a varies along a non-diffused axis too
+    (3, 2, 0, 2),     # l the first, coefficients differ per column
+])
+def test_sine_tridiagonal_step_equals_sparse_lu(n, m0, line, other):
+    N, h = 6, 0.37
+    rng = np.random.default_rng(10 * n + line)
+    shape = [N if ax in (line, other) else 1 for ax in range(n)]
+    a_vals = 0.6 + rng.random(shape)
+    spare = np.empty((N,) * n)
+    tridiagonal = solver._sine_slab_solver(a_vals, m0, h, spare)
+    reference = _splu_slab_solver(a_vals, m0, h, spare)
+    # a second step size, then the first again: the factors belong to one step size each
+    for step_dt in (0.05, 0.5, 0.05):
+        rhs = rng.standard_normal((N,) * n)
+        want = reference(step_dt)(rhs.copy())
+        got = tridiagonal(step_dt)(rhs)
+        assert got is rhs  # the result is written back into the right-hand side's buffer
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), step_dt
+
+
+def test_kolmogorov_general_sine_tridiagonal_snapshots_equal_the_sparse_lu_route(monkeypatch):
+    spec = load_builtin("kolmogorov-general")
+    grid = spec.default_grid(N=8)
+    # uniform snapshots, and uneven ones whose gaps take three different steps
+    for times in (np.linspace(0.0, spec.T, 9), spec.T * np.array([0.0, 0.1, 0.25, 0.5])):
+        sol = solve_fd(spec, grid, times=times)
+        assert sol.diagnostics["slab_solver"] == "sine-tridiagonal"
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_sine_slab_solver", _splu_slab_solver)
+            ref = solve_fd(spec, grid, times=times)
+        for got, want in zip(sol.fields.values, ref.fields.values):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_fd_snapshot_schedule_validation():
@@ -613,7 +693,7 @@ def test_residual_matches_per_term_reference_with_every_lower_order_term():
         g=GaussianPreset(width=0.9))
     grid = spec.default_grid(N=8)
     sol = solve_fd(spec, grid, times=np.linspace(0.0, spec.T, 9))
-    assert sol.diagnostics["slab_solver"] == "splu-shared"
+    assert sol.diagnostics["slab_solver"] == "sine-tridiagonal"
     _assert_residual_matches_reference(sol, spec)
 
 
@@ -723,7 +803,7 @@ def test_fd_memory_guard_refuses_before_allocating_and_names_an_n_that_fits(monk
     spec = load_builtin("fokkerplanck")
     grid = spec.default_grid(N=8)
     times = np.linspace(0.0, spec.T, 9)
-    # 9 snapshots + 5 work arrays of 8**6 float64 = 29.4 MB; 6**6 ones take 5.2 MB
+    # 9 snapshots + 12 work and transient arrays of 8**6 float64 = 44.0 MB; 6**6 ones take 7.8 MB
     monkeypatch.setattr(solver, "_physical_memory", lambda: 10e6)
     tracemalloc.start()
     try:
