@@ -18,22 +18,45 @@ The package covers one pipeline, exactly in this order:
   structural/ellipticity condition reports.
 - ``fieldio``: deterministic JSON/CSV/binary serialization.
 - ``cli``: the ``ultraparabolic`` command wrapping the pipeline.
-"""
 
-from . import auxfields, fieldio, problems, smoothing, sobolev, solver, vfalgebra
-from .auxfields import *  # noqa: F403
-from .fieldio import *  # noqa: F403
-from .problems import *  # noqa: F403
-from .smoothing import *  # noqa: F403
-from .sobolev import *  # noqa: F403
-from .solver import *  # noqa: F403
-from .vfalgebra import *  # noqa: F403
+The modules fall into two layers by what they import.  The exact layer
+(``vfalgebra``, ``auxfields``, ``problems``, the JSON/CSV part of
+``fieldio``, and ``cli``) loads no NumPy; the numerical layer (``sobolev``,
+``solver``, ``smoothing``, and the binary field I/O) does.  So this package
+loads no module up front: each public name resolves on first access, from
+the ``__all__`` of the module that exports it, and the ``check``, ``verify``
+and ``report`` stages never load NumPy.
+"""
 
 __version__ = "1.0.0"
 
-# each module's __all__ is the one list of its public names
-__all__ = ["__version__"] + [
-    name
-    for module in (vfalgebra, auxfields, sobolev, solver, smoothing, problems, fieldio)
-    for name in module.__all__
-]
+# Searched in this order for a name: the exact layer first, so that a name
+# it exports resolves without loading NumPy.
+_MODULES = ("vfalgebra", "auxfields", "problems", "fieldio", "sobolev", "solver", "smoothing")
+
+
+def _module(name):
+    # __import__, unlike importlib.import_module, shows in -X importtime
+    return __import__(f"{__name__}.{name}", fromlist=["__all__"])
+
+
+def __getattr__(name):
+    if name.startswith("__") and name != "__all__":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name in _MODULES:
+        return _module(name)
+    if name == "__all__":
+        # each module's __all__ is the one list of its public names
+        value = ["__version__"] + [attr for module in _MODULES
+                                   for attr in _module(module).__all__]
+    else:
+        module = next((m for m in map(_module, _MODULES) if name in m.__all__), None)
+        if module is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__getattr__("__all__")) | set(_MODULES))

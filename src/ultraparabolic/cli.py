@@ -17,6 +17,13 @@ Primary outputs are deterministic: the same spec, knobs, and seed produce
 byte-identical JSON/CSV/binary files.  Volatile metadata (timestamps, wall
 time, peak resident memory) is segregated into a ``run_meta.json`` sidecar,
 never into result files.
+
+Only ``solve`` and ``smoothing`` load NumPy and the numerical layer
+(``sobolev``, ``solver``, ``smoothing``), and only ``verify`` loads
+``auxfields``: each stage binds the library functions it calls from those
+modules when it starts (``_bind``).  Until then they resolve as attributes of
+this module on first access, so they can be looked up or replaced before
+``main`` runs, and a stage keeps a name that is already set.
 """
 
 from __future__ import annotations
@@ -36,16 +43,7 @@ try:
 except ImportError:  # Unix only; elsewhere peak_rss_mb is null
     resource = None
 
-import numpy as np
-
-from .auxfields import (
-    build_H,
-    build_Hk_closed,
-    build_Hk_recursive,
-    invert_to_X,
-    random_graded_polynomial,
-    verify_commutator_identity,
-)
+from ._errors import CoercivityError, DegenerateFitError, EmptyReportError, SolverError
 from .fieldio import write_csv, write_field, write_json
 from .problems import (
     ProblemSpec,
@@ -54,14 +52,6 @@ from .problems import (
     coercivity_check,
     condition_report,
     load_spec_file,
-)
-from .smoothing import DegenerateFitError, EmptyReportError, smoothing_profile
-from .solver import (
-    CoercivityError,
-    SolverError,
-    energy_check,
-    residual_series,
-    solve_auto,
 )
 from .vfalgebra import (
     BracketTowerError,
@@ -79,6 +69,34 @@ EXIT_IO = 4
 
 _DEFAULT_DELTAS = ("3/2", "2", "7/3")
 _VERIFY_DRAWS = 5
+
+# The library functions a stage binds when it starts, by the module that
+# holds them; no other stage loads these modules.
+_DEFERRED = {
+    "auxfields": ("build_H", "build_Hk_closed", "build_Hk_recursive", "invert_to_X",
+                  "random_graded_polynomial", "verify_commutator_identity"),
+    "solver": ("energy_check", "residual_series", "solve_auto"),
+    "smoothing": ("smoothing_profile",),
+}
+_DEFERRED_HOME = {name: module for module, names in _DEFERRED.items() for name in names}
+
+
+def __getattr__(name):
+    module = _DEFERRED_HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, unlike importlib.import_module, shows in -X importtime
+    value = getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
+    globals()[name] = value
+    return value
+
+
+def _bind(*modules) -> None:
+    """Bind the deferred names of `modules` that are not set yet."""
+    for module in modules:
+        for name in _DEFERRED[module]:
+            if name not in globals():
+                __getattr__(name)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -296,6 +314,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _bind("auxfields")
     spec = load_spec_file(args.spec)
     tower = spec.tower()
     if not hormander_check(tower).satisfied:
@@ -361,6 +380,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    import numpy as np
+
+    _bind("solver")
     spec = load_spec_file(args.spec)
     if args.tgrid < 5:
         raise ProblemSpecError("--tgrid must be at least 5 (the residual series "
@@ -427,6 +449,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_smoothing(args) -> int:
+    import numpy as np
+
+    _bind("solver", "smoothing")
     spec = load_spec_file(args.spec)
     grid = _grid_for(spec, args)
     guard = coercivity_check(spec, grid)

@@ -12,17 +12,19 @@ Binary container layout (little-endian, row-major coefficient block):
 JSON output is rendered with sorted keys and repr-exact floats so identical
 inputs produce byte-identical files.  Timestamps or other volatile metadata
 never go in result files; callers put them in a sidecar.
+
+The JSON and CSV writers belong to the exact layer and load no NumPy: they
+convert NumPy values only when NumPy is already loaded, since no such value
+can exist otherwise.  The binary field I/O imports NumPy and ``sobolev``
+when it runs.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import sys
 from pathlib import Path
-
-import numpy as np
-
-from .sobolev import SpectralField, TorusGrid
 
 __all__ = [
     "write_field",
@@ -35,23 +37,32 @@ __all__ = [
 
 _MAGIC = b"UPF1"
 _HEADER = struct.Struct("<4sBIdB")
-_DTYPES = {0: np.complex128, 1: np.complex64}
-_DTYPE_CODES = {np.dtype(np.complex128): 0, np.dtype(np.complex64): 1}
+_DTYPES = {0: "complex128", 1: "complex64"}
+_DTYPE_CODES = {name: code for code, name in _DTYPES.items()}
 
 
-def write_field(path, field: SpectralField, dtype=np.complex128) -> None:
-    """Write a field's Fourier coefficients to the binary container."""
-    code = _DTYPE_CODES[np.dtype(dtype)]
+def write_field(path, field: SpectralField, dtype="complex128") -> None:
+    """Write a field's Fourier coefficients to the binary container.
+
+    A complex128 field is written from its own buffer, with no copy.
+    """
+    import numpy as np
+
+    code = _DTYPE_CODES[np.dtype(dtype).name]
     grid = field.grid
     header = _HEADER.pack(_MAGIC, grid.n, grid.N, float(grid.L), code)
     payload = np.ascontiguousarray(field.coeffs.astype(dtype, copy=False))
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload.tobytes(order="C"))
+        fh.write(payload)
 
 
 def read_field(path) -> SpectralField:
     """Read a binary field container back into a SpectralField."""
+    import numpy as np
+
+    from .sobolev import SpectralField, TorusGrid
+
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise ValueError(f"{path}: truncated field file")
@@ -73,20 +84,24 @@ def format_float(x) -> str:
     return repr(float(x))
 
 
-def _normalize(obj):
-    """Coerce numpy scalars/arrays and paths into plain JSON-friendly types."""
+def _normalize(obj, np):
+    """Coerce numpy scalars/arrays and paths into plain JSON-friendly types.
+
+    `np` is the NumPy module, or None when NumPy is not loaded.
+    """
     if isinstance(obj, dict):
-        return {str(k): _normalize(v) for k, v in obj.items()}
+        return {str(k): _normalize(v, np) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_normalize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_normalize(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+        return [_normalize(v, np) for v in obj]
+    if np is not None:
+        if isinstance(obj, np.ndarray):
+            return [_normalize(v, np) for v in obj.tolist()]
+        if isinstance(obj, (np.floating,)):
+            return float(obj)
+        if isinstance(obj, (np.integer,)):
+            return int(obj)
+        if isinstance(obj, (np.bool_,)):
+            return bool(obj)
     if isinstance(obj, Path):
         return str(obj)
     return obj
@@ -94,7 +109,8 @@ def _normalize(obj):
 
 def canonical_json(data) -> str:
     """Deterministic JSON text: sorted keys, no whitespace drift, repr floats."""
-    return json.dumps(_normalize(data), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    data = _normalize(data, sys.modules.get("numpy"))
+    return json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_json(path, data) -> None:
@@ -103,11 +119,13 @@ def write_json(path, data) -> None:
 
 def write_csv(path, header, rows) -> None:
     """Deterministic CSV: fixed header, repr floats, '\n' line endings."""
+    np = sys.modules.get("numpy")
+    floats = float if np is None else (float, np.floating)
     lines = [",".join(header)]
     for row in rows:
         cells = []
         for value in row:
-            if isinstance(value, (float, np.floating)):
+            if isinstance(value, floats):
                 cells.append(format_float(value))
             else:
                 cells.append(str(value))

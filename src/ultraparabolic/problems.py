@@ -18,6 +18,9 @@ that form.
 
 Index convention: axes are 0-based everywhere (axis 0 is the first diffused
 direction).
+
+Loading, hashing and certifying a spec is exact and loads no NumPy; the
+methods that sample a grid import NumPy and ``sobolev`` when they run.
 """
 
 from __future__ import annotations
@@ -30,10 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
-import numpy as np
-
 from .fieldio import canonical_json
-from .sobolev import SpectralField, TorusGrid, hs_norm, random_band_limited
 from .vfalgebra import (
     BracketTower,
     LPStructure,
@@ -93,6 +93,10 @@ class Preset:
 
     def spectral(self, grid: TorusGrid) -> SpectralField:
         """Fourier-side form; overridden where exact band limits matter."""
+        import numpy as np
+
+        from .sobolev import SpectralField
+
         values = np.broadcast_to(self.evaluate(grid), grid.shape)
         return SpectralField.from_grid_values(grid, values)
 
@@ -107,6 +111,8 @@ class ConstantPreset(Preset):
     kind = "constant"
 
     def evaluate(self, grid):
+        import numpy as np
+
         return np.full((1,) * grid.n, float(self.value))
 
     def to_json_dict(self):
@@ -130,6 +136,8 @@ class SinPerturbPreset(Preset):
     def evaluate(self, grid):
         if not 0 <= self.axis < grid.n:
             raise ProblemSpecError(f"sin_perturb axis {self.axis} out of range for n={grid.n}")
+        import numpy as np
+
         return self.base + self.amplitude * np.sin(grid.coordinate(self.axis) / grid.L)
 
     def to_json_dict(self):
@@ -156,6 +164,8 @@ class GaussianPreset(Preset):
         center = self.center or (0.0,) * grid.n
         if len(center) != grid.n:
             raise ProblemSpecError(f"gaussian center has {len(center)} entries, need {grid.n}")
+        import numpy as np
+
         q = np.zeros(grid.shape)
         with np.errstate(over="ignore"):  # an overflowed square is an exact zero below
             for axis, c in enumerate(center):
@@ -216,6 +226,10 @@ class LowRegularityPreset(Preset):
             raise ProblemSpecError(f"low_regularity seed must be >= 0, got {self.seed}")
 
     def spectral(self, grid):
+        import numpy as np
+
+        from .sobolev import SpectralField, hs_norm, random_band_limited
+
         rng = np.random.default_rng(self.seed)
         rough = random_band_limited(grid, rng, decay=self.exponent)
         window = np.ones(grid.shape)
@@ -366,9 +380,13 @@ class ProblemSpec:
         return lp_check(self.blocks) if self.blocks is not None else None
 
     def B_float(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[float(x) for x in row] for row in self.B])
 
     def default_grid(self, N=None, L=None) -> TorusGrid:
+        from .sobolev import TorusGrid
+
         N = N if N is not None else (self.N if self.N is not None else 32)
         L = L if L is not None else (self.L if self.L is not None else 4.0)
         try:
@@ -573,6 +591,8 @@ class CoercivityReport:
 
 def coercivity_check(spec: ProblemSpec, grid: TorusGrid | None = None) -> CoercivityReport:
     """Sample a(x) on the grid and test 1/Lambda <= a <= Lambda pointwise."""
+    import numpy as np
+
     grid = grid or spec.default_grid()
     values = spec.a.evaluate(grid)
     lo, hi = float(values.min()), float(values.max())

@@ -42,6 +42,7 @@ from math import factorial, lgamma, prod
 
 import numpy as np
 
+from ._errors import DegenerateFitError, EmptyReportError
 from .problems import ProblemSpec
 from .solver import ModeLedger, TrajectorySolution
 from .sobolev import SpectralField, _bessel_weight, _frequency_sq
@@ -62,10 +63,6 @@ __all__ = [
 ]
 
 _NOISE_FACTOR = 1e3
-
-
-class EmptyReportError(RuntimeError):
-    """Every requested derivative order drowned in round-off noise."""
 
 
 @dataclass(frozen=True)
@@ -210,10 +207,6 @@ class OrderRecord:
     raw_supremum: float      # M_d = max |d^alpha u|_{H^s}, no weight, no factorial
     raw_argmax_time: float
     reliable: bool
-
-
-class DegenerateFitError(ValueError):
-    """The (d, M_d) data cannot identify the three fit parameters."""
 
 
 @dataclass(frozen=True)

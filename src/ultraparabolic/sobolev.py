@@ -149,7 +149,9 @@ class SpectralField:
         values = np.asarray(values)
         if values.shape != grid.shape:
             raise ValueError(f"grid values must have shape {grid.shape}")
-        return cls(grid, np.fft.fftn(values) / values.size)
+        coeffs = np.fft.fftn(values)
+        coeffs /= values.size
+        return cls(grid, coeffs)
 
     @classmethod
     def single_mode(cls, grid, modes, amplitude=1.0):
@@ -170,32 +172,6 @@ class SpectralField:
 
     def grid_values(self) -> np.ndarray:
         return np.fft.ifftn(self.coeffs * self.coeffs.size)
-
-    def l2_norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def is_conjugate_symmetric(self, tol=1e-14) -> bool:
-        """Whether the field is real-valued: c(-k) = conj(c(k)) within tol."""
-        flipped = self.coeffs
-        for axis in range(self.grid.n):
-            flipped = np.flip(np.roll(flipped, -1, axis=axis), axis=axis)
-        scale = max(1.0, float(np.abs(self.coeffs).max()))
-        return bool(np.max(np.abs(flipped.conj() - self.coeffs)) <= tol * scale)
-
-    def band_limit_radius(self) -> int:
-        """Largest |k_i| carrying a nonzero coefficient (max over axes)."""
-        return _radius(self.grid.axis_modes[np.argwhere(self.coeffs != 0)])
-
-    def partial_derivative(self, alpha) -> "SpectralField":
-        """Exact spectral derivative d^alpha: multiply by prod (i xi_j)^alpha_j."""
-        alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != self.grid.n or any(a < 0 for a in alpha):
-            raise ValueError(f"bad derivative multi-index {alpha}")
-        out = self.coeffs
-        for axis, a in enumerate(alpha):
-            if a:
-                out = out * (1j * self.grid.frequency(axis)) ** a
-        return SpectralField(self.grid, out)
 
     # -- arithmetic ----------------------------------------------------------------
 

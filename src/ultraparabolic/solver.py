@@ -75,6 +75,7 @@ from functools import partial
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from ._errors import CFLError, CoercivityError, SolverError
 from .problems import ConstantPreset, ProblemSpec, coercivity_check
 from .sobolev import SpectralField, TorusGrid, _along, _bessel_weight, _frequency_sq, hs_norm
 from .vfalgebra import _matmul
@@ -93,32 +94,6 @@ __all__ = [
     "energy_check",
     "EnergyReport",
 ]
-
-
-class SolverError(RuntimeError):
-    """A solve could not be carried out as requested."""
-
-
-class CFLError(SolverError):
-    """Explicit advection step too large for the grid; carries a suggestion."""
-
-    def __init__(self, dt, cfl, limit, suggested_dt):
-        self.dt = dt
-        self.cfl = cfl
-        self.limit = limit
-        self.suggested_dt = suggested_dt
-        super().__init__(
-            f"advective CFL number {cfl:.3g} exceeds limit {limit:.3g} at dt = {dt:.6g}; "
-            f"retry with dt <= {suggested_dt:.6g}"
-        )
-
-
-class CoercivityError(SolverError):
-    """Diffusion coefficient violates the two-sided ellipticity bound."""
-
-    def __init__(self, report):
-        self.report = report
-        super().__init__(report.message())
 
 
 def _row_combinations(M: np.ndarray, arrays, rows):
@@ -256,11 +231,6 @@ class TrajectorySolution:
 
     def hs_series(self, s: float) -> np.ndarray:
         return np.array([hs_norm(f, s) for f in self.fields])
-
-    def mass_series(self) -> np.ndarray:
-        """Box integral of each snapshot (volume * zero mode)."""
-        volume = (2.0 * np.pi * self.grid.L) ** self.grid.n
-        return np.array([volume * f.coeffs[(0,) * self.grid.n].real for f in self.fields])
 
 
 # ---------------------------------------------------------------------------
@@ -727,10 +697,11 @@ def _physical_memory() -> float:
 
 # Full float64 grid arrays a solve stage holds beyond its snapshots, summed
 # over its phases: the state and four step buffers (5), the transients of
-# residual_series (about 5) and the complex spectrum of each .upf write (2,
-# at 16 B per point).  The phases do not overlap, so the sum also covers the
-# largest of them (7.6 arrays in the residual on fokkerplanck at N = 8) and
-# leaves room for the interpreter and the libraries.
+# residual_series (5; 4.4 measured on fokkerplanck at N = 8) and the one
+# complex spectrum of each .upf write (2, at 16 B per point; fftn holds a
+# second one while it forms it).  The phases do not overlap, so the sum also
+# covers the largest of them (6.1 arrays in the step) and leaves room for the
+# interpreter and the libraries.
 _FD_STAGE_ARRAYS = 5 + 5 + 2
 
 
@@ -1024,8 +995,11 @@ def _weighted_spectra(solution: TrajectorySolution, s: float):
     overflow = weight.max() == np.inf
 
     def power(i):
-        c = (np.fft.rfftn(solution.fields.values[i]) / grid.N**grid.n if real
-             else solution.fields[i].coeffs)
+        if real:
+            c = np.fft.rfftn(solution.fields.values[i])
+            c /= grid.N**grid.n
+        else:
+            c = solution.fields[i].coeffs
         out = c.real**2 + c.imag**2
         if overflow:
             return np.multiply(weight, out, out=out, where=out != 0)
@@ -1043,10 +1017,15 @@ def residual_series(solution: TrajectorySolution, spec: ProblemSpec) -> Residual
     derivatives are spectral on the snapshot grid, and the normaliser is one
     weighted spectrum per snapshot (_weighted_spectra).  Each first and second
     derivative along an axis is a 1-D transform of u's grid values along that
-    axis, a multiplication by i xi or -xi^2 and the inverse transform; at most
-    one axis's spectrum and one inverse transform are held at a time.  On the
-    FD route u is real: the stencil runs on the grid values and each axis
-    takes an rfft/irfft pair.  A complex pair leaves the Nyquist term
+    axis, a multiplication by i xi or -xi^2 and the inverse transform.  The
+    normalisers come first.  Then the stencil is formed in place in one kept
+    array, every term is added to it as soon as it is formed, and the power
+    |r|^2 + imag^2 is formed in the stencil's array; so besides a second kept
+    array for the Nyquist terms, one axis's spectrum and one term are held at
+    a time: on fokkerplanck at N = 8 the series peaks at 4.4 float64 grid
+    arrays beyond the snapshots (tracemalloc).
+    On the FD route u is real: the stencil runs on the grid values and each
+    axis takes an rfft/irfft pair.  A complex pair leaves the Nyquist term
     (-1)^j i xi_{N/2} F_{N/2} / N of a first derivative in its imaginary
     part (F_{N/2} is real), which irfft drops; it is added back, so the FD
     residual is the one the complex transforms measure.  The exact route's
@@ -1080,18 +1059,30 @@ def residual_series(solution: TrajectorySolution, spec: ProblemSpec) -> Residual
         modes = grid.axis_modes
         forward, inverse = np.fft.fft, np.fft.ifft
     freqs = [_along(modes / grid.L, ax, n) for ax in range(n)]
-    _, weighted = _weighted_spectra(solution, 2.0)
+    weighted = _weighted_spectra(solution, 2.0)[1]
+
+    interior = range(2, len(times) - 2)
+    # the normalisers first, so their spectra are gone before the kept arrays
+    scales = [float(np.sqrt(np.sum(weighted(i)))) + 1.0 for i in interior]
+    del weighted
+    stencil = np.empty_like(stack[0])
+    imag = np.empty(grid.shape) if real and speeds else None  # the Nyquist terms irfft drops
 
     out_times, out_values = [], []
-    for i in range(2, len(times) - 2):
-        residual = (stack[i - 2] - 8.0 * stack[i - 1]
-                    + 8.0 * stack[i + 1] - stack[i + 2]) / (12.0 * dt)
+    for i, scale in zip(interior, scales):
+        # (u[i-2] - 8 u[i-1] + 8 u[i+1] - u[i+2]) / (12 dt), in that order
+        np.multiply(stack[i - 1], 8.0, out=stencil)
+        np.subtract(stack[i - 2], stencil, out=stencil)
+        stencil += 8.0 * stack[i + 1]
+        stencil -= stack[i + 2]
+        stencil /= 12.0 * dt
         if real:
-            values = stack[i]
+            residual, values = stencil, stack[i]
         else:
-            residual = SpectralField(grid, residual).grid_values()
+            residual = SpectralField(grid, stencil).grid_values()
             values = solution.fields[i].grid_values()
-        imag = 0.0  # the Nyquist terms irfft drops
+        if imag is not None:
+            imag.fill(0.0)
         for ax in axes:
             # i xi applied in place, once for the first derivative and once
             # more for the second
@@ -1103,21 +1094,30 @@ def residual_series(solution: TrajectorySolution, spec: ProblemSpec) -> Residual
                 residual += grad
                 del grad
                 if real:
-                    nyquist = np.take(spectrum, [N // 2], axis=ax).imag / N
-                    imag = imag + speeds[ax] * nyquist * _along(alternating, ax, n)
+                    # speed * nyquist * (-1)^j, its factors taken in another
+                    # order: a sign flip is exact, so the product is the same
+                    term = np.take(spectrum, [N // 2], axis=ax).imag / N
+                    term = term * _along(alternating, ax, n)
+                    term *= speeds[ax]
+                    imag += term
+                    del term
             if ax < spec.m0:
                 spectrum *= 1j * freqs[ax]
                 spectrum = inverse(spectrum, axis=ax)
                 spectrum *= a_vals
                 residual -= spectrum
+            del spectrum
         if b0_vals is not None:
             residual += b0_vals * values
         if g_vals is not None:
             residual -= g_vals
-        power = np.abs(residual) ** 2 + imag**2
-        value = float(np.sqrt(np.mean(power))) / (float(np.sqrt(np.sum(weighted(i)))) + 1.0)
+        power = np.abs(residual, out=residual if real else None)
+        power **= 2
+        if imag is not None:
+            imag **= 2
+            power += imag
         out_times.append(times[i])
-        out_values.append(value)
+        out_values.append(float(np.sqrt(np.mean(power))) / scale)
     return ResidualReport(times=np.array(out_times), values=np.array(out_values))
 
 

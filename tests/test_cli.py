@@ -464,6 +464,60 @@ def test_solve_refuses_a_step_count_past_the_limit(tmp_path):
     assert not out.exists()
 
 
+def _fresh_interpreter(*argv):
+    """Run a new Python process on argv with this package's source tree importable.
+
+    The pytest process has loaded every module through other tests; a fresh
+    interpreter shows what a stage loads by itself.
+    """
+    src = str(Path(__import__("ultraparabolic").__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_exact_stages_load_no_numerical_code(tmp_path):
+    script = textwrap.dedent(f"""
+        import sys
+        import ultraparabolic.cli as cli
+
+        NUMERICAL = ("numpy", "ultraparabolic.sobolev", "ultraparabolic.solver",
+                     "ultraparabolic.smoothing")
+
+        def loaded():
+            return [m for m in NUMERICAL if m in sys.modules]
+
+        assert loaded() == [], loaded()
+        for spec in ("lp-block", "kolmogorov2d"):
+            for stage in (["check"], ["verify", "--dmax", "2"], ["report"]):
+                argv = [*stage, "--spec", spec, "--out", {str(tmp_path / "exact")!r}]
+                assert cli.main(argv) == 0, argv
+                assert loaded() == [], (argv, loaded())
+        for stage in ("solve", "smoothing"):
+            argv = [stage, "--spec", "kolmogorov2d", "--grid", "16", "--tgrid", "9",
+                    "--out", {str(tmp_path / "numerical")!r}]
+            assert cli.main(argv) == 0, argv
+        assert loaded() == list(NUMERICAL), loaded()
+    """)
+    result = _fresh_interpreter("-c", script)
+    assert result.returncode == 0, result.stderr
+
+
+def test_perfbench_traced_stage_records_every_layer_span(tmp_path):
+    # perfbench/traced_stage.py wraps the functions cli and problems call;
+    # a name it cannot find before main runs would leave its metric at 0.
+    # The span of solve_auto is named after the route that ran.
+    bench = Path(__file__).resolve().parents[1] / "perfbench" / "traced_stage.py"
+    spans = tmp_path / "spans.json"
+    result = _fresh_interpreter(str(bench), str(spans), "solve", "--spec", "fokkerplanck",
+                                "--grid", "6", "--tgrid", "5", "--out", str(tmp_path / "out"))
+    assert result.returncode == 0, result.stderr
+    names = {span["name"] for span in json.loads(spans.read_text(encoding="utf-8"))}
+    assert {"cli.main", "solver.solve_fd", "solver.residual_series", "solver.energy_check",
+            "fieldio.write_field", "problems.coercivity_check"} <= names, names
+
+
 def _two_diffused_axes_spec(tmp_path):
     """A written spec whose a varies along both of its diffused axes: only sparse LU solves it."""
     return write_spec(tmp_path, name="two-axis-a", m0=2, B=[["0", "0"], ["0", "0"]],
@@ -492,11 +546,7 @@ def test_exact_route_stages_never_import_scipy(tmp_path):
         assert cli.main(argv) == 0
         assert "scipy.sparse" in sys.modules
     """)
-    src = str(Path(__import__("ultraparabolic").__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                            text=True, timeout=120)
+    result = _fresh_interpreter("-c", script)
     assert result.returncode == 0, result.stderr
 
 
@@ -528,11 +578,7 @@ def test_sine_route_stages_never_import_scipy(tmp_path):
         assert cli.main(argv) == 0
         assert "scipy.sparse" in sys.modules
     """)
-    src = str(Path(__import__("ultraparabolic").__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                            text=True, timeout=120)
+    result = _fresh_interpreter("-c", script)
     assert result.returncode == 0, result.stderr
     for spec in ("fokkerplanck", "brownian-inertia", "kolmogorov-general"):
         assert json.loads((tmp_path / "sine" / f"{spec}.solve.json").read_text())["method"] == "fd"

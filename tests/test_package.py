@@ -1,6 +1,11 @@
-"""The package re-exports each module's public names exactly once."""
+"""The package re-exports each module's public names exactly once, on first access."""
 
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import ultraparabolic
 
@@ -18,3 +23,31 @@ def test_every_module_export_resolves_on_the_package_once():
         assert not expected & set(module.__all__), name  # no name exported by two modules
         expected |= set(module.__all__)
     assert set(exported) == expected
+
+
+def test_dir_and_star_import_cover_every_export():
+    exported = set(ultraparabolic.__all__)
+    assert exported <= set(dir(ultraparabolic))
+    namespace = {}
+    exec("from ultraparabolic import *", namespace)
+    assert exported <= set(namespace)
+    for name in exported:
+        assert namespace[name] is getattr(ultraparabolic, name), name
+
+
+def test_exact_layer_exports_resolve_without_numpy():
+    # a fresh interpreter: the pytest process has loaded NumPy through other tests
+    script = textwrap.dedent("""
+        import sys
+        import ultraparabolic
+
+        assert not [m for m in sys.modules if m.startswith("ultraparabolic.")]
+        spec = ultraparabolic.load_builtin("lp-block")
+        assert ultraparabolic.hormander_check(spec.tower()).satisfied
+        assert isinstance(spec, ultraparabolic.ProblemSpec)
+        assert "numpy" not in sys.modules
+    """)
+    src = str(Path(ultraparabolic.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr

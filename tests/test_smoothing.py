@@ -26,6 +26,15 @@ from ultraparabolic.sobolev import SpectralField, TorusGrid, hs_norm
 from ultraparabolic.solver import ModeLedger, TrajectorySolution, residual_series, solve_exact
 
 
+def partial_derivative(f, alpha):
+    """Exact spectral derivative d^alpha f: multiply by prod (i xi_j)^alpha_j."""
+    out = f.coeffs
+    for axis, a in enumerate(alpha):
+        if a:
+            out = out * (1j * f.grid.frequency(axis)) ** a
+    return SpectralField(f.grid, out)
+
+
 def comb(n, k):
     return math.comb(n, k)
 
@@ -87,7 +96,7 @@ def test_derivative_norm_matches_spectral_derivative_norm():
     for alpha in ((0, 0), (1, 0), (2, 1), (0, 3)):
         for s in (-1.0, 0.0, 1.5):
             rec = derivative_norm(field, alpha, s)
-            oracle = hs_norm(field.partial_derivative(alpha), s)
+            oracle = hs_norm(partial_derivative(field, alpha), s)
             assert rec.value == pytest.approx(oracle, rel=1e-13)
             assert rec.alpha == alpha
 

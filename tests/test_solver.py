@@ -16,6 +16,7 @@ from scipy.integrate import quad
 
 from ultraparabolic import cli, solver
 
+from ultraparabolic.fieldio import read_field, write_field
 from ultraparabolic.problems import (
     ConstantPreset,
     GaussianPreset,
@@ -51,6 +52,28 @@ from ultraparabolic.solver import (
 )
 
 F = Fraction
+
+
+# test-local spectral helpers: no runtime path needs them
+
+
+def l2_norm(f):
+    return float(np.linalg.norm(f.coeffs))
+
+
+def partial_derivative(f, alpha):
+    """Exact spectral derivative d^alpha f: multiply by prod (i xi_j)^alpha_j."""
+    out = f.coeffs
+    for axis, a in enumerate(alpha):
+        if a:
+            out = out * (1j * f.grid.frequency(axis)) ** a
+    return SpectralField(f.grid, out)
+
+
+def mass_series(sol):
+    """Box integral of each snapshot (volume * zero mode)."""
+    volume = (2.0 * np.pi * sol.grid.L) ** sol.grid.n
+    return np.array([volume * f.coeffs[(0,) * sol.grid.n].real for f in sol.fields])
 
 
 def _shifted(u, axis, offset):
@@ -183,8 +206,8 @@ def test_exact_semigroup_property():
         first = solve_exact(spec, grid, times=[0.0, 0.3])
         restarted = solve_exact(spec, grid, times=[0.4], u0=first.fields[1])
         direct = solve_exact(spec, grid, times=[0.7])
-        gap = (restarted.fields[0] - direct.fields[0]).l2_norm()
-        assert gap <= 1e-10 * direct.fields[0].l2_norm(), name
+        gap = l2_norm(restarted.fields[0] - direct.fields[0])
+        assert gap <= 1e-10 * l2_norm(direct.fields[0]), name
 
 
 def test_cyclic_drift_is_refused_by_exact_route_and_solved_by_fd():
@@ -350,7 +373,7 @@ def test_fd_heat_matches_exact():
     times = [0.0, 0.125, 0.25]
     fd = solve_fd(spec, grid, dt=0.25 / 64, times=times)
     ex = solve_exact(spec, grid, times=times)
-    err = (fd.final - ex.final).l2_norm() / ex.final.l2_norm()
+    err = l2_norm(fd.final - ex.final) / l2_norm(ex.final)
     assert err <= 0.03
 
 
@@ -363,7 +386,7 @@ def test_fd_error_shrinks_under_refinement():
         steps = int(np.ceil(T1 / (0.05 * grid.spacing**2)))
         fd = solve_fd(spec, grid, dt=T1 / steps, times=[0.0, T1])
         ex = solve_exact(spec, grid, times=[0.0, T1])
-        errors[N] = (fd.final - ex.final).l2_norm() / ex.final.l2_norm()
+        errors[N] = l2_norm(fd.final - ex.final) / l2_norm(ex.final)
     assert errors[64] <= 0.45 * errors[32]
 
 
@@ -375,7 +398,7 @@ def test_fd_mass_conservation_zero_diagonal_drift():
     assert np.max(np.abs(mass - mass[0])) <= 1e-10 * abs(mass[0])
     # oracle: zero mode times volume equals the direct Riemann sum
     direct = float(sol.final.grid_values().real.sum()) * grid.spacing**2
-    assert abs(sol.mass_series()[-1] - direct) <= 1e-12 * abs(direct)
+    assert abs(mass_series(sol)[-1] - direct) <= 1e-12 * abs(direct)
 
 
 def test_fd_cfl_abort_carries_usable_suggestion():
@@ -451,14 +474,14 @@ def test_fd_slab_batching_consistent():
             cases += [(_SpanningConstant(1.0, axes=(0, 1)), "splu-shared"),
                       (_SpanningConstant(1.0, axes=(0, 1, base.n - 1)), "splu-per-column")]
         for a, slab_solver in cases:
-            gap = (sine - final(a, slab_solver)).l2_norm()
-            assert gap <= 1e-13 * sine.l2_norm(), (name, slab_solver)
+            gap = l2_norm(sine - final(a, slab_solver))
+            assert gap <= 1e-13 * l2_norm(sine), (name, slab_solver)
         # a ramp along the last (non-diffused) axis keeps the sine solver
         ramp = {"axis": base.n - 1, "slope": 0.02, "intercept": 1.0}
         sloped = final(LinearPreset(**ramp), "sine")
         twin = final(_VariesEverywhereLinear(**ramp), everywhere)
-        assert (sloped - twin).l2_norm() <= 1e-13 * twin.l2_norm(), name
-        assert (sloped - sine).l2_norm() > 1e-6 * sine.l2_norm(), name
+        assert l2_norm(sloped - twin) <= 1e-13 * l2_norm(twin), name
+        assert l2_norm(sloped - sine) > 1e-6 * l2_norm(sine), name
 
 
 def _splu_slab_solver(a_vals, m0, h, spare):
@@ -644,13 +667,13 @@ def _residual_reference(solution, spec):
         residual = SpectralField(grid, dt_coeffs).grid_values()
         u = solution.fields[i]
         for j, w in _full_grid_speeds(spec, grid):
-            grad = u.partial_derivative(tuple(int(k == j) for k in range(grid.n))).grid_values()
+            grad = partial_derivative(u, tuple(int(k == j) for k in range(grid.n))).grid_values()
             residual = residual + w * grad
         if not spec.b0.is_zero:
             residual = residual + spec.b0.evaluate(grid) * u.grid_values()
         for ax in range(spec.m0):
             alpha = tuple(2 * int(j == ax) for j in range(grid.n))
-            residual = residual - a_vals * u.partial_derivative(alpha).grid_values()
+            residual = residual - a_vals * partial_derivative(u, alpha).grid_values()
         if not spec.g.is_zero:
             residual = residual - spec.g.evaluate(grid)
         values.append(float(np.sqrt(np.mean(np.abs(residual) ** 2))) / (hs_norm(u, 2.0) + 1.0))
@@ -756,7 +779,7 @@ def _energy_reference(solution, spec):
     for ax in range(spec.m0):
         alpha = tuple(int(j == ax) for j in range(solution.grid.n))
         dissipation = dissipation + np.array(
-            [hs_norm(f.partial_derivative(alpha), s) ** 2 for f in solution.fields])
+            [hs_norm(partial_derivative(f, alpha), s) ** 2 for f in solution.fields])
     integral = np.concatenate([[0.0], np.cumsum(
         0.5 * (dissipation[1:] + dissipation[:-1]) * np.diff(solution.times))])
     return norms_sq + integral / float(spec.Lambda)
@@ -799,6 +822,38 @@ def test_fd_snapshots_are_real_grid_values_with_spectra_formed_on_read():
     assert np.array_equal(sol.final.coeffs, sol.fields[len(sol) - 1].coeffs)
 
 
+def _traced_peak(fn):
+    """Peak traced memory of fn(), in bytes, counted from the call's start."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fd_upf_write_holds_one_complex_spectrum(tmp_path):
+    spec = load_builtin("fokkerplanck")
+    grid = spec.default_grid(N=8)
+    sol = solve_fd(spec, grid, times=np.linspace(0.0, spec.T, 5))
+    array = 8 * grid.N**grid.n
+    path = tmp_path / "u.upf"
+    field = sol.fields[2]  # the spectrum formed on read: 2 float64 arrays
+    # written from the spectrum's own buffer; a copy (tobytes) would add 2 arrays
+    assert _traced_peak(lambda: write_field(path, field)) <= 0.1 * array
+    assert path.stat().st_size == 18 + 2 * array
+    assert np.array_equal(read_field(path).coeffs, sol.fields[2].coeffs)
+
+
+def test_fd_residual_series_transients_stay_within_the_memory_guard():
+    spec = load_builtin("fokkerplanck")
+    grid = spec.default_grid(N=8)
+    sol = solve_fd(spec, grid, times=np.linspace(0.0, spec.T, 5))
+    residual_series(sol, spec)  # warm the transform caches
+    # solver._FD_STAGE_ARRAYS counts 5 float64 grid arrays for residual_series
+    assert _traced_peak(lambda: residual_series(sol, spec)) <= 5 * 8 * grid.N**grid.n
+
+
 def test_fd_memory_guard_refuses_before_allocating_and_names_an_n_that_fits(monkeypatch, tmp_path):
     spec = load_builtin("fokkerplanck")
     grid = spec.default_grid(N=8)
@@ -829,7 +884,7 @@ def test_trajectory_container_invariants():
     times = np.linspace(0.0, 1.0, 4)
     sol = solve_exact(spec, grid, times=times)
     assert len(sol) == 4
-    assert sol.snapshot(0).l2_norm() == pytest.approx(hs_norm(sol.fields[0], 0.0))
+    assert l2_norm(sol.snapshot(0)) == pytest.approx(hs_norm(sol.fields[0], 0.0))
     assert sol.final is sol.fields[-1]
     series = sol.hs_series(1.0)
     assert series.shape == (4,)
@@ -844,7 +899,7 @@ def test_custom_spec_fd_vs_exact_chain3():
     times = [0.0, 0.1]
     fd = solve_fd(spec, grid, dt=0.1 / 128, times=times)
     ex = solve_exact(spec, grid, times=times)
-    err = (fd.final - ex.final).l2_norm() / ex.final.l2_norm()
+    err = l2_norm(fd.final - ex.final) / l2_norm(ex.final)
     assert err <= 0.05
 
 
