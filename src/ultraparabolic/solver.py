@@ -31,25 +31,31 @@ snapshots on one grid):
   term for all axes (the upwind diagonals and b0, built once per solve) plus
   each axis's neighbour terms, formed on at most two boxes per axis (the
   smallest box holding each sign of the speed, whatever its sign pattern),
-  as shifted slices with long inner loops.  The explicit
-  half of the diffusion is one 3-point Dirichlet stencil on the diffused
-  axes, written into the right-hand side.
+  as shifted slices with long inner loops.
   Each implicit step (theta = 1/2, Crank-Nicolson) applies the DST-I matrix
   along every diffused axis that a does not vary along: the eigenbasis of
   the 3-point Dirichlet second difference there (fast Poisson
   diagonalisation, a dense sine matrix per axis, no factorization).  When a
-  varies along no diffused axis, the step is then one division; when it
-  varies along one, a batched tridiagonal (Thomas) sweep along that axis.
-  Both run on NumPy alone.  Only an a that varies along two or more diffused
-  axes (no builtin spec has one) takes sparse LU: one factorization shared
-  by all columns when a varies only along diffused axes, one per column
-  else.  SciPy (the sparse slab Laplacian and its LU factorization) is
-  imported by these LU paths alone, when one first runs.  Coefficients and
-  transport speeds keep the per-axis form of Preset.evaluate; only the state
-  u has the full grid shape.  The step is refused up front when the
-  advective CFL number exceeds the limit (the error carries a suggested
-  step), when the diffusion coefficient leaves [1/Lambda, Lambda] at a
-  sample point, when reaching the last snapshot takes more than
+  varies along no diffused axis, the state is kept in those sine
+  coordinates between steps, where both halves of the diffusion are
+  diagonal: a step is the explicit terms, one transform of them, three
+  passes and one transform back to the grid values they read.  When a
+  varies along one diffused axis, the state stays on the grid: the explicit
+  half of the diffusion is one 3-point Dirichlet stencil written into the
+  right-hand side, and the solve a batched tridiagonal (Thomas) sweep along
+  that axis between the sine transforms of the others.  Both run on NumPy
+  alone.  Only an a that varies along two or more diffused axes (no builtin
+  spec has one) takes sparse LU on the grid values: one factorization
+  shared by all columns when a varies only along diffused axes, one per
+  column else.  These LU paths live in _slab_lu, which solve_fd imports,
+  and with it SciPy, only when one first runs.  One step loop serves every
+  slab solver and holds the state in the solver's coordinates.
+  Coefficients and transport speeds keep the per-axis form of
+  Preset.evaluate; only the state and the step's four work arrays have the
+  full grid shape.  The step is refused up front when the advective CFL
+  number exceeds the limit (the error carries a suggested step), when the
+  diffusion coefficient leaves [1/Lambda, Lambda] at a sample point, when
+  reaching the last snapshot takes more than
   _MAX_FD_STEPS steps (the error names a step that passes), or when the
   snapshots and work arrays would not fit in physical memory (the error
   names a grid that fits).  The route keeps its native output, one real
@@ -58,10 +64,11 @@ snapshots on one grid):
 
 residual_series measures how well any trajectory satisfies the PDE (spectral
 space derivatives, fourth-order central time differences); every first or
-second derivative along an axis is one 1-D transform of u's grid values along
-that axis and back, a real rfft/irfft pair on the FD route.  energy_check
-tracks the parabolic energy balance against its theoretical budget.  Both
-norms come from one weighted power spectrum per snapshot.
+second derivative along an axis is one product with a fixed real N x N
+matrix along that axis (a BLAS matmul, no transform), plus, for a first
+derivative, the rank-one Nyquist term of the complex transform pair.
+energy_check tracks the parabolic energy balance against its theoretical
+budget.  Both norms come from one weighted power spectrum per snapshot.
 """
 
 from __future__ import annotations
@@ -70,7 +77,6 @@ import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -531,7 +537,7 @@ def _slab_laplacian(u, m0, h, out, neighbour, centre) -> np.ndarray:
     """3-point Dirichlet Laplacian of u along its leading m0 axes, written into `out`.
 
     Zeros stand in for values outside the box, so this is
-    _subgrid_laplacian(N, m0, h) applied to every column of u, without a
+    _slab_lu._subgrid_laplacian(N, m0, h) applied to every column of u, without a
     sparse matrix and without allocating.  It uses that matrix's coefficients
     and adds each row's terms in its column order (lower neighbours by axis,
     the diagonal, upper neighbours in reverse axis order), so it reproduces
@@ -556,28 +562,6 @@ def _slab_laplacian(u, m0, h, out, neighbour, centre) -> np.ndarray:
     return out
 
 
-def _dirichlet_d2(N: int, h: float):
-    import scipy.sparse as sp
-
-    main = np.full(N, -2.0)
-    off = np.ones(N - 1)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr") / (h * h)
-
-
-def _subgrid_laplacian(N: int, m0: int, h: float):
-    """Sparse CSR Laplacian of the leading m0 axes (3-point Dirichlet stencil)."""
-    import scipy.sparse as sp
-
-    D2 = _dirichlet_d2(N, h)
-    total = None
-    for ax in range(m0):
-        term = sp.identity(N**ax, format="csr")
-        term = sp.kron(term, D2, format="csr")
-        term = sp.kron(term, sp.identity(N ** (m0 - 1 - ax), format="csr"), format="csr")
-        total = term if total is None else total + term
-    return total
-
-
 def _slab_sine_basis(N: int, axes, n: int, h: float):
     """Orthonormal DST-I matrix S and the eigenvalues of the Laplacian along `axes`.
 
@@ -595,64 +579,145 @@ def _slab_sine_basis(N: int, axes, n: int, h: float):
     return S, lam
 
 
-def _sine_transform(S, x, spare, axes):
+def _apply_along(D, x, ax: int, out):
+    """sum_k D[i, k] x[..., k, ...] along axis ax of x, written into `out`.
+
+    D is a (rows, N) matrix, N the length of x's axis ax; `out` has x's shape
+    with `rows` in place of N there.  x and out are C-contiguous and do not
+    overlap, so the product is one np.matmul with no allocation: D against
+    the (before, N, after) view, or, on the last axis, the (-1, N) view
+    against D.T, where the batched form would be a stack of matrix-vector
+    products and about 10x slower.
+    """
+    N = x.shape[ax]
+    if ax == x.ndim - 1:
+        np.matmul(x.reshape(-1, N), D.T, out=out.reshape(-1, D.shape[0]))
+    else:
+        before = int(np.prod(x.shape[:ax], dtype=int))
+        np.matmul(D, x.reshape(before, N, -1), out=out.reshape(before, D.shape[0], -1))
+    return out
+
+
+def _sine_transform(S, x, spare, axes, out=None):
     """Apply S along each of `axes` of x; return (result, free buffer).
 
     x and spare take turns as input and output, so nothing is allocated.
+    With `out`, x is only read and the result lands in `out`: the first
+    product goes to `out` or `spare`, whichever puts the last one in `out`,
+    and those two take turns from there.
     """
-    N = S.shape[0]
+    if out is not None:
+        first = out if len(axes) % 2 else spare
+        _apply_along(S, x, axes[0], first)
+        x, spare, axes = first, (spare if first is out else out), axes[1:]
     for ax in axes:
-        np.matmul(S, x.reshape(N**ax, N, -1), out=spare.reshape(N**ax, N, -1))
+        _apply_along(S, x, ax, spare)
         x, spare = spare, x
     return x, spare
 
 
+def _sine_steps(a_vals, m0: int, h: float, u, state, spare):
+    """Crank-Nicolson in DST coordinates when a is constant along every diffused axis.
+
+    Returns (state, step): `state` holds S u, and step(step_dt) returns
+    advance(state, rate) -> (state, u), one step from the explicit terms
+    `rate` = E(u) of the current grid values u.  S (_slab_sine_basis,
+    applied along the leading m0 axes) is its own inverse and turns the
+    3-point slab Laplacian into the eigenvalues lam, and multiplication by a
+    commutes with it.  So with u_hat = S u the theta step
+
+        (I - theta dt a lap) u' = u + dt ((1 - theta) a lap u + E(u))
+
+    is, sine mode by sine mode,
+
+        u_hat' = growth u_hat + gain S E(u),
+        growth = (1 + (1 - theta) dt a lam) / (1 - theta dt a lam),
+        gain = dt / (1 - theta dt a lam):
+
+    one transform of the rate, three passes and one transform back into u,
+    which the next explicit terms read.  `state` keeps u_hat between steps,
+    and `u` receives the grid values; `rate` and `spare` are the transforms'
+    work arrays.  The factors (of the broadcast shape of a and lam) are
+    built by each call of step, once per run of equal steps.
+    """
+    n, N = u.ndim, u.shape[0]
+    axes = list(range(m0))
+    S, lam = _slab_sine_basis(N, axes, n, h)
+    _sine_transform(S, u, spare, axes, out=state)
+
+    def step(step_dt):
+        denominator = 1.0 - _THETA * step_dt * a_vals * lam
+        growth = (1.0 + (1.0 - _THETA) * step_dt * a_vals * lam) / denominator
+        gain = step_dt / denominator
+
+        def advance(state, rate):
+            hat, free = _sine_transform(S, rate, spare, axes)
+            state *= growth
+            hat *= gain
+            state += hat
+            _sine_transform(S, state, free, axes, out=u)
+            return state, u
+
+        return advance
+
+    return state, step
+
+
+def _grid_steps(implicit_solver, a_vals, m0: int, h: float, rhs, neighbour, centre):
+    """Crank-Nicolson on grid values: step(step_dt) -> advance(u, rate) -> (u, u).
+
+    The right-hand side u + dt ((1 - theta) a lap u + rate) is formed in
+    place in `rhs` (the slab Laplacian through `neighbour` and `centre`,
+    which _slab_laplacian overwrites), and implicit_solver(step_dt)'s solve
+    returns the new u in rhs's buffer; u's buffer takes the next right-hand
+    side.  Every route but the sine one keeps its state on the grid, so the
+    state is u.
+    """
+    def step(step_dt):
+        solve = implicit_solver(step_dt)
+
+        def advance(u, rate):
+            nonlocal rhs
+            _slab_laplacian(u, m0, h, rhs, neighbour, centre)
+            rhs *= a_vals
+            rhs *= 1.0 - _THETA
+            rhs += rate
+            rhs *= step_dt
+            rhs += u
+            rhs, u = u, solve(rhs)
+            return u, u
+
+        return advance
+
+    return step
+
+
 def _sine_slab_solver(a_vals, m0: int, h: float, spare):
-    """implicit_solver(step_dt) -> solve(rhs) when a varies along at most one diffused axis.
+    """implicit_solver(step_dt) -> solve(rhs) when a varies along one diffused axis l.
 
     solve(rhs) solves (I - theta dt a lap) x = rhs, lap the 3-point Dirichlet
     Laplacian of the leading m0 axes, and returns x in rhs's buffer; `spare`
     is a work array of rhs's shape.  The DST-I matrix S (_slab_sine_basis)
-    is applied along every diffused axis on which a's sample has length 1.
-    Multiplication by a commutes with S there, so the system splits:
+    is applied along every other diffused axis, where a's sample has length
+    1 and multiplication by a commutes with S.  Each sine mode of those axes
+    is then a tridiagonal system along l, with off-diagonals
+    -theta dt a / h^2 and diagonal 1 + theta dt a (2/h^2 - lam_other),
+    lam_other the sum of the other diffused axes' eigenvalues.  A batched
+    Thomas sweep solves it.  With the reciprocal pivots p_i and the modified
+    super-diagonal c_i = off_i p_i, the right-hand side is scaled by p once,
+    then y_i -= c_i y_{i-1} runs forward and x_i -= c_i x_{i+1} backward,
+    each a pass over one slice of N^(n-1) points through one kept slice
+    buffer.  The sweep needs no pivoting: lam_other <= 0, and the coercivity
+    guard runs first and gives a >= 1/Lambda > 0, so each diagonal exceeds
+    the sum of its off-diagonals by at least 1 and every pivot is at least 1.
 
-    * a constant on every diffused axis: each sine mode is divided by
-      1 - theta dt a lam, lam the slab eigenvalue (fast Poisson
-      diagonalisation);
-    * a varying along one diffused axis l: each sine mode of the other
-      diffused axes is a tridiagonal system along l, with off-diagonals
-      -theta dt a / h^2 and diagonal 1 + theta dt a (2/h^2 - lam_other),
-      lam_other the sum of the other diffused axes' eigenvalues.  A batched
-      Thomas sweep solves it.  With the reciprocal pivots p_i and the
-      modified super-diagonal c_i = off_i p_i, the right-hand side is
-      scaled by p once, then y_i -= c_i y_{i-1} runs forward and
-      x_i -= c_i x_{i+1} backward, each a pass over one slice of N^(n-1)
-      points through one kept slice buffer.  The sweep needs no pivoting:
-      lam_other <= 0, and the coercivity guard runs first and gives
-      a >= 1/Lambda > 0, so each diagonal exceeds the sum of its
-      off-diagonals by at least 1 and every pivot is at least 1.
-
-    The denominator, or the factors p and c (of the broadcast shape of a and
-    lam_other), are built once per step_dt.
+    The factors p and c (of the broadcast shape of a and lam_other) are
+    built once per step_dt.
     """
     n, N = spare.ndim, spare.shape[0]
     lines = [ax for ax in range(m0) if np.shape(a_vals)[ax] > 1]
     axes = [ax for ax in range(m0) if ax not in lines]
     S, lam = _slab_sine_basis(N, axes, n, h)
-    if not lines:
-        def implicit_solver(step_dt):
-            denominator = 1.0 - _THETA * step_dt * a_vals * lam
-
-            def solve(rhs):
-                x, free = _sine_transform(S, rhs, spare, axes)
-                np.divide(x, denominator, out=x)
-                # 2 * m0 swaps in all: the result is back in rhs's buffer
-                return _sine_transform(S, x, free, axes)[0]
-
-            return solve
-
-        return implicit_solver
-
     cells = [(slice(None),) * lines[0] + (i,) for i in range(N)]  # slice i along l
     line = np.empty(spare[cells[0]].shape)
     factor_cache = {}
@@ -696,12 +761,13 @@ def _physical_memory() -> float:
 
 
 # Full float64 grid arrays a solve stage holds beyond its snapshots, summed
-# over its phases: the state and four step buffers (5), the transients of
-# residual_series (5; 4.4 measured on fokkerplanck at N = 8) and the one
-# complex spectrum of each .upf write (2, at 16 B per point; fftn holds a
-# second one while it forms it).  The phases do not overlap, so the sum also
-# covers the largest of them (6.1 arrays in the step) and leaves room for the
-# interpreter and the libraries.
+# over its phases: the state and four step buffers (5; solve_fd peaks at
+# 5.1), the transients of the a-posteriori checks (5; residual_series 3.2
+# and energy_check 3.8) and the one complex spectrum of each .upf write (2,
+# at 16 B per point; fftn holds a second one while it forms it, 4.0), each
+# measured with tracemalloc on fokkerplanck at N = 8.  The phases do not
+# overlap, so the sum also covers the largest of them and leaves room for
+# the interpreter and the libraries.
 _FD_STAGE_ARRAYS = 5 + 5 + 2
 
 
@@ -785,6 +851,11 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
              times=None, cfl_limit: float = 0.8) -> TrajectorySolution:
     """IMEX Crank-Nicolson scheme: implicit central diffusion, explicit upwinded transport.
 
+    One loop takes every step: the explicit terms E(u) of the grid values u
+    go to the slab solver's advance, which returns the new state, in the
+    solver's coordinates, and the new grid values.  On the sine route the
+    state is the sine transform of u (_sine_steps), elsewhere u itself
+    (_grid_steps); a step allocates no grid-sized array on either.
     Aborts with CoercivityError when the sampled diffusion coefficient leaves
     [1/Lambda, Lambda], with CFLError (carrying a suggested dt) when the
     advective step bound fails, and with SolverError when the run would take
@@ -796,9 +867,9 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     fraction of the solution touching the boundary shell at each snapshot,
     the advective CFL number (`cfl`) and its limit (`cfl_limit`),
     which implicit slab solver ran (`slab_solver`, chosen from the diffused
-    axes a's sample varies along: "sine" for none, "sine-tridiagonal" for
-    one, see _sine_slab_solver; "splu-shared" for two or more when a varies
-    along no other axis, else "splu-per-column"),
+    axes a's sample varies along: "sine" for none, see _sine_steps;
+    "sine-tridiagonal" for one, see _sine_slab_solver; "splu-shared" for
+    two or more when a varies along no other axis, else "splu-per-column"),
     the number of time steps taken (`steps`) and why the spec needs this
     route (`route_reason`, from _exact_route_supported; None when the exact
     route would apply).
@@ -843,53 +914,32 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
         slab_solver = "splu-shared"  # every column sees the same slab operator
     else:
         slab_solver = "splu-per-column"
-    # the tridiagonal factors span the axes of a and of the other diffused
-    # axes' eigenvalues; the sweep keeps one slice of n - 1 axes
+    # the two factors of a sine route span the axes of a and of the slab
+    # eigenvalues; the tridiagonal sweep also keeps one slice of n - 1 axes
     factor_axes = len(set(varies) | set(range(m0)))
-    _require_memory(len(times), n, N, (factor_axes, factor_axes, n - 1)
-                    if slab_solver == "sine-tridiagonal" else ())
+    _require_memory(len(times), n, N, {
+        "sine": (factor_axes, factor_axes),
+        "sine-tridiagonal": (factor_axes, factor_axes, n - 1)}.get(slab_solver, ()))
 
-    # work arrays, allocated once per solve; `spare` serves in turn the slab
-    # Laplacian, the upwind neighbour terms and the sine solvers
+    # work arrays, allocated once per solve: the state (in the slab solver's
+    # coordinates) or the next right-hand side, the explicit terms `rate`,
+    # and `u4` and `spare`, which serve in turn the upwind neighbour terms,
+    # the slab Laplacian and the sine transforms
     spare, u4, rate, rhs = (np.empty(grid.shape) for _ in range(4))
     plan = _transport_plan(speeds, b0_vals, h, grid.shape)
+    # the grid values, a fresh C-ordered copy at the full grid shape
+    u = np.array(np.broadcast_to(spec.u0.evaluate(grid), grid.shape), dtype=float, order="C")
 
-    if slab_solver.startswith("sine"):
-        implicit_solver = _sine_slab_solver(a_vals, m0, h, spare)
+    if slab_solver == "sine":
+        state, step = _sine_steps(a_vals, m0, h, u, rhs, spare)
     else:
-        import scipy.sparse as sp
-        from scipy.sparse.linalg import splu
+        if slab_solver == "sine-tridiagonal":
+            implicit_solver = _sine_slab_solver(a_vals, m0, h, spare)
+        else:
+            from ._slab_lu import lu_slab_solver
 
-        M = N**m0
-        R = N ** (n - m0)
-        lap = _subgrid_laplacian(N, m0, h)
-        eye = sp.identity(M, format="csr")
-        a2d = np.broadcast_to(a_vals, grid.shape).reshape(M, R)
-        factor_cache = {}
-
-        def implicit_solver(step_dt):
-            if step_dt not in factor_cache:
-                def factor(a_col):
-                    return splu((eye - _THETA * step_dt * sp.diags(a_col) @ lap).tocsc())
-
-                if slab_solver == "splu-shared":
-                    factor_cache[step_dt] = [factor(a2d[:, 0])]
-                else:
-                    factor_cache[step_dt] = [factor(a2d[:, j]) for j in range(R)]
-            lus = factor_cache[step_dt]
-
-            def solve(rhs):
-                # the result goes back into rhs's C-ordered buffer, as on the
-                # sine paths (SuperLU returns Fortran order)
-                rhs2d = rhs.reshape(M, R)
-                if slab_solver == "splu-shared":
-                    rhs2d[...] = lus[0].solve(rhs2d)
-                else:
-                    for j in range(R):
-                        rhs2d[:, j] = lus[j].solve(rhs2d[:, j])
-                return rhs
-
-            return solve
+            implicit_solver = lu_slab_solver(a_vals, m0, h, grid, slab_solver == "splu-shared")
+        state, step = u, _grid_steps(implicit_solver, a_vals, m0, h, rhs, spare, u4)
 
     def explicit_terms(u):
         _apply_transport(plan, u, u4, spare, rate)
@@ -898,10 +948,6 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
         return rate
 
     shell = [(slice(None),) * ax + (i,) for ax in range(n) for i in (0, N - 1)]  # 2n faces
-
-    # a fresh C-ordered copy at the full grid shape: its buffer becomes a
-    # right-hand side, which the sine solver reshapes in place
-    u = np.array(np.broadcast_to(spec.u0.evaluate(grid), grid.shape), dtype=float, order="C")
     values, mass, boundary_fraction = [], [], []
     # inf, not OverflowError, once a huge box scale takes the cell volume
     # out of the float range
@@ -911,23 +957,17 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     def record(u):
         values.append(u.copy())
         mass.append(float(u.sum()) * volume_element)
-        magnitude = np.abs(u)
+        magnitude = np.abs(u, out=spare)  # a step buffer, free between steps
         peak = float(magnitude.max())
         edge = max(float(magnitude[face].max()) for face in shell)
         boundary_fraction.append(edge / peak if peak > 0 else 0.0)
 
+    # one loop for every slab solver: `state` is in the solver's coordinates,
+    # u the grid values the explicit terms and the snapshots read
     for steps, step_dt in segments:
-        solve = implicit_solver(step_dt) if steps else None
+        advance = step(step_dt) if steps else None
         for _ in range(steps):
-            # u + dt ((1 - theta) a lap u + explicit terms), formed in place
-            _slab_laplacian(u, m0, h, rhs, spare, u4)
-            rhs *= a_vals
-            rhs *= 1.0 - _THETA
-            rhs += explicit_terms(u)
-            rhs *= step_dt
-            rhs += u
-            # every slab solver returns rhs's buffer; u's takes the next right-hand side
-            rhs, u = u, solve(rhs)
+            state, u = advance(state, explicit_terms(u))
         record(u)
 
     return TrajectorySolution(
@@ -1009,6 +1049,25 @@ def _weighted_spectra(solution: TrajectorySolution, s: float):
     return freqs, power
 
 
+def _derivative_matrices(grid: TorusGrid):
+    """(D1, D2, nyquist): spectral differentiation along one axis as real matrices.
+
+    D1 = irfft(i xi rfft(.)) and D2 = irfft(-xi^2 rfft(.)) are N x N.  On a
+    real or complex column u, D2 u is the complex pair's ifft(-xi^2 fft(u)),
+    and the pair's first derivative is D1 u + i (-1)^j (nyquist u): its
+    Nyquist term i xi_{N/2} F_{N/2} (-1)^j / N, with F_{N/2} =
+    sum_k (-1)^k u_k, is imaginary for a real u, so irfft drops it.  That
+    rank-one part is the 1 x N row nyquist = (xi_{N/2} / N) (-1)^k.
+    """
+    N = grid.N
+    xi = grid.axis_modes[:N // 2 + 1, None] / grid.L  # ends at the Nyquist mode -N/2
+    spectrum = np.fft.rfft(np.eye(N), axis=0)
+    D1 = np.fft.irfft(1j * xi * spectrum, n=N, axis=0)
+    D2 = np.fft.irfft(-(xi**2) * spectrum, n=N, axis=0)
+    nyquist = (xi[-1] / N) * (-1.0) ** np.arange(N)[None, :]
+    return D1, D2, nyquist
+
+
 def residual_series(solution: TrajectorySolution, spec: ProblemSpec) -> ResidualReport:
     """||du/dt + Xu + Yu - a lap u - g||_{L2} / (||u||_{H2} + 1) at interior times.
 
@@ -1016,21 +1075,25 @@ def residual_series(solution: TrajectorySolution, spec: ProblemSpec) -> Residual
     times must be uniformly spaced with at least five entries; space
     derivatives are spectral on the snapshot grid, and the normaliser is one
     weighted spectrum per snapshot (_weighted_spectra).  Each first and second
-    derivative along an axis is a 1-D transform of u's grid values along that
-    axis, a multiplication by i xi or -xi^2 and the inverse transform.  The
-    normalisers come first.  Then the stencil is formed in place in one kept
-    array, every term is added to it as soon as it is formed, and the power
-    |r|^2 + imag^2 is formed in the stencil's array; so besides a second kept
-    array for the Nyquist terms, one axis's spectrum and one term are held at
-    a time: on fokkerplanck at N = 8 the series peaks at 4.4 float64 grid
-    arrays beyond the snapshots (tracemalloc).
-    On the FD route u is real: the stencil runs on the grid values and each
-    axis takes an rfft/irfft pair.  A complex pair leaves the Nyquist term
-    (-1)^j i xi_{N/2} F_{N/2} / N of a first derivative in its imaginary
-    part (F_{N/2} is real), which irfft drops; it is added back, so the FD
-    residual is the one the complex transforms measure.  The exact route's
-    grid fields are complex, so there du/dt and u take one n-D inverse FFT
-    each and the axis pairs are complex.
+    derivative along an axis is one product with a fixed N x N matrix
+    (_derivative_matrices, built once per call) along that axis
+    (_apply_along): a BLAS matmul in place of a 1-D transform pair.  The
+    first derivative's Nyquist term is the rank-one part
+    i (-1)^j (xi_{N/2} / N) sum_k (-1)^k u_k, one alternating sum per line.
+    The normalisers come first.  Then the stencil is formed in place in one
+    kept array, and each term is formed in a second kept array and added to
+    it at once, so nothing of grid size is allocated per snapshot; the sum
+    of |r|^2 is a dot product.
+    On the FD route u is real and so is every array: the stencil runs on the
+    grid values, and the Nyquist terms, which are imaginary, go to a third
+    kept array and add their squares to the sum, so the FD residual is the
+    one the complex transforms measure.  On fokkerplanck at N = 8 the series
+    peaks at 3.2 float64 grid arrays beyond the snapshots (tracemalloc).
+    The exact route's grid fields are complex, so there du/dt and u take one
+    n-D inverse FFT each (u's without its mean, which no term of that route
+    sees, so a constant field's terms are exactly zero), the stencil's array
+    then holds the terms, and the Nyquist terms, times i, go into the
+    residual itself.
     """
     times = solution.times
     if len(times) < 5:
@@ -1049,16 +1112,11 @@ def residual_series(solution: TrajectorySolution, spec: ProblemSpec) -> Residual
     axes = sorted(set(speeds) | set(range(spec.m0)))
     N, n = grid.N, grid.n
     real = isinstance(solution.fields, _GridFields)
-    if real:
-        stack = solution.fields.values
-        modes = grid.axis_modes[:N // 2 + 1]  # ends at the Nyquist mode -N/2
-        alternating = (-1.0) ** np.arange(N)
-        forward, inverse = np.fft.rfft, partial(np.fft.irfft, n=N)
-    else:
-        stack = [f.coeffs for f in solution.fields]
-        modes = grid.axis_modes
-        forward, inverse = np.fft.fft, np.fft.ifft
-    freqs = [_along(modes / grid.L, ax, n) for ax in range(n)]
+    stack = solution.fields.values if real else [f.coeffs for f in solution.fields]
+    D1, D2, nyquist = _derivative_matrices(grid)
+    if not real:
+        nyquist = 1j * nyquist  # a complex residual takes the Nyquist terms in itself
+    alternating = (-1.0) ** np.arange(N)
     weighted = _weighted_spectra(solution, 2.0)[1]
 
     interior = range(2, len(times) - 2)
@@ -1066,58 +1124,58 @@ def residual_series(solution: TrajectorySolution, spec: ProblemSpec) -> Residual
     scales = [float(np.sqrt(np.sum(weighted(i)))) + 1.0 for i in interior]
     del weighted
     stencil = np.empty_like(stack[0])
-    imag = np.empty(grid.shape) if real and speeds else None  # the Nyquist terms irfft drops
+    # the terms' array; a complex stencil is spent once transformed, and takes them
+    term = np.empty_like(stencil) if real else stencil
+    sums = np.empty(N ** (n - 1), dtype=term.dtype)  # the alternating sum of each line
+    imag = np.empty(grid.shape) if real and speeds else None  # the Nyquist terms of a real u
 
     out_times, out_values = [], []
     for i, scale in zip(interior, scales):
-        # (u[i-2] - 8 u[i-1] + 8 u[i+1] - u[i+2]) / (12 dt), in that order
-        np.multiply(stack[i - 1], 8.0, out=stencil)
-        np.subtract(stack[i - 2], stencil, out=stencil)
-        stencil += 8.0 * stack[i + 1]
+        # (8 (u[i+1] - u[i-1]) + u[i-2] - u[i+2]) / (12 dt), in place
+        np.subtract(stack[i + 1], stack[i - 1], out=stencil)
+        stencil *= 8.0
+        stencil += stack[i - 2]
         stencil -= stack[i + 2]
         stencil /= 12.0 * dt
         if real:
-            residual, values = stencil, stack[i]
+            residual, values, nyquist_terms = stencil, stack[i], imag
+            if imag is not None:
+                imag.fill(0.0)
         else:
             residual = SpectralField(grid, stencil).grid_values()
-            values = solution.fields[i].grid_values()
-        if imag is not None:
-            imag.fill(0.0)
+            # u without its mean: the exact route has no b0, and derivatives
+            # annihilate the mean, so, as with transform pairs, a constant
+            # field's terms are exactly zero
+            values = solution.fields[i].coeffs * stencil.size
+            values[(0,) * n] = 0.0
+            values = np.fft.ifftn(values)
+            nyquist_terms = residual
         for ax in axes:
-            # i xi applied in place, once for the first derivative and once
-            # more for the second
-            spectrum = forward(values, axis=ax)
-            spectrum *= 1j * freqs[ax]
             if ax in speeds:
-                grad = inverse(spectrum, axis=ax)
-                grad *= speeds[ax]
-                residual += grad
-                del grad
-                if real:
-                    # speed * nyquist * (-1)^j, its factors taken in another
-                    # order: a sign flip is exact, so the product is the same
-                    term = np.take(spectrum, [N // 2], axis=ax).imag / N
-                    term = term * _along(alternating, ax, n)
-                    term *= speeds[ax]
-                    imag += term
-                    del term
+                _apply_along(D1, values, ax, term)
+                term *= speeds[ax]
+                residual += term
+                # speed * (-1)^j * (nyquist u), u's sums spanning every axis but ax
+                line = tuple(1 if a == ax else N for a in range(n))
+                np.multiply(_apply_along(nyquist, values, ax, sums.reshape(line)),
+                            _along(alternating, ax, n), out=term)
+                term *= speeds[ax]
+                nyquist_terms += term
             if ax < spec.m0:
-                spectrum *= 1j * freqs[ax]
-                spectrum = inverse(spectrum, axis=ax)
-                spectrum *= a_vals
-                residual -= spectrum
-            del spectrum
+                _apply_along(D2, values, ax, term)
+                term *= a_vals
+                residual -= term
         if b0_vals is not None:
-            residual += b0_vals * values
+            np.multiply(b0_vals, values, out=term)
+            residual += term
         if g_vals is not None:
             residual -= g_vals
-        power = np.abs(residual, out=residual if real else None)
-        power **= 2
+        power = np.vdot(residual, residual).real
         if imag is not None:
-            imag **= 2
-            power += imag
+            power += np.vdot(imag, imag)
         out_times.append(times[i])
-        out_values.append(float(np.sqrt(np.mean(power))) / scale)
+        out_values.append(float(np.sqrt(power / residual.size)) / scale)
+        del residual, values  # on the exact route, gone before the next pair is formed
     return ResidualReport(times=np.array(out_times), values=np.array(out_values))
 
 

@@ -573,6 +573,7 @@ def test_sine_route_stages_never_import_scipy(tmp_path):
                 meta = json.loads((out / "run_meta.json").read_text())
                 assert meta["slab_solver"] == slab_solver, (spec, stage, meta)
         assert scipy_modules() == [], scipy_modules()
+        assert "ultraparabolic._slab_lu" not in sys.modules  # nor compiled
         argv = ["solve", "--spec", {str(two_axis)!r}, "--grid", "8", "--tgrid", "5",
                 "--out", {str(tmp_path / "splu")!r}]
         assert cli.main(argv) == 0

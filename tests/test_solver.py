@@ -16,6 +16,7 @@ from scipy.integrate import quad
 
 from ultraparabolic import cli, solver
 
+from ultraparabolic._slab_lu import _subgrid_laplacian
 from ultraparabolic.fieldio import read_field, write_field
 from ultraparabolic.problems import (
     ConstantPreset,
@@ -40,7 +41,6 @@ from ultraparabolic.solver import (
     _nilpotent_powers,
     _slab_laplacian,
     _snapshot_segments,
-    _subgrid_laplacian,
     _transport,
     _transport_plan,
     _transport_speeds,
@@ -551,6 +551,158 @@ def test_kolmogorov_general_sine_tridiagonal_snapshots_equal_the_sparse_lu_route
             ref = solve_fd(spec, grid, times=times)
         for got, want in zip(sol.fields.values, ref.fields.values):
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def _sine_division_solver(a_vals, m0, h, spare):
+    """Reference: the sine route's slab solve on grid values.
+
+    Same signature as solver._sine_slab_solver: S along the diffused axes,
+    a division by 1 - dt a lam / 2, and S back into rhs's buffer.
+    """
+    n, N = spare.ndim, spare.shape[0]
+    axes = list(range(m0))
+    S, lam = solver._slab_sine_basis(N, axes, n, h)
+
+    def implicit_solver(step_dt):
+        denominator = 1.0 - 0.5 * step_dt * a_vals * lam
+
+        def solve(rhs):
+            x, free = solver._sine_transform(S, rhs, spare, axes)
+            np.divide(x, denominator, out=x)
+            return solver._sine_transform(S, x, free, axes)[0]
+
+        return solve
+
+    return implicit_solver
+
+
+def _grid_loop_reference(sol, spec, slab_solver, strict=False):
+    """Reference: the FD step loop on grid values, replaying sol's times and dt.
+
+    Each step forms u + dt (a lap u / 2 + E(u)) with the slab Laplacian and
+    solves it with slab_solver(a_vals, m0, h, spare)(step_dt).  Returns the
+    grid values at sol's snapshot times.
+    """
+    grid, m0 = sol.grid, spec.m0
+    h = grid.spacing
+    a_vals = spec.a.evaluate(grid)
+    b0 = None if spec.b0.is_zero else spec.b0.evaluate(grid)
+    g = None if spec.g.is_zero else spec.g.evaluate(grid)
+    plan = _transport_plan(_transport_speeds(spec, grid), b0, h, grid.shape)
+    spare, u4, rate, rhs = (np.empty(grid.shape) for _ in range(4))
+    implicit_solver = slab_solver(a_vals, m0, h, spare)
+    u = np.array(np.broadcast_to(spec.u0.evaluate(grid), grid.shape), dtype=float)
+    values = []
+    for steps, step_dt in _snapshot_segments(sol.times, sol.diagnostics["dt"], spec.T, strict)[1]:
+        solve = implicit_solver(step_dt) if steps else None
+        for _ in range(steps):
+            _slab_laplacian(u, m0, h, rhs, spare, u4)
+            rhs *= a_vals
+            rhs *= 0.5
+            _apply_transport(plan, u, u4, spare, rate)
+            if g is not None:
+                rate += g
+            rhs += rate
+            rhs *= step_dt
+            rhs += u
+            rhs, u = u, solve(rhs)
+        values.append(u.copy())
+    return values
+
+
+def test_dst_coordinate_steps_equal_the_grid_loop():
+    # the sine route keeps its state in DST coordinates: the same steps as
+    # the grid loop up to round-off, over 64 steps
+    for name, N in (("fokkerplanck", 6), ("brownian-inertia", 32), ("kolmogorov2d", 16)):
+        spec = load_builtin(name)
+        sol = solve_fd(spec, spec.default_grid(N=N))
+        assert sol.diagnostics["slab_solver"] == "sine" and sol.diagnostics["steps"] >= 64
+        want = _grid_loop_reference(sol, spec, _sine_division_solver)
+        for got, ref in zip(sol.fields.values, want, strict=True):
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref), name
+    # the other routes keep the grid loop's arithmetic: bit for bit
+    spec = load_builtin("kolmogorov-general")
+    sol = solve_fd(spec, spec.default_grid(N=8))
+    assert sol.diagnostics["slab_solver"] == "sine-tridiagonal"
+    want = _grid_loop_reference(sol, spec, solver._sine_slab_solver)
+    assert all(np.array_equal(got, ref) for got, ref in zip(sol.fields.values, want, strict=True))
+    base = load_builtin("fokkerplanck")
+    spec = dataclasses.replace(base, a=_SpanningConstant(1.0, axes=(0, 1, base.n - 1)))
+    dt = 0.25 / 64
+    sol = solve_fd(spec, spec.default_grid(N=6), dt=dt, times=[0.0, 4 * dt, 8 * dt])
+    assert sol.diagnostics["slab_solver"] == "splu-per-column"
+    want = _grid_loop_reference(sol, spec, _splu_slab_solver, strict=True)
+    assert all(np.array_equal(got, ref) for got, ref in zip(sol.fields.values, want, strict=True))
+
+
+@pytest.mark.parametrize("name, N, slab_solver", [
+    ("fokkerplanck", 8, "sine"),
+    ("kolmogorov-general", 20, "sine-tridiagonal"),
+])
+def test_fd_steps_allocate_no_full_grid(name, N, slab_solver, monkeypatch):
+    spec = load_builtin(name)
+    grid = spec.default_grid(N=N)
+    array = 8 * grid.N**grid.n
+    end = 2 * solve_fd(spec, grid, times=[0.0, spec.T]).diagnostics["dt"]
+    # 2 and then 16 steps to the same snapshots: a step that kept a full
+    # grid array would raise the peak with the step count
+    peaks = {}
+    for steps in (2, 16):
+        sol = solve_fd(spec, grid, dt=end / steps, times=[0.0, end])  # warm any first-call cache
+        assert sol.diagnostics["slab_solver"] == slab_solver
+        assert sol.diagnostics["steps"] == steps
+        peaks[steps] = _traced_peak(lambda: solve_fd(spec, grid, dt=end / steps, times=[0.0, end]))
+    assert abs(peaks[16] - peaks[2]) < array, peaks
+    # one that formed and freed one would not, so each step is also traced
+    # alone, from one explicit transport to the next: its peak stays within
+    # half an array of the memory held when it began (NumPy's buffered loops
+    # take a few 64 KiB buffers, about 0.1 array on these grids)
+    transport, marks = solver._apply_transport, []
+
+    def marked(*args):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return transport(*args)
+
+    monkeypatch.setattr(solver, "_apply_transport", marked)
+    _traced_peak(lambda: solve_fd(spec, grid, dt=end / 16, times=[0.0, end]))
+    rises = [peak - held for (held, _), (_, peak) in zip(marks, marks[1:])]
+    assert len(rises) == 15 and max(rises) < array / 2, rises
+
+
+def _matrix_derivatives(grid, u, ax):
+    """The residual's first (with its Nyquist term) and second derivative of u along ax."""
+    D1, D2, nyquist = solver._derivative_matrices(grid)
+    line = tuple(1 if a == ax else grid.N for a in range(grid.n))
+    sums = solver._apply_along(nyquist, u, ax, np.empty(line, dtype=u.dtype))
+    alternating = solver._along((-1.0) ** np.arange(grid.N), ax, grid.n)
+    first = solver._apply_along(D1, u, ax, np.empty_like(u))
+    return first, sums * alternating, solver._apply_along(D2, u, ax, np.empty_like(u))
+
+
+def _assert_close(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("N, n", [(4, 6), (6, 6), (8, 6), (20, 4), (64, 3)])
+def test_derivative_matrices_equal_the_fft_pairs(N, n):
+    grid = TorusGrid(n, N, 0.7)
+    rng = np.random.default_rng(N + n)
+    u = rng.standard_normal(grid.shape)
+    v = u + 1j * rng.standard_normal(grid.shape)
+    for ax in range(n):
+        xi = grid.frequency(ax)
+        half = np.take(xi, np.arange(N // 2 + 1), axis=ax)  # ends at the Nyquist mode -N/2
+        # a real field: the rfft/irfft pairs, and the complex pair's Nyquist
+        # term, which irfft drops, as the imaginary part
+        first, nyquist, second = _matrix_derivatives(grid, u, ax)
+        _assert_close(first, np.fft.irfft(1j * half * np.fft.rfft(u, axis=ax), n=N, axis=ax))
+        _assert_close(second, np.fft.irfft(-half**2 * np.fft.rfft(u, axis=ax), n=N, axis=ax))
+        _assert_close(first + 1j * nyquist, np.fft.ifft(1j * xi * np.fft.fft(u, axis=ax), axis=ax))
+        # a complex field: the complex pairs
+        first, nyquist, second = _matrix_derivatives(grid, v, ax)
+        _assert_close(first + 1j * nyquist, np.fft.ifft(1j * xi * np.fft.fft(v, axis=ax), axis=ax))
+        _assert_close(second, np.fft.ifft(-xi**2 * np.fft.fft(v, axis=ax), axis=ax))
 
 
 def test_fd_snapshot_schedule_validation():
