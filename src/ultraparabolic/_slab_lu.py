@@ -38,24 +38,20 @@ def lu_slab_solver(a_vals, m0: int, h: float, grid, shared: bool):
 
     One factorization of I - theta dt a lap is shared by all columns when a
     varies only along diffused axes (`shared`), else there is one per
-    column; each is built once per step_dt.  solve(rhs) returns the result
-    in rhs's C-ordered buffer, as the sine solvers do (SuperLU returns
-    Fortran order).
+    column.  implicit_solver(step_dt) factors each time it is called, and
+    solve_fd calls it once per distinct step size.  solve(rhs) returns the
+    result in rhs's C-ordered buffer, as the sine solvers do (SuperLU
+    returns Fortran order).
     """
     N, n = grid.N, grid.n
     M, R = N**m0, N ** (n - m0)
     lap = _subgrid_laplacian(N, m0, h)
     eye = sp.identity(M, format="csr")
     a2d = np.broadcast_to(a_vals, grid.shape).reshape(M, R)
-    factor_cache = {}
 
     def implicit_solver(step_dt):
-        if step_dt not in factor_cache:
-            def factor(a_col):
-                return splu((eye - _THETA * step_dt * sp.diags(a_col) @ lap).tocsc())
-
-            factor_cache[step_dt] = [factor(a2d[:, j]) for j in range(1 if shared else R)]
-        lus = factor_cache[step_dt]
+        lus = [splu((eye - _THETA * step_dt * sp.diags(a2d[:, j]) @ lap).tocsc())
+               for j in range(1 if shared else R)]
 
         def solve(rhs):
             rhs2d = rhs.reshape(M, R)

@@ -251,10 +251,6 @@ def _route_meta(solution, args) -> dict:
     return meta
 
 
-def _grid_for(spec: ProblemSpec, args):
-    return spec.default_grid(N=getattr(args, "grid", None), L=getattr(args, "box", None))
-
-
 def _require_representable_weights(spec: ProblemSpec, grid, power: float) -> None:
     """Refuse, before any work, a grid whose top frequency overflows <xi>^power.
 
@@ -278,6 +274,25 @@ def _require_finite(spec: ProblemSpec, grid, what: str, values) -> None:
             f"{what} of {spec.name} is not a finite number on N={grid.N}^{grid.n} with "
             f"box scale L = {grid.L!r}: a Sobolev or derivative weight overflowed at "
             f"frequencies up to {grid.N // 2 / grid.L:.3g}")
+
+
+def _solve(spec: ProblemSpec, args, first_time: float, power: float):
+    """(grid, coercivity report, solution) of `solve` or `smoothing` on the grid of --grid/--box.
+
+    Refuses a coefficient outside [1/Lambda, Lambda], then an overflowing <xi>^power, then
+    solves at --tgrid times from first_time to spec.T and records the route in run_meta.
+    """
+    import numpy as np
+
+    grid = spec.default_grid(N=args.grid, L=args.box)
+    guard = coercivity_check(spec, grid)
+    if not guard.ok:
+        raise CoercivityError(guard)
+    _require_representable_weights(spec, grid, power)
+    times = np.linspace(first_time, spec.T, args.tgrid)
+    solution = solve_auto(spec, grid=grid, dt=args.dt, times=times)
+    args.run_meta.update(_route_meta(solution, args))
+    return grid, guard, solution
 
 
 def _fail(code: int, message: str) -> int:
@@ -387,15 +402,8 @@ def cmd_solve(args) -> int:
     if args.tgrid < 5:
         raise ProblemSpecError("--tgrid must be at least 5 (the residual series "
                                "needs five uniformly spaced snapshots)")
-    grid = _grid_for(spec, args)
-    guard = coercivity_check(spec, grid)
-    if not guard.ok:
-        raise CoercivityError(guard)
     # the residual's H^2 normaliser and the energy's H^s norms
-    _require_representable_weights(spec, grid, max(4.0, 2.0 * float(spec.s)))
-    times = np.linspace(0.0, spec.T, args.tgrid)
-    solution = solve_auto(spec, grid=grid, dt=args.dt, times=times)
-    args.run_meta.update(_route_meta(solution, args))
+    grid, guard, solution = _solve(spec, args, 0.0, max(4.0, 2.0 * float(spec.s)))
     residual = residual_series(solution, spec)
     energy = energy_check(solution, spec)
     _require_finite(spec, grid, "the residual or energy",
@@ -449,18 +457,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_smoothing(args) -> int:
-    import numpy as np
-
     _bind("solver", "smoothing")
     spec = load_spec_file(args.spec)
-    grid = _grid_for(spec, args)
-    guard = coercivity_check(spec, grid)
-    if not guard.ok:
-        raise CoercivityError(guard)
-    _require_representable_weights(spec, grid, float(args.dmax))
-    times = np.linspace(spec.T / 100.0, spec.T, args.tgrid)
-    solution = solve_auto(spec, grid=grid, dt=args.dt, times=times)
-    args.run_meta.update(_route_meta(solution, args))
+    grid, _, solution = _solve(spec, args, spec.T / 100.0, float(args.dmax))
     report = smoothing_profile(solution, spec, d_max=args.dmax)
     _require_finite(spec, grid, "a derivative norm",
                     [v for rec in report.orders for v in (rec.supremum, rec.raw_supremum)])

@@ -6,7 +6,7 @@ Binary container layout (little-endian, row-major coefficient block):
     byte  4      n      (uint8, number of axes)
     bytes 5..8   N      (uint32, points per axis)
     bytes 9..16  L      (float64, box scale)
-    byte  17     dtype  (0 = complex128, 1 = complex64)
+    byte  17     dtype  (0 = complex128, 1 = complex64; write_field writes 0)
     bytes 18..   coefficients, C order, n axes of length N each
 
 JSON output is rendered with sorted keys and repr-exact floats so identical
@@ -38,27 +38,25 @@ __all__ = [
 _MAGIC = b"UPF1"
 _HEADER = struct.Struct("<4sBIdB")
 _DTYPES = {0: "complex128", 1: "complex64"}
-_DTYPE_CODES = {name: code for code, name in _DTYPES.items()}
 
 
-def write_field(path, field: SpectralField, dtype="complex128") -> None:
-    """Write a field's Fourier coefficients to the binary container.
+def write_field(path, field: SpectralField) -> None:
+    """Write a field's Fourier coefficients to the binary container as complex128.
 
-    A complex128 field is written from its own buffer, with no copy.
+    They are written from the field's own complex128 buffer, with no copy.
     """
     import numpy as np
 
-    code = _DTYPE_CODES[np.dtype(dtype).name]
     grid = field.grid
-    header = _HEADER.pack(_MAGIC, grid.n, grid.N, float(grid.L), code)
-    payload = np.ascontiguousarray(field.coeffs.astype(dtype, copy=False))
+    header = _HEADER.pack(_MAGIC, grid.n, grid.N, float(grid.L), 0)
+    payload = np.ascontiguousarray(field.coeffs, dtype=np.complex128)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
 
 
 def read_field(path) -> SpectralField:
-    """Read a binary field container back into a SpectralField."""
+    """Read a binary field container of either dtype code into a complex128 SpectralField."""
     import numpy as np
 
     from .sobolev import SpectralField, TorusGrid

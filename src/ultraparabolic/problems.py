@@ -101,7 +101,20 @@ class Preset:
         return SpectralField.from_grid_values(grid, values)
 
     def to_json_dict(self) -> dict:
-        raise NotImplementedError
+        """`kind` and every field in the JSON type of its default: the one preset writer.
+
+        An int stays an int, a float is a float, and a tuple is a list of
+        floats, left out while empty; preset_from_json reads the same fields.
+        """
+        doc = {"kind": self.kind}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, tuple):
+                if value:
+                    doc[f.name] = [float(c) for c in value]
+            else:
+                doc[f.name] = (int if isinstance(f.default, int) else float)(value)
+        return doc
 
 
 @dataclass(frozen=True)
@@ -114,9 +127,6 @@ class ConstantPreset(Preset):
         import numpy as np
 
         return np.full((1,) * grid.n, float(self.value))
-
-    def to_json_dict(self):
-        return {"kind": self.kind, "value": float(self.value)}
 
     @property
     def is_zero(self) -> bool:
@@ -139,14 +149,6 @@ class SinPerturbPreset(Preset):
         import numpy as np
 
         return self.base + self.amplitude * np.sin(grid.coordinate(self.axis) / grid.L)
-
-    def to_json_dict(self):
-        return {
-            "kind": self.kind,
-            "axis": self.axis,
-            "amplitude": float(self.amplitude),
-            "base": float(self.base),
-        }
 
 
 @dataclass(frozen=True)
@@ -172,12 +174,6 @@ class GaussianPreset(Preset):
                 q = q + (grid.coordinate(axis) - float(c)) ** 2
         return np.exp(-q / (2.0 * self.width**2))
 
-    def to_json_dict(self):
-        out = {"kind": self.kind, "width": float(self.width)}
-        if self.center:
-            out["center"] = [float(c) for c in self.center]
-        return out
-
 
 @dataclass(frozen=True)
 class LinearPreset(Preset):
@@ -193,14 +189,6 @@ class LinearPreset(Preset):
         if not 0 <= self.axis < grid.n:
             raise ProblemSpecError(f"linear axis {self.axis} out of range for n={grid.n}")
         return self.slope * grid.coordinate(self.axis) + self.intercept
-
-    def to_json_dict(self):
-        return {
-            "kind": self.kind,
-            "axis": self.axis,
-            "slope": float(self.slope),
-            "intercept": float(self.intercept),
-        }
 
 
 @dataclass(frozen=True)
@@ -253,14 +241,6 @@ class LowRegularityPreset(Preset):
 
     def evaluate(self, grid):
         return self.spectral(grid).grid_values().real
-
-    def to_json_dict(self):
-        return {
-            "kind": self.kind,
-            "exponent": float(self.exponent),
-            "seed": int(self.seed),
-            "nominal_s": float(self.nominal_s),
-        }
 
 
 _PRESETS = {

@@ -63,6 +63,7 @@ __all__ = [
 ]
 
 _NOISE_FACTOR = 1e3
+_ROUNDOFF = 1e-12  # relative: the axis-domination slack and the argmax tie window
 
 
 @dataclass(frozen=True)
@@ -316,6 +317,12 @@ def _multi_factorial(alpha) -> int:
     return prod(factorial(a) for a in alpha)
 
 
+def _first_maximum(entries, key):
+    """(max of e[key], the first entry e within _ROUNDOFF of it): a maximum and its argmax."""
+    top = max(e[key] for e in entries)
+    return top, next((e for e in entries if e[key] * (1.0 + _ROUNDOFF) >= top), entries[0])
+
+
 def smoothing_profile(solution: TrajectorySolution, spec: ProblemSpec, d_max: int = 8,
                       selector: DerivativeSelector | None = None, s: float = 0.0,
                       t_min: float | None = None) -> SmoothingReport:
@@ -324,7 +331,9 @@ def smoothing_profile(solution: TrajectorySolution, spec: ProblemSpec, d_max: in
     The time weight is t^(kappa d) with kappa = delta + 2r; snapshots earlier
     than t_min (default: a hundredth of the final time) are excluded so the
     weight never has to fight the initial roughness at t = 0.  Norms are
-    measured in H^s with plain L^2 (s = 0) as the default ladder.
+    measured in H^s with plain L^2 (s = 0) as the default ladder.  Each argmax
+    is the first candidate (earliest snapshot, then selector order) within
+    _ROUNDOFF of S_d or M_d, so round-off does not pick among indices equal by symmetry.
 
     Raises EmptyReportError when every order's supremum sits below its noise
     floor (nothing in the report would be usable downstream).
@@ -347,8 +356,7 @@ def smoothing_profile(solution: TrajectorySolution, spec: ProblemSpec, d_max: in
         for d in range(d_max + 1) for alpha in alphas[d]
     )
     domination_ok = True
-    best = [None] * (d_max + 1)      # (weighted value, t, alpha, reliable)
-    raw_best = [None] * (d_max + 1)  # (value, t)
+    candidates = [[] for _ in range(d_max + 1)]  # (S, M, t, alpha, reliable) in visiting order
     sources = solution.mode_ledgers or solution.fields
     # snapshot-outer: each snapshot's frequencies are built once, then dropped
     for i in usable:
@@ -370,20 +378,17 @@ def smoothing_profile(solution: TrajectorySolution, spec: ProblemSpec, d_max: in
                 rec = axis_records.get(alpha) or _norm_of_modes(modes, alpha, s)
                 if d > 0 and alpha not in axis_records:
                     bound = sum(axis_records[a].value for a in axis_records)
-                    if rec.value > bound * (1.0 + 1e-12):
+                    if rec.value > bound * (1.0 + _ROUNDOFF):
                         domination_ok = False
-                entry = (weight * rec.value / _multi_factorial(alpha), t, alpha, rec.reliable)
-                if best[d] is None or entry[0] > best[d][0]:
-                    best[d] = entry
-                if raw_best[d] is None or rec.value > raw_best[d][0]:
-                    raw_best[d] = (rec.value, t)
+                candidates[d].append((weight * rec.value / _multi_factorial(alpha), rec.value,
+                                      t, alpha, rec.reliable))
         del modes, freqs, xi_sq, amplitudes, steps, ladder
-    orders = tuple(
-        OrderRecord(d=d, supremum=sup, scale=sup ** (1.0 / (d + 1)), argmax_time=t_arg,
-                    argmax_alpha=alpha_arg, raw_supremum=raw[0], raw_argmax_time=raw[1],
-                    reliable=reliable)
-        for d, ((sup, t_arg, alpha_arg, reliable), raw) in enumerate(zip(best, raw_best))
-    )
+    orders = []
+    for d, entries in enumerate(candidates):
+        (sup, at), (raw, raw_at) = _first_maximum(entries, 0), _first_maximum(entries, 1)
+        orders.append(OrderRecord(d=d, supremum=sup, scale=sup ** (1.0 / (d + 1)),
+                                  argmax_time=at[2], argmax_alpha=at[3], raw_supremum=raw,
+                                  raw_argmax_time=raw_at[2], reliable=at[4]))
     if not any(rec.reliable for rec in orders):
         raise EmptyReportError(
             f"all derivative orders up to {d_max} sit below the round-off noise floor"
@@ -402,7 +407,7 @@ def smoothing_profile(solution: TrajectorySolution, spec: ProblemSpec, d_max: in
         grid_L=solution.grid.L,
         strategy=selector.strategy,
         axes=axes,
-        orders=orders,
+        orders=tuple(orders),
         fit=None,
         fit_error=None,
         axis_domination_verified=domination_ok,

@@ -171,7 +171,8 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs.copy())
 
     def grid_values(self) -> np.ndarray:
-        return np.fft.ifftn(self.coeffs * self.coeffs.size)
+        """Grid samples sum_k c_k e^{i k.x/L}: the unscaled inverse FFT, with no scaled copy."""
+        return np.fft.ifftn(self.coeffs, norm="forward")
 
     # -- arithmetic ----------------------------------------------------------------
 

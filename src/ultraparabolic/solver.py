@@ -49,7 +49,7 @@ snapshots on one grid):
   shared by all columns when a varies only along diffused axes, one per
   column else.  These LU paths live in _slab_lu, which solve_fd imports,
   and with it SciPy, only when one first runs.  One step loop serves every
-  slab solver and holds the state in the solver's coordinates.
+  slab solver, holds the state in its coordinates, one advance per step size.
   Coefficients and transport speeds keep the per-axis form of
   Preset.evaluate; only the state and the step's four work arrays have the
   full grid shape.  The step is refused up front when the advective CFL
@@ -210,8 +210,6 @@ class TrajectorySolution:
     a snapshot's spectrum each time it is read.
     """
 
-    spec_name: str
-    spec_hash: str
     method: str
     grid: TorusGrid
     times: np.ndarray
@@ -382,8 +380,6 @@ def solve_exact(spec: ProblemSpec, grid: TorusGrid | None = None, times=None,
         for t in times
     )
     return TrajectorySolution(
-        spec_name=spec.name,
-        spec_hash=spec.spec_hash(),
         method="exact",
         grid=grid,
         times=times,
@@ -637,8 +633,8 @@ def _sine_steps(a_vals, m0: int, h: float, u, state, spare):
     one transform of the rate, three passes and one transform back into u,
     which the next explicit terms read.  `state` keeps u_hat between steps,
     and `u` receives the grid values; `rate` and `spare` are the transforms'
-    work arrays.  The factors (of the broadcast shape of a and lam) are
-    built by each call of step, once per run of equal steps.
+    work arrays.  Each call step(step_dt) builds the factors (of the
+    broadcast shape of a and lam); solve_fd makes one per step size.
     """
     n, N = u.ndim, u.shape[0]
     axes = list(range(m0))
@@ -711,8 +707,8 @@ def _sine_slab_solver(a_vals, m0: int, h: float, spare):
     guard runs first and gives a >= 1/Lambda > 0, so each diagonal exceeds
     the sum of its off-diagonals by at least 1 and every pivot is at least 1.
 
-    The factors p and c (of the broadcast shape of a and lam_other) are
-    built once per step_dt.
+    Each call implicit_solver(step_dt) builds the factors p and c (of the
+    broadcast shape of a and lam_other); solve_fd makes one per step size.
     """
     n, N = spare.ndim, spare.shape[0]
     lines = [ax for ax in range(m0) if np.shape(a_vals)[ax] > 1]
@@ -720,20 +716,16 @@ def _sine_slab_solver(a_vals, m0: int, h: float, spare):
     S, lam = _slab_sine_basis(N, axes, n, h)
     cells = [(slice(None),) * lines[0] + (i,) for i in range(N)]  # slice i along l
     line = np.empty(spare[cells[0]].shape)
-    factor_cache = {}
 
     def implicit_solver(step_dt):
-        if step_dt not in factor_cache:
-            off = (-_THETA * step_dt / (h * h)) * a_vals
-            diag = 1.0 + _THETA * step_dt * a_vals * (2.0 / (h * h) - lam)
-            pivot, upper = np.empty(diag.shape), np.empty(diag.shape)
-            pivot[cells[0]] = 1.0 / diag[cells[0]]
-            upper[cells[0]] = off[cells[0]] * pivot[cells[0]]
-            for prev, cell in zip(cells, cells[1:]):
-                pivot[cell] = 1.0 / (diag[cell] - off[cell] * upper[prev])
-                upper[cell] = off[cell] * pivot[cell]
-            factor_cache[step_dt] = pivot, upper
-        pivot, upper = factor_cache[step_dt]
+        off = (-_THETA * step_dt / (h * h)) * a_vals
+        diag = 1.0 + _THETA * step_dt * a_vals * (2.0 / (h * h) - lam)
+        pivot, upper = np.empty(diag.shape), np.empty(diag.shape)
+        pivot[cells[0]] = 1.0 / diag[cells[0]]
+        upper[cells[0]] = off[cells[0]] * pivot[cells[0]]
+        for prev, cell in zip(cells, cells[1:]):
+            pivot[cell] = 1.0 / (diag[cell] - off[cell] * upper[prev])
+            upper[cell] = off[cell] * pivot[cell]
 
         def solve(rhs):
             x, free = _sine_transform(S, rhs, spare, axes)
@@ -796,9 +788,10 @@ def _require_memory(snapshots: int, n: int, N: int, solver_axes=()) -> None:
         + (f"retry with N <= {fit}" if fit >= 4 else "no grid fits"))
 
 
-# The implicit weight of the theta scheme: Crank-Nicolson.  Every slab solver
-# reads it.
+# The implicit weight of the theta scheme (Crank-Nicolson), which every slab
+# solver reads, and the largest advective CFL number solve_fd accepts.
 _THETA = 0.5
+_CFL_LIMIT = 0.8
 
 # Refuse a run that needs more time steps than this: even on the smallest
 # grids it would take minutes, and a mistyped --dt would hang the stage.
@@ -848,17 +841,18 @@ def _snapshot_segments(times, dt_base, T, strict):
 
 
 def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None = None,
-             times=None, cfl_limit: float = 0.8) -> TrajectorySolution:
+             times=None) -> TrajectorySolution:
     """IMEX Crank-Nicolson scheme: implicit central diffusion, explicit upwinded transport.
 
     One loop takes every step: the explicit terms E(u) of the grid values u
     go to the slab solver's advance, which returns the new state, in the
     solver's coordinates, and the new grid values.  On the sine route the
     state is the sine transform of u (_sine_steps), elsewhere u itself
-    (_grid_steps); a step allocates no grid-sized array on either.
+    (_grid_steps); a step allocates no grid-sized array on either.  One
+    advance, with its factors, serves every gap taken with its step size.
     Aborts with CoercivityError when the sampled diffusion coefficient leaves
     [1/Lambda, Lambda], with CFLError (carrying a suggested dt) when the
-    advective step bound fails, and with SolverError when the run would take
+    advective step bound (_CFL_LIMIT) fails, and with SolverError when the run would take
     more than _MAX_FD_STEPS steps (naming a dt that passes) or when its
     snapshots, work arrays and the solve stage's transients would not fit in
     physical memory (naming the largest N that fits, see _require_memory).
@@ -891,11 +885,11 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     max_speed = float(np.max(sum(np.abs(w) for w in speeds.values())))
     strict = dt is not None
     if dt is None:
-        advective = cfl_limit * h / (2.0 * max_speed) if max_speed > 0 else np.inf
+        advective = _CFL_LIMIT * h / (2.0 * max_speed) if max_speed > 0 else np.inf
         dt = float(min(spec.T / 64.0, advective))
     cfl = max_speed * dt / h
-    if cfl > cfl_limit:
-        raise CFLError(dt, cfl, cfl_limit, suggested_dt=0.5 * cfl_limit * h / max_speed)
+    if cfl > _CFL_LIMIT:
+        raise CFLError(dt, cfl, _CFL_LIMIT, suggested_dt=0.5 * _CFL_LIMIT * h / max_speed)
     if b0_vals is not None and dt * float(np.abs(b0_vals).max()) > 1.0:
         raise CFLError(dt, dt * float(np.abs(b0_vals).max()), 1.0,
                        suggested_dt=0.5 / float(np.abs(b0_vals).max()))
@@ -914,12 +908,12 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
         slab_solver = "splu-shared"  # every column sees the same slab operator
     else:
         slab_solver = "splu-per-column"
-    # the two factors of a sine route span the axes of a and of the slab
-    # eigenvalues; the tridiagonal sweep also keeps one slice of n - 1 axes
+    # the two factors of a sine route per step size span the axes of a and of
+    # the slab eigenvalues; the tridiagonal sweep also keeps one slice of n - 1 axes
     factor_axes = len(set(varies) | set(range(m0)))
+    factors = 2 * len({step_dt for steps, step_dt in segments if steps}) * (factor_axes,)
     _require_memory(len(times), n, N, {
-        "sine": (factor_axes, factor_axes),
-        "sine-tridiagonal": (factor_axes, factor_axes, n - 1)}.get(slab_solver, ()))
+        "sine": factors, "sine-tridiagonal": factors + (n - 1,)}.get(slab_solver, ()))
 
     # work arrays, allocated once per solve: the state (in the slab solver's
     # coordinates) or the next right-hand side, the explicit terms `rate`,
@@ -964,15 +958,15 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
 
     # one loop for every slab solver: `state` is in the solver's coordinates,
     # u the grid values the explicit terms and the snapshots read
+    advances = {}  # one per distinct step size
     for steps, step_dt in segments:
-        advance = step(step_dt) if steps else None
+        if steps and step_dt not in advances:
+            advances[step_dt] = step(step_dt)
         for _ in range(steps):
-            state, u = advance(state, explicit_terms(u))
+            state, u = advances[step_dt](state, explicit_terms(u))
         record(u)
 
     return TrajectorySolution(
-        spec_name=spec.name,
-        spec_hash=spec.spec_hash(),
         method="fd",
         grid=grid,
         times=times,
@@ -980,7 +974,7 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
         diagnostics={
             "dt": dt,
             "cfl": cfl,
-            "cfl_limit": cfl_limit,
+            "cfl_limit": _CFL_LIMIT,
             "mass": np.array(mass),
             "boundary_fraction": np.array(boundary_fraction),
             "slab_solver": slab_solver,
@@ -1199,15 +1193,14 @@ class EnergyReport:
         return float(np.max(self.ratio))
 
 
-def energy_check(solution: TrajectorySolution, spec: ProblemSpec,
-                 s: float | None = None) -> EnergyReport:
+def energy_check(solution: TrajectorySolution, spec: ProblemSpec) -> EnergyReport:
     """The EnergyReport of a trajectory, from one weighted spectrum per snapshot.
 
-    ||u||_{H^s}^2 is the sum of the spectrum P = <xi>^{2s} |c|^2
-    (_weighted_spectra), and ||d_k u||_{H^s}^2 is its marginal along axis k
-    against xi_k^2, so no derivative field is formed.
+    Norms are in H^s, s = spec.s: ||u||_{H^s}^2 is the sum of the spectrum
+    P = <xi>^{2s} |c|^2 (_weighted_spectra), and ||d_k u||_{H^s}^2 is its
+    marginal along axis k against xi_k^2, so no derivative field is formed.
     """
-    s = float(spec.s) if s is None else float(s)
+    s = float(spec.s)
     grid = solution.grid
     times = solution.times
     freqs, weighted = _weighted_spectra(solution, s)

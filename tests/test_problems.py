@@ -1,10 +1,14 @@
 """Problem specs: preset evaluation, JSON round trips, validation, reports."""
 
+import dataclasses
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from ultraparabolic import problems
+from ultraparabolic.fieldio import canonical_json
 from ultraparabolic.problems import (
     CoercivityReport,
     ConstantPreset,
@@ -154,6 +158,31 @@ def test_preset_json_round_trips():
         assert preset_from_json(p.to_json_dict()) == p
 
 
+def test_every_preset_kind_writes_each_of_its_fields():
+    # each field set away from its default: the JSON holds `kind` and every
+    # field name, each in its default's JSON type, and reads back to an equal
+    # preset; an empty tuple field is left out.  A new kind is covered as is.
+    for kind, cls in problems._PRESETS.items():
+        fields = dataclasses.fields(cls)
+        values = {f.name: (0.5, -1.25) if isinstance(f.default, tuple)
+                  else f.default + (1 if isinstance(f.default, int) else 0.375)
+                  for f in fields}
+        preset = cls(**values)
+        assert all(getattr(preset, f.name) != f.default for f in fields), kind
+        doc = preset.to_json_dict()
+        assert doc["kind"] == kind
+        assert set(doc) == {"kind"} | {f.name for f in fields}, kind
+        for f in fields:
+            want = list if isinstance(f.default, tuple) else type(f.default)
+            assert type(doc[f.name]) is want, (kind, f.name)
+        assert preset_from_json(json.loads(canonical_json(doc))) == preset, kind
+        for f in fields:
+            if isinstance(f.default, tuple):
+                empty = dataclasses.replace(preset, **{f.name: ()})
+                assert f.name not in empty.to_json_dict(), (kind, f.name)
+                assert preset_from_json(empty.to_json_dict()) == empty, (kind, f.name)
+
+
 def test_preset_json_rejects_bad_input():
     assert preset_from_json({"kind": "zero"}) == ConstantPreset(0.0)
     with pytest.raises(ProblemSpecError):
@@ -185,6 +214,24 @@ def test_builtin_files_are_canonical():
     for name in ALL_BUILTINS:
         text = (root / f"{name}.json").read_text(encoding="utf-8")
         assert ProblemSpec.loads(text).dumps() == text
+
+
+# spec_hash ties every certificate, snapshot and smoothing scale to its spec,
+# so a change in how a builtin is written shows here
+BUILTIN_SPEC_HASHES = {
+    "brownian-inertia": "ce9d8f286729280b",
+    "chain3": "98e8c83767e13f3e",
+    "fokkerplanck": "5b60628a0641463d",
+    "heat": "51e040f151942e22",
+    "kolmogorov-general": "11cdb412bcf195a2",
+    "kolmogorov2d": "aff584bb608fdad8",
+    "kolmogorov2d-lowreg": "bcf515d6b50ea9d7",
+    "lp-block": "8ee147bb35bfee00",
+}
+
+
+def test_builtin_spec_hashes_are_pinned():
+    assert {name: load_builtin(name).spec_hash() for name in ALL_BUILTINS} == BUILTIN_SPEC_HASHES
 
 
 def test_spec_hash_tracks_content():

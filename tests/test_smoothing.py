@@ -384,12 +384,33 @@ def test_all_orders_below_floor_raises_empty_report():
     spec = load_builtin("heat")
     grid = TorusGrid(2, 16, 1.0)
     field = SpectralField.single_mode(grid, (7, 7), 1.0)
-    sol = TrajectorySolution(
-        spec_name="manual", spec_hash="0", method="manual", grid=grid,
-        times=np.array([1.0]), fields=(field,),
-    )
+    sol = TrajectorySolution(method="manual", grid=grid, times=np.array([1.0]), fields=(field,))
     with pytest.raises(EmptyReportError):
         smoothing_profile(sol, spec, d_max=2, s=-40.0)
+
+
+def test_argmax_ties_go_to_the_first_candidate_not_to_round_off():
+    # modes (k, 0) and (0, k) whose amplitudes differ by 2^-50 relative: the
+    # pure powers along the two axes are equal up to round-off, so the
+    # reported argmax is the first in selector order, axis 0, whichever mode
+    # round-off makes larger; S_d and M_d stay the exact maxima
+    spec = load_builtin("heat")
+    grid = TorusGrid(2, 16, 1.0)
+    k, A = 3, 0.75
+    for bumped in ((0, k), (k, 0)):
+        coeffs = np.zeros(grid.shape, dtype=complex)
+        coeffs[k, 0] = coeffs[0, k] = A
+        coeffs[bumped] = A * (1.0 + 2.0**-50)
+        field = SpectralField(grid, coeffs)
+        sol = TrajectorySolution(method="manual", grid=grid, times=np.array([1.0]),
+                                 fields=(field,))
+        rep = smoothing_profile(sol, spec, d_max=6)
+        for rec in rep.orders[1:]:
+            assert rec.argmax_alpha == (rec.d, 0), (bumped, rec.d)
+            top = max(derivative_norm(field, alpha, 0.0).value
+                      for alpha in ((rec.d, 0), (0, rec.d)))
+            assert rec.raw_supremum == top
+            assert rec.supremum == top / math.factorial(rec.d)
 
 
 def test_profile_validates_d_max():

@@ -635,6 +635,49 @@ def test_dst_coordinate_steps_equal_the_grid_loop():
     assert all(np.array_equal(got, ref) for got, ref in zip(sol.fields.values, want, strict=True))
 
 
+def test_step_sizes_a_b_a_reuse_one_advance_each(monkeypatch):
+    # snapshot gaps taken with steps A, B and then A again: solve_fd builds
+    # one advance per distinct step size, and the third gap, on the first
+    # gap's advance, matches a grid loop that builds a fresh solver per gap
+    built = []
+
+    def counted(step):
+        def wrapped(step_dt):
+            built.append(step_dt)
+            return step(step_dt)
+        return wrapped
+
+    sine_steps, grid_steps = solver._sine_steps, solver._grid_steps
+
+    def sine_counted(*args):
+        state, step = sine_steps(*args)
+        return state, counted(step)
+
+    monkeypatch.setattr(solver, "_sine_steps", sine_counted)
+    monkeypatch.setattr(solver, "_grid_steps", lambda *args: counted(grid_steps(*args)))
+    base = load_builtin("fokkerplanck")
+    cases = [(base, 6, "sine", _sine_division_solver),
+             (load_builtin("kolmogorov-general"), 8, "sine-tridiagonal", solver._sine_slab_solver),
+             (dataclasses.replace(base, a=_SpanningConstant(1.0, axes=(0, 1, base.n - 1))), 6,
+              "splu-per-column", _splu_slab_solver)]
+    for spec, N, slab_solver, reference in cases:
+        # dyadic gaps T/32, 3T/128, T/32: the first and last are equal to the bit
+        times = spec.T * np.array([0.0, 1 / 32, 1 / 32 + 3 / 128, 2 / 32 + 3 / 128])
+        built.clear()
+        sol = solve_fd(spec, spec.default_grid(N=N), times=times)
+        assert sol.diagnostics["slab_solver"] == slab_solver
+        steps = [step_dt for n_steps, step_dt in _snapshot_segments(
+            times, sol.diagnostics["dt"], spec.T, False)[1] if n_steps]
+        assert len(steps) == 3 and steps[0] == steps[2] != steps[1], slab_solver
+        assert built == steps[:2], slab_solver
+        want = _grid_loop_reference(sol, spec, reference)
+        for got, ref in zip(sol.fields.values, want, strict=True):
+            if slab_solver == "sine":
+                assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+            else:
+                assert np.array_equal(got, ref), slab_solver
+
+
 @pytest.mark.parametrize("name, N, slab_solver", [
     ("fokkerplanck", 8, "sine"),
     ("kolmogorov-general", 20, "sine-tridiagonal"),
