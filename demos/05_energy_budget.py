@@ -14,7 +14,7 @@ bounded, grid-stable factor.
 
 import numpy as np
 
-from ultraparabolic import builtin_spec_names, energy_check, load_builtin, solve_auto
+from ultraparabolic import builtin_spec_names, energy_check, hs_norm, load_builtin, solve_auto
 
 # ----------------------------------------------------------------------
 # one row per shipped spec: solve on the spec's own default grid and
@@ -45,6 +45,6 @@ for N in (32, 64, 128):
 sol = solve_auto(spec, times=np.linspace(0.0, spec.T, 9))
 rep = energy_check(sol, spec)
 print("t, ||u||^2 share, dissipation share of the budget:")
-norm_sq = sol.hs_series(spec.s) ** 2
+norm_sq = np.array([hs_norm(f, spec.s) for f in sol.fields]) ** 2
 for t, e, nsq in zip(rep.times, rep.energy, norm_sq):
     print(f"  {t:4.2f}  {nsq / rep.budget:8.5f}  {(e - nsq) / rep.budget:8.5f}")

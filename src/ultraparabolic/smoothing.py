@@ -358,7 +358,8 @@ def smoothing_profile(solution: TrajectorySolution, spec: ProblemSpec, d_max: in
     domination_ok = True
     candidates = [[] for _ in range(d_max + 1)]  # (S, M, t, alpha, reliable) in visiting order
     sources = solution.mode_ledgers or solution.fields
-    # snapshot-outer: each snapshot's frequencies are built once, then dropped
+    # snapshot-outer: each snapshot's ledger (formed on read) and frequencies
+    # are built once, then dropped
     for i in usable:
         t = float(times[i])
         modes = freqs, xi_sq, amplitudes = _mode_data(sources[i])

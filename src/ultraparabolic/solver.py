@@ -16,10 +16,12 @@ snapshots on one grid):
   samples, so the route also satisfies the semigroup property to near machine
   precision.  The route's native output is one ModeLedger per snapshot (the
   damped amplitudes; frequencies() gives every mode's true frequency
-  e^{-tB} xi).  A snapshot's grid field is formed from its ledger by the
-  resampling the first time `fields`, `snapshot(i)` or `final` reads it, and
-  is then kept, so a stage that reads only the ledgers never resamples.  The
-  phases, damping and frequencies are built from the per-axis vectors of
+  e^{-tB} xi).  Each ledger is formed each time it is read and not kept, so
+  a stage that walks the snapshots in order holds one ledger at a time.  A
+  snapshot's grid field is formed from its ledger by the resampling the
+  first time `fields`, `snapshot(i)` or `final` reads it, and is then kept,
+  so a stage that reads only the ledgers never resamples.  The phases,
+  damping and frequencies are built from the per-axis vectors of
   grid.frequency and grid.coordinate, which broadcast over the grid, so
   each costs only the axes it varies along.
 
@@ -134,8 +136,9 @@ class ModeLedger:
     amplitude of the mode at initial lattice index idx, and its true frequency
     along axis ax is sum_j matrix[ax, j] * xi_j(idx), from `frequencies()[ax]`.
     Weighted mode sums computed from the ledger are exact at any order.
-    The exact route's grid field of a snapshot is formed from its ledger, on
-    first read (see TrajectorySolution).
+    The exact route forms a snapshot's ledger each time it is read and keeps
+    none (see _Ledgers); its grid field is resampled from the ledger on first
+    read (see TrajectorySolution).
     """
 
     grid: TorusGrid
@@ -152,7 +155,16 @@ class ModeLedger:
         return list(_row_combinations(self.matrix, freqs, range(self.grid.n)))
 
 
-class _GridFields(Sequence):
+class _OnRead(Sequence):
+    """A sequence whose item i is self._item(i); a slice is the tuple of its items."""
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self._item(j) for j in range(*i.indices(len(self))))
+        return self._item(i)
+
+
+class _GridFields(_OnRead):
     """The FD route's snapshots: real grid values, their spectra formed on read.
 
     `values[i]` is the real state u at times[i]; item i is
@@ -167,33 +179,55 @@ class _GridFields(Sequence):
     def __len__(self):
         return len(self.values)
 
-    def __getitem__(self, i):
+    def _item(self, i):
         return SpectralField.from_grid_values(self.grid, self.values[i])
 
 
-class _LedgerFields(Sequence):
-    """The exact route's grid fields, formed from its ledgers when first read.
+class _Ledgers(_OnRead):
+    """The exact route's ModeLedgers, each formed when it is read and not kept.
 
-    Item i is the ledger's amplitudes resampled on the grid by _transport at
-    times[i]; each is formed once and kept, because `solve` reads every field
-    three times (residual, energy, write).
+    Item i is the ledger at times[i]: e^{-t_i B} and the initial coefficients
+    `base` damped by exp(-a int_0^t_i |P e^{-tau B} xi|^2 dtau), so reading
+    the snapshots in order holds one ledger at a time.
     """
 
-    def __init__(self, ledgers: tuple, powers: list, order: list, times: np.ndarray):
+    def __init__(self, grid: TorusGrid, base: np.ndarray, a: float, powers: list, m0: int,
+                 times: np.ndarray):
+        self.grid, self.base, self.a = grid, base, a
+        self.powers, self.m0, self.times = powers, m0, times
+
+    def __len__(self):
+        return len(self.times)
+
+    def _item(self, i):
+        t = self.times[i]
+        damping = _damping_exponent(self.grid, self.powers, self.m0, t, self.grid.n + 1)
+        return ModeLedger(self.grid, _matrix_exponential(self.powers, -t),
+                          self.base * np.exp(-self.a * damping))
+
+
+class _LedgerFields(_OnRead):
+    """The exact route's grid fields, resampled from its ledgers when first read.
+
+    Item i is ledger i's amplitudes resampled on the grid by _transport at
+    times[i].  The ledger is read for it and dropped; the field is formed
+    once and kept, because `solve` reads every field three times (residual,
+    energy, write).
+    """
+
+    def __init__(self, ledgers: _Ledgers, order: list):
         self._ledgers = ledgers
-        self._powers = powers
         self._order = order
-        self._times = times
         self._formed = [None] * len(ledgers)
 
     def __len__(self):
         return len(self._ledgers)
 
-    def __getitem__(self, i):
+    def _item(self, i):
         if self._formed[i] is None:
-            ledger = self._ledgers[i]
+            ledgers, ledger = self._ledgers, self._ledgers[i]
             self._formed[i] = SpectralField(ledger.grid, _transport(
-                ledger.grid, ledger.coefficients, self._powers, self._order, self._times[i]))
+                ledger.grid, ledger.coefficients, ledgers.powers, self._order, ledgers.times[i]))
         return self._formed[i]
 
 
@@ -202,12 +236,13 @@ class TrajectorySolution:
     """Snapshots of one evolution: times[i] holds fields[i] on a common grid.
 
     `mode_ledgers` is populated by the exact route only.  There the ledgers
-    are the solution and `fields` is a sequence that forms snapshot i's grid
-    field from ledger i the first time it is read (through `fields`,
-    `snapshot(i)` or `final`) and keeps it; norm measurements read the
-    ledgers (true off-lattice frequencies) and so never form a field.  On the
-    FD route `fields` holds the real grid values (`fields.values`) and forms
-    a snapshot's spectrum each time it is read.
+    are the solution: a sequence that forms ledger i each time it is read and
+    keeps none, so norm measurements, which read the ledgers (true
+    off-lattice frequencies) one snapshot at a time, hold one ledger and
+    never form a field.  `fields` forms snapshot i's grid field from ledger i
+    the first time it is read (through `fields`, `snapshot(i)` or `final`)
+    and keeps it.  On the FD route `fields` holds the real grid values
+    (`fields.values`) and forms a snapshot's spectrum each time it is read.
     """
 
     method: str
@@ -215,7 +250,7 @@ class TrajectorySolution:
     times: np.ndarray
     fields: Sequence
     diagnostics: dict = field(default_factory=dict, compare=False)
-    mode_ledgers: tuple | None = None
+    mode_ledgers: Sequence | None = None
 
     def __post_init__(self):
         if len(self.fields) != len(self.times):
@@ -232,9 +267,6 @@ class TrajectorySolution:
     @property
     def final(self) -> SpectralField:
         return self.fields[-1]
-
-    def hs_series(self, s: float) -> np.ndarray:
-        return np.array([hs_norm(f, s) for f in self.fields])
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +384,23 @@ def _transport(grid, coeffs, powers, order, t) -> np.ndarray:
     return np.asarray(out)
 
 
+def _snapshot_times(times, default: np.ndarray) -> np.ndarray:
+    """`times` as a float array (`default` when None); refuses a non-finite time."""
+    times = default if times is None else np.asarray(times, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(times))
+    if bad.size:
+        raise SolverError(f"snapshot time {times.flat[bad[0]]} (entry {bad[0]}) is not finite")
+    return times
+
+
 def solve_exact(spec: ProblemSpec, grid: TorusGrid | None = None, times=None,
                 u0: SpectralField | None = None) -> TrajectorySolution:
     """Characteristics solution sampled on the grid at the requested times.
 
     Requires b = b0 = g = 0, constant a and an acyclic drift coupling digraph
-    (see _exact_route_supported).  `u0` overrides the spec's initial preset
-    (used for semigroup restarts).
+    (see _exact_route_supported) and finite snapshot times.  `u0` overrides
+    the spec's initial preset (used for semigroup restarts).  The ledgers are
+    formed on read (_Ledgers), the grid fields from them (_LedgerFields).
     """
     reason = _exact_route_supported(spec)
     if reason is not None:
@@ -366,24 +408,17 @@ def solve_exact(spec: ProblemSpec, grid: TorusGrid | None = None, times=None,
     grid = grid or spec.default_grid()
     if grid.n != spec.n:
         raise SolverError(f"grid dimension {grid.n} != spec dimension {spec.n}")
-    times = np.array([0.0, spec.T]) if times is None else np.asarray(times, dtype=float)
+    times = _snapshot_times(times, np.array([0.0, spec.T]))
     if times.ndim != 1 or len(times) == 0 or np.any(times < 0):
         raise SolverError("times must be a nonempty 1-D array of nonnegative instants")
-    powers = _nilpotent_powers(spec.B, spec.n)
-    order = _axis_order(spec.B)
-    a_val = float(spec.a.value)
     base = (u0 if u0 is not None else spec.u0.spectral(grid)).coeffs
-    quad_order = spec.n + 1
-    ledgers = tuple(
-        ModeLedger(grid, _matrix_exponential(powers, -t),
-                   base * np.exp(-a_val * _damping_exponent(grid, powers, spec.m0, t, quad_order)))
-        for t in times
-    )
+    ledgers = _Ledgers(grid, base, float(spec.a.value), _nilpotent_powers(spec.B, spec.n),
+                       spec.m0, times)
     return TrajectorySolution(
         method="exact",
         grid=grid,
         times=times,
-        fields=_LedgerFields(ledgers, powers, order, times),
+        fields=_LedgerFields(ledgers, _axis_order(spec.B)),
         mode_ledgers=ledgers,
     )
 
@@ -850,7 +885,8 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     state is the sine transform of u (_sine_steps), elsewhere u itself
     (_grid_steps); a step allocates no grid-sized array on either.  One
     advance, with its factors, serves every gap taken with its step size.
-    Aborts with CoercivityError when the sampled diffusion coefficient leaves
+    Refuses a non-finite snapshot time before any work.  Aborts with
+    CoercivityError when the sampled diffusion coefficient leaves
     [1/Lambda, Lambda], with CFLError (carrying a suggested dt) when the
     advective step bound (_CFL_LIMIT) fails, and with SolverError when the run would take
     more than _MAX_FD_STEPS steps (naming a dt that passes) or when its
@@ -868,6 +904,7 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     route (`route_reason`, from _exact_route_supported; None when the exact
     route would apply).
     """
+    times = _snapshot_times(times, np.linspace(0.0, spec.T, 9))
     grid = grid or spec.default_grid()
     if grid.n != spec.n:
         raise SolverError(f"grid dimension {grid.n} != spec dimension {spec.n}")
@@ -894,7 +931,6 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
         raise CFLError(dt, dt * float(np.abs(b0_vals).max()), 1.0,
                        suggested_dt=0.5 / float(np.abs(b0_vals).max()))
 
-    times = np.linspace(0.0, spec.T, 9) if times is None else np.asarray(times, dtype=float)
     times, segments = _snapshot_segments(times, dt, spec.T, strict)
 
     # the implicit slab solver, chosen from the diffused axes a varies along

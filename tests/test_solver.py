@@ -70,6 +70,11 @@ def partial_derivative(f, alpha):
     return SpectralField(f.grid, out)
 
 
+def hs_series(sol, s):
+    """The H^s norm of each snapshot."""
+    return np.array([hs_norm(f, s) for f in sol.fields])
+
+
 def mass_series(sol):
     """Box integral of each snapshot (volume * zero mode)."""
     volume = (2.0 * np.pi * sol.grid.L) ** sol.grid.n
@@ -766,7 +771,7 @@ def test_fd_six_dimensional_kinetic_runs():
     sol = solve_fd(spec, times=np.linspace(0.0, spec.T, 3))
     assert sol.method == "fd"
     assert sol.diagnostics["slab_solver"] == "sine"
-    assert np.all(np.isfinite(sol.hs_series(spec.s)))
+    assert np.all(np.isfinite(hs_series(sol, spec.s)))
     assert sol.diagnostics["boundary_fraction"].max() < 0.01
 
 
@@ -969,7 +974,7 @@ def test_energy_monotone_infinite_when_budget_zero_but_energy_not():
 def _energy_reference(solution, spec):
     """Reference: the per-axis energy, one derivative field and hs_norm per axis and snapshot."""
     s = float(spec.s)
-    norms_sq = solution.hs_series(s) ** 2
+    norms_sq = hs_series(solution, s) ** 2
     dissipation = np.zeros(len(solution.times))
     for ax in range(spec.m0):
         alpha = tuple(int(j == ax) for j in range(solution.grid.n))
@@ -1081,7 +1086,7 @@ def test_trajectory_container_invariants():
     assert len(sol) == 4
     assert l2_norm(sol.snapshot(0)) == pytest.approx(hs_norm(sol.fields[0], 0.0))
     assert sol.final is sol.fields[-1]
-    series = sol.hs_series(1.0)
+    series = hs_series(sol, 1.0)
     assert series.shape == (4,)
     assert np.all(np.diff(series) <= 1e-12)  # diffusion never grows this norm
     with pytest.raises(ValueError):
@@ -1207,6 +1212,91 @@ def test_exact_fields_are_formed_on_read_at_most_once(monkeypatch, tmp_path):
     assert cli.main(["smoothing", "--spec", "kolmogorov2d", "--grid", "16", "--tgrid", "9",
                      "--out", str(tmp_path / "smoothing")]) == 0
     assert calls == []
+
+
+def test_exact_ledgers_are_formed_on_read_and_not_kept():
+    spec = load_builtin("lp-block")
+    grid = spec.default_grid(N=8)
+    array = 16 * grid.N**grid.n  # one complex grid array
+
+    def solve_and_profile(count):
+        times = np.linspace(spec.T / 100, spec.T, count)
+        return smoothing_profile(solve_exact(spec, grid, times=times), spec, d_max=2)
+
+    # each run under tracing leaves more of the interpreter's free-list
+    # blocks traced, and the peaks settle after a few; each run is then traced
+    # from the memory held at its start.  The candidates of each order still
+    # grow by about 1 KiB per snapshot, so the orders are kept few
+    tracemalloc.start()
+    try:
+        for _ in range(4):
+            solve_and_profile(41)
+        peaks = {}
+        for count in (5, 41):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            solve_and_profile(count)
+            peaks[count] = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    # 41 ledgers held at once would add 36 arrays
+    assert abs(peaks[41] - peaks[5]) < array, peaks
+
+    sol = solve_exact(spec, grid, times=[0.0, 0.37])
+    first, again = sol.mode_ledgers[1], sol.mode_ledgers[1]
+    assert first is not again
+    assert np.array_equal(first.coefficients, again.coefficients)
+    assert np.array_equal(first.matrix, again.matrix)
+
+
+def test_snapshot_sequences_slice_into_tuples_of_their_items():
+    spec = load_builtin("kolmogorov2d")
+    grid = TorusGrid(2, 8, 4.0)
+    times = [0.0, 0.1, 0.2]
+    exact, fd = solve_exact(spec, grid, times=times), solve_fd(spec, grid, times=times)
+    for sequence in (exact.mode_ledgers, exact.fields, fd.fields):
+        parts = sequence[1:]
+        assert isinstance(parts, tuple) and len(parts) == 2
+        for got, i in zip(parts, (1, 2)):
+            assert type(got) is type(sequence[i])
+            for name in ("coeffs", "coefficients", "matrix"):
+                if hasattr(got, name):
+                    assert np.array_equal(getattr(got, name), getattr(sequence[i], name))
+    assert exact.fields[:1] == (exact.fields[0],)  # formed once, then the kept field
+
+
+def test_cli_stages_form_each_exact_ledger_at_most_once(monkeypatch, tmp_path):
+    calls = []
+
+    def counting(grid, powers, m0, t, quad_order):
+        calls.append(float(t))
+        return damping(grid, powers, m0, t, quad_order)
+
+    damping = solver._damping_exponent
+    monkeypatch.setattr(solver, "_damping_exponent", counting)
+    for stage in ("solve", "smoothing"):
+        calls.clear()
+        assert cli.main([stage, "--spec", "lp-block", "--grid", "8", "--tgrid", "9",
+                         "--out", str(tmp_path / stage)]) == 0
+        assert calls and max(Counter(calls).values()) == 1, stage
+
+
+@pytest.mark.parametrize("times, bad", [([float("nan")], "nan"), ([0.0, float("inf")], "inf")])
+def test_exact_route_refuses_non_finite_times(times, bad):
+    spec = load_builtin("kolmogorov2d")
+    with pytest.raises(SolverError, match=rf"snapshot time {bad} \(entry {len(times) - 1}\)"):
+        solve_exact(spec, TorusGrid(2, 8, 4.0), times=times)
+
+
+def test_fd_route_refuses_non_finite_times_before_any_work(monkeypatch):
+    spec = load_builtin("kolmogorov-general")
+
+    def no_work(*args):
+        raise AssertionError("the coefficients were sampled")
+
+    monkeypatch.setattr(solver, "coercivity_check", no_work)
+    with pytest.raises(SolverError, match=r"snapshot time nan \(entry 1\) is not finite"):
+        solve_fd(spec, spec.default_grid(N=8), times=[0.0, float("nan")])
 
 
 # ---------------------------------------------------------------------------
