@@ -21,10 +21,17 @@ Two selector strategies choose the tested multi-indices alpha:
 
 Norms prefer the solution's exact per-mode ledger when present (true
 off-lattice frequencies; see solver.ModeLedger) and otherwise fall back to
-the grid spectrum.  Every value is checked against its round-off floor: a
-norm below 1000 * eps * (max multiplier) * ||u|| is noise and the record
-carries reliable=False; unreliable orders are reported but excluded from
-fits.
+the grid spectrum: the half spectrum of the real grid values on the FD
+route.  Each snapshot is reduced once to its power spectrum |c|^2, and
+each norm is formed on the span of its multiplier <xi>^s prod |xi_j|^alpha_j,
+the axes that multiplier varies along, against the power summed over the
+other axes.  At s = 0 a pure power d * e_j spans only the axes its
+frequency row couples (one axis on a lattice), so the axis ladder makes a
+few grid-size passes per snapshot (|c|^2 and one sum per distinct span)
+and only span-size ones per order.  Every value is checked against its
+round-off floor: a norm below 1000 * eps * (max multiplier) * ||u|| is
+noise and the record carries reliable=False; unreliable orders are
+reported but excluded from fits.
 
 gevrey_fit quantifies the growth of the *unweighted* suprema
 M_d = max_t ||d^alpha u(t)||_{H^s} by least squares in the model
@@ -36,6 +43,7 @@ growth at the edge of analyticity).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import factorial, lgamma, prod
@@ -44,8 +52,8 @@ import numpy as np
 
 from ._errors import DegenerateFitError, EmptyReportError
 from .problems import ProblemSpec
-from .solver import ModeLedger, TrajectorySolution
-from .sobolev import SpectralField, _bessel_weight, _frequency_sq
+from .solver import ModeLedger, TrajectorySolution, _GridFields
+from .sobolev import SpectralField, TorusGrid, _bessel_weight, _frequency_sq
 
 __all__ = [
     "DerivativeSelector",
@@ -63,6 +71,9 @@ __all__ = [
 ]
 
 _NOISE_FACTOR = 1e3
+_EPS = float(np.finfo(float).eps)
+# a sum of squares this large lost only terms below round-off to underflow
+_SMALLEST_SAFE_SUM = 2.0**-900
 _ROUNDOFF = 1e-12  # relative: the axis-domination slack and the argmax tie window
 
 
@@ -135,53 +146,119 @@ class DerivativeRecord:
         return self.value > self.floor or (self.value == 0.0 and self.floor == 0.0)
 
 
-def _mode_data(source):
-    """(per-axis frequency arrays, |xi|^2, |c|) of one snapshot.
+class _Modes:
+    """One snapshot reduced to what its derivative norms read.
 
-    A ledger gives its modes' true frequencies e^{-tB} xi, a grid field the
-    lattice frequencies; each frequency array spans only the axes it varies
-    along and broadcasts over the grid, while |xi|^2 and |c| have the grid
-    shape.  smoothing_profile builds the triple once per snapshot and
-    measures every derivative order on it.
+    `steps[ax]` is |xi_ax| over the snapshot's own frequencies and spans only
+    the axes it varies along.  `weight` is <xi>^s: ones of shape (1, ..., 1)
+    at s = 0, else an array over every axis.  `power` is |c|^2 formed from
+    |c| / 2^scale, where 2^(scale-1) <= max |c| < 2^scale, so no square
+    overflows, and one underflows only where |c| < 2^-537 max |c|; the bins
+    of a half spectrum count twice (see _mode_data).  `norm` is ||c||.
+    root(shape) is the square root of `power` summed over the axes along
+    which a multiplier of that shape does not vary; each is formed once and
+    kept, so the axis ladder reads at most n + 1 of them per snapshot.
+    """
+
+    __slots__ = ("steps", "weight", "power", "scale", "norm", "_roots")
+
+    def __init__(self, freqs, amplitudes: np.ndarray, half: bool, s: float):
+        self.steps = [np.abs(f) for f in freqs]
+        self.weight = (np.ones((1,) * amplitudes.ndim) if s == 0
+                       else _bessel_weight(_frequency_sq(freqs, amplitudes.shape), s))
+        self.scale = math.frexp(float(amplitudes.max()))[1]
+        power = np.ldexp(amplitudes, -self.scale, out=amplitudes)
+        power *= power
+        if half:
+            power[..., 1:-1] *= 2.0
+        self.power, self._roots = power, {}
+        self.norm = _scaled(float(self.root((1,) * power.ndim).item()), self.scale)
+
+    def root(self, shape) -> np.ndarray:
+        """sqrt(power summed over the axes where `shape` has length 1 or that it lacks)."""
+        root = self._roots.get(shape)
+        if root is None:
+            other = tuple(ax for ax in range(self.power.ndim)
+                          if ax >= len(shape) or shape[ax] == 1)
+            root = self._roots[shape] = np.sqrt(self.power.sum(axis=other, keepdims=True))
+        return root
+
+
+def _scaled(x: float, exponent: int) -> float:
+    """x * 2^exponent, inf where it leaves the float range."""
+    try:
+        return math.ldexp(x, exponent)
+    except OverflowError:
+        return math.inf
+
+
+def _mode_data(source, s: float, grid: TorusGrid | None = None) -> _Modes:
+    """The _Modes of one snapshot at H^s.
+
+    A ledger gives its modes' true frequencies e^{-tB} xi, a grid
+    SpectralField the lattice frequencies.  Given `grid`, `source` is the FD
+    route's real grid values: their half spectrum rfftn(u) / N^n is read on
+    the lattice's first N/2 + 1 frequencies of the last axis, each bin
+    counted twice except k = 0 and k = N/2 of that axis, which have no
+    distinct conjugate partner (the layout of solver._weighted_spectra), so
+    no full complex spectrum is formed.  |c| is the one float array of the
+    spectrum's size; it becomes the power spectrum in place.
     """
     if isinstance(source, ModeLedger):
-        freqs, coeffs = source.frequencies(), source.coefficients
-    elif isinstance(source, SpectralField):
-        freqs, coeffs = [source.grid.frequency(ax) for ax in range(source.grid.n)], source.coeffs
-    else:
-        raise TypeError(f"expected SpectralField or ModeLedger, got {type(source).__name__}")
-    return freqs, _frequency_sq(freqs, source.grid.shape), np.abs(coeffs)
+        return _Modes(source.frequencies(), np.abs(source.coefficients), False, s)
+    if isinstance(source, SpectralField):
+        grid = source.grid
+        return _Modes([grid.frequency(ax) for ax in range(grid.n)], np.abs(source.coeffs),
+                      False, s)
+    freqs = [grid.frequency(ax) for ax in range(grid.n)]
+    freqs[-1] = freqs[-1][..., :grid.N // 2 + 1]
+    amplitudes = np.abs(np.fft.rfftn(source))
+    amplitudes /= source.size
+    return _Modes(freqs, amplitudes, True, s)
 
 
-def _record(multiplier, amplitudes, amplitude_norm: float, alpha) -> DerivativeRecord:
-    """sqrt(sum |multiplier * c|^2) and its floor 1000 * eps * max multiplier * ||c||."""
+def _record(multiplier, modes: _Modes, alpha) -> DerivativeRecord:
+    """sqrt(sum |multiplier * c|^2) and its floor 1000 * eps * max multiplier * ||c||.
+
+    The sum runs over the span of the multiplier, the axes it varies along:
+    it is sum (multiplier * root)^2 with root = modes.root(multiplier.shape),
+    equal to the sum over every mode because the multiplier is constant along
+    the other axes.  So a multiplier that spans every axis costs a grid-size
+    product, any other one a product the size of its span.  When a square
+    leaves the float range, the sum is formed again from the multiplier
+    divided by the power of two of its maximum: the value then overflows
+    only when the norm does, and a term is lost to underflow only when its
+    square is below 2^-1074 (max multiplier * max |c|)^2.  An overflowed
+    weight meeting exactly zero coefficients (a zero root) adds nothing,
+    not inf * 0 = nan.
+    """
+    root = modes.root(multiplier.shape)
     peak = float(multiplier.max())
-    if peak == np.inf:
-        # an overflowed weight meets exactly zero coefficients: inf * 0 is nan,
-        # but an absent mode adds nothing to the sum
-        weighted = np.multiply(multiplier, amplitudes, out=np.zeros_like(amplitudes),
-                               where=amplitudes != 0)
-    else:
-        weighted = multiplier * amplitudes
-    value = float(np.linalg.norm(weighted))
-    floor = _NOISE_FACTOR * np.finfo(float).eps * peak * amplitude_norm
-    return DerivativeRecord(alpha=tuple(int(a) for a in alpha), value=value, floor=floor)
+    if peak == math.inf:
+        multiplier = np.where(root != 0, multiplier, 0.0)
+    product = multiplier * root
+    total = float(np.vdot(product, product))
+    exponent = 0
+    if not _SMALLEST_SAFE_SUM <= total < math.inf:
+        exponent = math.frexp(float(multiplier.max()))[1]
+        product = np.ldexp(multiplier, -exponent) * root
+        total = float(np.vdot(product, product))
+    value = _scaled(math.sqrt(total), exponent + modes.scale)
+    floor = _NOISE_FACTOR * _EPS * peak * modes.norm if modes.norm else 0.0
+    return DerivativeRecord(alpha=alpha, value=value, floor=floor)
 
 
-def _norm_of_modes(modes, alpha, s: float) -> DerivativeRecord:
-    """The record of d^alpha in H^s: <xi>^s times |xi_ax| once per order, in axis order.
+def _norm_of_modes(modes: _Modes, alpha) -> DerivativeRecord:
+    """The record of d^alpha: <xi>^s times |xi_ax| once per order, in axis order.
 
     smoothing_profile walks the pure powers d * e_ax by the same repeated
     product, one factor per order, so both give the same floats.
     """
-    freqs, xi_sq, amplitudes = modes
-    multiplier = _bessel_weight(xi_sq, s)
+    multiplier = modes.weight
     for ax, a in enumerate(alpha):
-        if a:
-            step = np.abs(freqs[ax])
-            for _ in range(int(a)):
-                multiplier = multiplier * step
-    return _record(multiplier, amplitudes, float(np.linalg.norm(amplitudes)), alpha)
+        for _ in range(a):
+            multiplier = multiplier * modes.steps[ax]
+    return _record(multiplier, modes, alpha)
 
 
 def derivative_norm(source, alpha, s: float) -> DerivativeRecord:
@@ -190,10 +267,21 @@ def derivative_norm(source, alpha, s: float) -> DerivativeRecord:
     `source` is a grid SpectralField or an exact per-mode ledger; the weighted
     mode sum is sqrt(sum |<xi>^s prod xi^alpha c|^2) over the snapshot's own
     frequencies, so ledger input stays exact for off-lattice modes at any
-    order.  The floor is 1000 * eps * (max multiplier) * ||c||.  A weight that
+    order.  It is formed on the span of the multiplier (see _record), the
+    same path smoothing_profile takes.  The floor is
+    1000 * eps * (max multiplier) * ||c||, a Python float.  A weight that
     overflows on an exactly zero coefficient adds nothing (not inf * 0 = nan).
+    `alpha` must hold one nonnegative integer per axis (ValueError otherwise).
     """
-    return _norm_of_modes(_mode_data(source), alpha, s)
+    if not isinstance(source, (SpectralField, ModeLedger)):
+        raise TypeError(f"expected SpectralField or ModeLedger, got {type(source).__name__}")
+    n = source.grid.n
+    alpha = tuple(alpha)
+    if len(alpha) != n or not all(
+            isinstance(a, (int, np.integer)) and not isinstance(a, bool) and a >= 0
+            for a in alpha):
+        raise ValueError(f"alpha must hold one nonnegative integer per axis ({n}), got {alpha}")
+    return _norm_of_modes(_mode_data(source, float(s)), tuple(int(a) for a in alpha))
 
 
 @dataclass(frozen=True)
@@ -351,39 +439,42 @@ def smoothing_profile(solution: TrajectorySolution, spec: ProblemSpec, d_max: in
     n = solution.grid.n
     axes = selector.resolved_axes(n)
     alphas = [selector.indices(n, d) for d in range(d_max + 1)]
+    divisors = {alpha: _multi_factorial(alpha) for indices in alphas for alpha in indices}
     factorial_ok = all(
-        factorial(d) <= (2**n) ** (d + 1) * _multi_factorial(alpha)
+        factorial(d) <= (2**n) ** (d + 1) * divisors[alpha]
         for d in range(d_max + 1) for alpha in alphas[d]
     )
+    pure = {ax: [tuple(d if j == ax else 0 for j in range(n)) for d in range(d_max + 1)]
+            for ax in axes}  # pure[ax][d] = d * e_ax
     domination_ok = True
     candidates = [[] for _ in range(d_max + 1)]  # (S, M, t, alpha, reliable) in visiting order
     sources = solution.mode_ledgers or solution.fields
-    # snapshot-outer: each snapshot's ledger (formed on read) and frequencies
-    # are built once, then dropped
+    # the FD route's snapshots are read as real grid values (half spectra)
+    real = isinstance(sources, _GridFields)
+    # snapshot-outer: each snapshot's ledger (formed on read) or spectrum is
+    # reduced once to its _Modes, then dropped
     for i in usable:
         t = float(times[i])
-        modes = freqs, xi_sq, amplitudes = _mode_data(sources[i])
-        amplitude_norm = float(np.linalg.norm(amplitudes))
-        steps = {ax: np.abs(freqs[ax]) for ax in axes}
+        modes = (_mode_data(sources.values[i], s, solution.grid) if real
+                 else _mode_data(sources[i], s))
         # the axis ladder: ladder[ax] is <xi>^s |xi_ax|^d, one factor more per order
-        ladder = dict.fromkeys(axes, _bessel_weight(xi_sq, s))
+        ladder = dict.fromkeys(axes, modes.weight)
         for d in range(d_max + 1):
             weight = t ** (kappa * d)
             axis_records = {}
             if d > 0:
                 for ax in axes:
-                    ladder[ax] = ladder[ax] * steps[ax]
-                    pure = tuple(d if j == ax else 0 for j in range(n))
-                    axis_records[pure] = _record(ladder[ax], amplitudes, amplitude_norm, pure)
+                    ladder[ax] = ladder[ax] * modes.steps[ax]
+                    axis_records[pure[ax][d]] = _record(ladder[ax], modes, pure[ax][d])
             for alpha in alphas[d]:
-                rec = axis_records.get(alpha) or _norm_of_modes(modes, alpha, s)
+                rec = axis_records.get(alpha) or _norm_of_modes(modes, alpha)
                 if d > 0 and alpha not in axis_records:
                     bound = sum(axis_records[a].value for a in axis_records)
                     if rec.value > bound * (1.0 + _ROUNDOFF):
                         domination_ok = False
-                candidates[d].append((weight * rec.value / _multi_factorial(alpha), rec.value,
+                candidates[d].append((weight * rec.value / divisors[alpha], rec.value,
                                       t, alpha, rec.reliable))
-        del modes, freqs, xi_sq, amplitudes, steps, ladder
+        del modes, ladder
     orders = []
     for d, entries in enumerate(candidates):
         (sup, at), (raw, raw_at) = _first_maximum(entries, 0), _first_maximum(entries, 1)

@@ -518,6 +518,33 @@ def test_perfbench_traced_stage_records_every_layer_span(tmp_path):
             "fieldio.write_field", "problems.coercivity_check"} <= names, names
 
 
+_REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+_SMOOTHING_REFERENCES = {
+    key: ref["M_d"] for key, ref in json.loads(_REFERENCES.read_text(encoding="utf-8")).items()
+    if key.split()[1] == "smoothing"
+}
+
+
+def test_perfbench_references_pin_four_smoothing_commands():
+    # the four smoothing commands of the benchmark, one per workload
+    assert len(_SMOOTHING_REFERENCES) == 4
+
+
+@pytest.mark.parametrize("key", sorted(_SMOOTHING_REFERENCES))
+def test_perfbench_smoothing_command_reproduces_its_reference(key, tmp_path):
+    # each key is "<spec> smoothing <flags>", the command line the benchmark
+    # runs; its raw suprema M_d must match the stored ones to the benchmark's
+    # tolerance, 1e-9 relative
+    spec, kind, *flags = key.split()
+    assert run(kind, "--spec", spec, "--out", str(tmp_path), *flags) == EXIT_OK
+    doc = json.loads((tmp_path / f"{spec}.smoothing.json").read_text(encoding="utf-8"))
+    seen = [order["M_d"] for order in doc["orders"]]
+    expected = _SMOOTHING_REFERENCES[key]
+    assert len(seen) == len(expected)
+    for d, (value, ref) in enumerate(zip(seen, expected)):
+        assert abs(value - ref) <= 1e-9 * abs(ref), (key, d, value, ref)
+
+
 def _two_diffused_axes_spec(tmp_path):
     """A written spec whose a varies along both of its diffused axes: only sparse LU solves it."""
     return write_spec(tmp_path, name="two-axis-a", m0=2, B=[["0", "0"], ["0", "0"]],

@@ -4,6 +4,7 @@ quadrature, weighted suprema bookkeeping, reliability flags, and Gevrey fits.
 
 import dataclasses
 import math
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -23,7 +24,14 @@ from ultraparabolic.smoothing import (
     _mode_data,
 )
 from ultraparabolic.sobolev import SpectralField, TorusGrid, hs_norm
-from ultraparabolic.solver import ModeLedger, TrajectorySolution, residual_series, solve_exact
+from ultraparabolic.solver import (
+    ModeLedger,
+    TrajectorySolution,
+    residual_series,
+    solve_auto,
+    solve_exact,
+    solve_fd,
+)
 
 
 def partial_derivative(f, alpha):
@@ -87,6 +95,20 @@ def test_selector_validation():
 # derivative norms
 
 
+def full_grid_record(freqs, coeffs, alpha, s):
+    """(value, floor) by the full-grid formula: norm(<xi>^s prod |xi_j|^alpha_j |c|)."""
+    xi_sq = np.zeros(coeffs.shape)
+    for f in freqs:
+        xi_sq = xi_sq + f**2
+    multiplier = (1.0 + xi_sq) ** (s / 2.0)
+    for f, a in zip(freqs, alpha):
+        multiplier = multiplier * np.abs(f) ** a
+    amplitudes = np.abs(coeffs)
+    value = float(np.linalg.norm(multiplier * amplitudes))
+    floor = 1e3 * np.finfo(float).eps * float(multiplier.max()) * float(np.linalg.norm(amplitudes))
+    return value, floor
+
+
 def test_derivative_norm_matches_spectral_derivative_norm():
     grid = TorusGrid(2, 32, 4.0)
     rng = np.random.default_rng(5)
@@ -99,6 +121,42 @@ def test_derivative_norm_matches_spectral_derivative_norm():
             oracle = hs_norm(partial_derivative(field, alpha), s)
             assert rec.value == pytest.approx(oracle, rel=1e-13)
             assert rec.alpha == alpha
+
+    # lp-block's ledger, whose e^{-tB} is not the identity: its frequency
+    # rows span three, three, two and one axes
+    spec = load_builtin("lp-block")
+    ledger = solve_exact(spec, TorusGrid(4, 8, 1.0), times=[0.5]).mode_ledgers[0]
+    assert not np.array_equal(ledger.matrix, np.eye(4))
+    # an FD snapshot: kolmogorov-general runs on the FD route
+    spec = load_builtin("kolmogorov-general")
+    fd = solve_fd(spec, TorusGrid(4, 8, 1.0), times=[spec.T]).fields[0]
+    cases = [(ledger, ledger.frequencies(), ledger.coefficients),
+             (fd, [fd.grid.frequency(ax) for ax in range(4)], fd.coeffs)]
+    for source, freqs, coeffs in cases:
+        for alpha in ((0, 0, 0, 0), (3, 0, 0, 0), (0, 2, 0, 0), (0, 0, 4, 0), (0, 0, 0, 5),
+                      (1, 0, 2, 1)):
+            for s in (-1.0, 0.0, 1.5):
+                rec = derivative_norm(source, alpha, s)
+                value, floor = full_grid_record(freqs, coeffs, alpha, s)
+                assert rec.value == pytest.approx(value, rel=1e-13), (alpha, s)
+                assert rec.floor == pytest.approx(floor, rel=1e-13), (alpha, s)
+
+
+@pytest.mark.parametrize("alpha", [(-1, 0), (1.7, 0), (1.0, 0), (True, 0), (1,), (1, 0, 2)])
+def test_derivative_norm_refuses_alpha_without_one_nonnegative_integer_per_axis(alpha):
+    field = SpectralField.single_mode(TorusGrid(2, 8, 1.0), (1, 2), 1.0)
+    with pytest.raises(ValueError, match="alpha"):
+        derivative_norm(field, alpha, 0.0)
+
+
+def test_derivative_norm_takes_numpy_integers_and_gives_python_floats():
+    field = SpectralField.single_mode(TorusGrid(2, 8, 1.0), (1, 2), 1.0)
+    rec = derivative_norm(field, np.array([2, 1]), 0.0)
+    assert rec.alpha == (2, 1) and all(type(a) is int for a in rec.alpha)
+    assert type(rec.value) is float and type(rec.floor) is float
+    assert rec.value == pytest.approx(2.0, rel=1e-15)
+    with pytest.raises(TypeError):
+        derivative_norm(field.coeffs, (1, 0), 0.0)
 
 
 def test_derivative_norm_alpha_zero_is_hs_norm():
@@ -149,8 +207,9 @@ def test_ledger_norm_uses_true_frequencies():
     assert len(freqs) == 2
     assert np.allclose(freqs[0], grid.frequency(0) - t * grid.frequency(1))
     assert np.allclose(freqs[1], grid.frequency(1))
-    _, frequency_sq, _ = _mode_data(ledger)
-    assert np.allclose(frequency_sq, freqs[0] ** 2 + freqs[1] ** 2)
+    modes = _mode_data(ledger, 2.0)
+    assert np.allclose(modes.weight, 1.0 + freqs[0] ** 2 + freqs[1] ** 2)
+    assert all(np.array_equal(step, np.abs(f)) for step, f in zip(modes.steps, freqs))
 
     # length-3 chain: e^{-tB} row 0 = (1, -t, t^2/2) carries the quadratic term
     spec = load_builtin("chain3")
@@ -325,6 +384,56 @@ def test_profile_equals_its_definition(name, strategy, source):
         assert rec.argmax_time == best[1]
         assert rec.argmax_alpha == best[2]
         assert rec.reliable == best[3]
+
+
+@pytest.mark.parametrize("strategy", ["axis", "full"])
+@pytest.mark.parametrize("s", [0.0, -0.5])
+def test_fd_profile_from_half_spectra_equals_its_definition(strategy, s):
+    # the FD route keeps real grid values; the profile reads their half
+    # spectra, the definition the full complex spectrum of each snapshot
+    spec = load_builtin("kolmogorov-general")
+    sol = solve_fd(spec, TorusGrid(4, 8, 1.0), times=np.linspace(spec.T / 4, spec.T, 4))
+    assert sol.mode_ledgers is None and hasattr(sol.fields, "values")
+    selector = DerivativeSelector(strategy)
+    rep = smoothing_profile(sol, spec, d_max=4, selector=selector, s=s)
+    expected = _profile_by_definition(sol, spec, 4, selector, s)
+    for rec, (best, raw) in zip(rep.orders, expected):
+        assert rec.raw_supremum == pytest.approx(raw[0], rel=1e-13)
+        assert rec.raw_argmax_time == raw[1]
+        assert rec.supremum == pytest.approx(best[0], rel=1e-13)
+        assert rec.argmax_time == best[1]
+        assert rec.argmax_alpha == best[2]
+        assert rec.reliable == best[3]
+
+
+def _profile_peak_in_grid_arrays(sol, spec, d_max):
+    """tracemalloc peak of one smoothing_profile call, in float64 grid arrays."""
+    smoothing_profile(sol, spec, d_max=d_max)  # warm: caches and lazy imports
+    tracemalloc.start()
+    try:
+        smoothing_profile(sol, spec, d_max=d_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * sol.grid.N**sol.grid.n)
+
+
+@pytest.mark.parametrize("name, N, times, bound", [
+    # one FD snapshot: rfftn's half spectrum and its transform's work space
+    # (about 2.5 arrays); the full-grid ladder of the earlier code took 9
+    ("fokkerplanck", 8, [0.05], 3.0),
+    # exact route: forming each ledger (complex coefficients and their
+    # damping) takes about 4.9 arrays; the full-grid ladder took 7.9
+    ("lp-block", 12, [0.1, 0.55, 1.0], 5.5),
+])
+def test_profile_memory_stays_within_a_few_grid_arrays_at_every_order(name, N, times, bound):
+    spec = load_builtin(name)
+    sol = solve_auto(spec, spec.default_grid(N=N), times=np.array(times))
+    low = _profile_peak_in_grid_arrays(sol, spec, 2)
+    high = _profile_peak_in_grid_arrays(sol, spec, 8)
+    assert high <= bound, (low, high)
+    # one multiplier per axis at a time: the order does not add arrays
+    assert abs(high - low) <= 0.1, (low, high)
 
 
 def test_profile_tmin_excludes_early_snapshots():
@@ -564,17 +673,41 @@ def test_overflowed_weights_on_zero_coefficients_give_no_nan():
         assert rec.supremum == 0.0 and rec.raw_supremum == 0.0
 
 
+def test_record_is_finite_where_the_squared_multiplier_overflows():
+    # frequencies up to 4e80: |xi_0|^2 reaches 1.6e161, whose square
+    # overflows, and a coefficient of 1e-170 squares to below the smallest
+    # subnormal; the norm (3e80)^2 * 1e-170 = 9e-10 is an ordinary number
+    grid = TorusGrid(2, 8, 1e-80)
+    field = SpectralField.single_mode(grid, (3, 0), 1e-170)
+    xi = 3.0 / grid.L
+    rec = derivative_norm(field, (2, 0), 0.0)
+    assert rec.value == pytest.approx(xi**2 * 1e-170, rel=1e-14)
+    peak = (4.0 / grid.L) ** 2
+    assert rec.floor == pytest.approx(1e3 * np.finfo(float).eps * peak * 1e-170, rel=1e-14)
+    assert rec.reliable
+    # the full-grid formula gives the same finite value here
+    value, _ = full_grid_record([grid.frequency(0), grid.frequency(1)], field.coeffs, (2, 0), 0.0)
+    assert rec.value == pytest.approx(value, rel=1e-14)
+    # a coefficient whose square overflows: the norm is the coefficient itself
+    big = SpectralField.single_mode(TorusGrid(2, 8, 1.0), (3, 1), 1e200)
+    assert derivative_norm(big, (0, 0), 0.0).value == pytest.approx(1e200, rel=1e-15)
+    assert derivative_norm(big, (1, 2), 0.0).value == pytest.approx(3e200, rel=1e-15)
+    # a norm beyond the float range still reads inf
+    assert derivative_norm(big, (300, 0), 0.0).value == np.inf
+    # and one below it reads 0, with no warning
+    tiny = SpectralField.single_mode(TorusGrid(2, 8, 1.0), (1, 0), 1e-300)
+    assert derivative_norm(tiny, (0, 0), 0.0).value == pytest.approx(1e-300, rel=1e-15)
+    small = SpectralField.single_mode(TorusGrid(2, 8, 1e30), (1, 0), 1e-300)
+    assert derivative_norm(small, (2, 0), 0.0).value == 0.0
+
+
 def test_repeated_product_multiplier_matches_powers_within_round_off():
     # the parent computed |xi_ax|^a with one pow per axis; each order of the
     # repeated product adds at most one rounding, so d * eps bounds the drift
     spec = load_builtin("kolmogorov2d-lowreg")
     ledger = solve_exact(spec, times=np.array([0.5])).mode_ledgers[0]
-    freqs, xi_sq, amplitudes = _mode_data(ledger)
     for s in (0.0, -1.0):
         for alpha in ((8, 0), (0, 8), (3, 5), (1, 2), (6, 0)):
-            multiplier = (1.0 + xi_sq) ** (s / 2.0) if s != 0 else np.ones_like(xi_sq)
-            for ax, a in enumerate(alpha):
-                multiplier = multiplier * np.abs(freqs[ax]) ** a
-            powered = float(np.linalg.norm(multiplier * amplitudes))
+            powered, _ = full_grid_record(ledger.frequencies(), ledger.coefficients, alpha, s)
             rec = derivative_norm(ledger, alpha, s)
             assert rec.value == pytest.approx(powered, rel=2 * sum(alpha) * np.finfo(float).eps)
