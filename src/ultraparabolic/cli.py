@@ -10,7 +10,7 @@ report     aggregate of the artifacts the other subcommands produced
 
 Exit codes: 0 = success, 2 = a checked condition or identity failed,
 3 = numerical abort (ellipticity, step-size or step-count guard, a grid whose
-Sobolev weights overflow, or a result that overflows on the chosen grid),
+Sobolev weights overflow, a result overflowing on it, an unconverged solve),
 4 = I/O or parse error.
 
 Primary outputs are deterministic: the same spec, knobs, and seed produce

@@ -34,35 +34,23 @@ snapshots on one grid):
   each axis's neighbour terms, formed on at most two boxes per axis (the
   smallest box holding each sign of the speed, whatever its sign pattern),
   as shifted slices with long inner loops.
-  Each implicit step (theta = 1/2, Crank-Nicolson) applies the DST-I matrix
-  along every diffused axis that a does not vary along: the eigenbasis of
-  the 3-point Dirichlet second difference there (fast Poisson
-  diagonalisation, a dense sine matrix per axis, no factorization).  When a
-  varies along no diffused axis, the state is kept in those sine
-  coordinates between steps, where both halves of the diffusion are
-  diagonal: a step is the explicit terms, one transform of them, three
-  passes and one transform back to the grid values they read.  When a
-  varies along one diffused axis, the state stays on the grid: the explicit
-  half of the diffusion is one 3-point Dirichlet stencil written into the
-  right-hand side, and the solve a batched tridiagonal (Thomas) sweep along
-  that axis between the sine transforms of the others.  Both run on NumPy
-  alone.  Only an a that varies along two or more diffused axes (no builtin
-  spec has one) takes sparse LU on the grid values: one factorization
-  shared by all columns when a varies only along diffused axes, one per
-  column else.  These LU paths live in _slab_lu, which solve_fd imports,
-  and with it SciPy, only when one first runs.  One step loop serves every
-  slab solver, holds the state in its coordinates, one advance per step size.
+  Each implicit step (theta = 1/2, Crank-Nicolson) applies the DST-I matrix,
+  the eigenbasis of the 3-point Dirichlet second difference, along every
+  diffused axis that a does not vary along.  When that is every diffused
+  axis, the state is kept in sine coordinates, where both halves of the
+  diffusion are diagonal: a step is the explicit terms, one transform of
+  them, three passes and one transform back.  Otherwise the state stays on
+  the grid, the explicit half of the diffusion is a 3-point stencil written
+  into the right-hand side, and the solve is a batched tridiagonal (Thomas)
+  sweep along the one diffused axis a varies along, or, when it varies
+  along two or more (no builtin spec does), conjugate gradients
+  preconditioned by the sine solve (_slab_cg, imported only then).  All run
+  on NumPy alone, in one step loop, with one advance per step size.
   Coefficients and transport speeds keep the per-axis form of
   Preset.evaluate; only the state and the step's four work arrays have the
-  full grid shape.  The step is refused up front when the advective CFL
-  number exceeds the limit (the error carries a suggested step), when the
-  diffusion coefficient leaves [1/Lambda, Lambda] at a sample point, when
-  reaching the last snapshot takes more than
-  _MAX_FD_STEPS steps (the error names a step that passes), or when the
-  snapshots and work arrays would not fit in physical memory (the error
-  names a grid that fits).  The route keeps its native output, one real
-  grid array per snapshot; a snapshot's spectrum is formed each time it is
-  read.
+  full grid shape.  solve_fd lists the guards that refuse a run up front.
+  The route keeps its native output, one real grid array per snapshot; a
+  snapshot's spectrum is formed each time it is read.
 
 residual_series measures how well any trajectory satisfies the PDE (spectral
 space derivatives, fourth-order central time differences); every first or
@@ -188,22 +176,25 @@ class _Ledgers(_OnRead):
 
     Item i is the ledger at times[i]: e^{-t_i B} and the initial coefficients
     `base` damped by exp(-a int_0^t_i |P e^{-tau B} xi|^2 dtau), so reading
-    the snapshots in order holds one ledger at a time.
+    the snapshots in order holds one ledger at a time.  The Gauss-Legendre
+    rule (`rule`) is built once, and the damping is exponentiated in place.
     """
 
     def __init__(self, grid: TorusGrid, base: np.ndarray, a: float, powers: list, m0: int,
                  times: np.ndarray):
         self.grid, self.base, self.a = grid, base, a
         self.powers, self.m0, self.times = powers, m0, times
+        self.rule = leggauss(grid.n + 1)
 
     def __len__(self):
         return len(self.times)
 
     def _item(self, i):
         t = self.times[i]
-        damping = _damping_exponent(self.grid, self.powers, self.m0, t, self.grid.n + 1)
+        damping = _damping_exponent(self.grid, self.powers, self.m0, t, self.rule)
+        damping *= -self.a
         return ModeLedger(self.grid, _matrix_exponential(self.powers, -t),
-                          self.base * np.exp(-self.a * damping))
+                          self.base * np.exp(damping, out=damping))
 
 
 class _LedgerFields(_OnRead):
@@ -347,12 +338,13 @@ def _exact_route_supported(spec: ProblemSpec):
 def _damping_exponent(grid, powers, m0, t, quad_order) -> np.ndarray:
     """int_0^t |P e^{-tau B} xi|^2 dtau on the full frequency mesh (exact GL).
 
-    Each node's projected frequency spans only the axes its row couples; it
-    is squared there and added into the full mesh.
+    `quad_order` is the Gauss-Legendre order, or the rule leggauss(order)
+    itself.  Each node's projected frequency spans only the axes its row
+    couples; it is squared there and added into the full mesh.
     """
     if t == 0.0:
         return np.zeros(grid.shape)
-    nodes, weights = leggauss(quad_order)
+    nodes, weights = quad_order if isinstance(quad_order, tuple) else leggauss(quad_order)
     taus = 0.5 * t * (nodes + 1.0)
     ws = 0.5 * t * weights
     freqs = [grid.frequency(ax) for ax in range(grid.n)]
@@ -567,8 +559,9 @@ def _apply_transport(plan, u, u4, spare, out) -> np.ndarray:
 def _slab_laplacian(u, m0, h, out, neighbour, centre) -> np.ndarray:
     """3-point Dirichlet Laplacian of u along its leading m0 axes, written into `out`.
 
-    Zeros stand in for values outside the box, so this is
-    _slab_lu._subgrid_laplacian(N, m0, h) applied to every column of u, without a
+    Zeros stand in for values outside the box, so this is the sparse
+    Kronecker-sum Laplacian of the leading m0 axes (the 3-point second
+    difference along each, summed) applied to every column of u, without a
     sparse matrix and without allocating.  It uses that matrix's coefficients
     and adds each row's terms in its column order (lower neighbours by axis,
     the diagonal, upper neighbours in reverse axis order), so it reproduces
@@ -803,8 +796,8 @@ def _require_memory(snapshots: int, n: int, N: int, solver_axes=()) -> None:
 
     The run holds one float64 grid array per snapshot plus _FD_STAGE_ARRAYS
     more, and one float64 array of N**k values for each k in `solver_axes`
-    (the slab solver's factors and slice buffer).  The error names the
-    largest N that fits.
+    (the slab solver's factors, slice buffer or CG work arrays).  The error
+    names the largest N that fits.
     """
     def need(size):
         size = float(size)
@@ -817,9 +810,9 @@ def _require_memory(snapshots: int, n: int, N: int, solver_axes=()) -> None:
     while fit >= 4 and need(fit) > budget:
         fit -= 2
     raise SolverError(
-        f"the FD route needs about {need(N) / 2**20:.4g} MiB for {snapshots} snapshots and "
-        f"{_FD_STAGE_ARRAYS} work and transient arrays on N = {N} in {n}-D, more than the "
-        f"{budget / 2**20:.4g} MiB of physical memory; "
+        f"the FD route needs about {need(N) / 2**20:.4g} MiB for {snapshots} snapshots, "
+        f"{_FD_STAGE_ARRAYS} work and transient arrays and the slab solver's on N = {N} in "
+        f"{n}-D, more than the {budget / 2**20:.4g} MiB of physical memory; "
         + (f"retry with N <= {fit}" if fit >= 4 else "no grid fits"))
 
 
@@ -898,8 +891,9 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     the advective CFL number (`cfl`) and its limit (`cfl_limit`),
     which implicit slab solver ran (`slab_solver`, chosen from the diffused
     axes a's sample varies along: "sine" for none, see _sine_steps;
-    "sine-tridiagonal" for one, see _sine_slab_solver; "splu-shared" for
-    two or more when a varies along no other axis, else "splu-per-column"),
+    "sine-tridiagonal" for one, see _sine_slab_solver; "sine-cg" for two or
+    more, see _slab_cg.cg_slab_solver, whose unconverged solve raises
+    SolverError),
     the number of time steps taken (`steps`) and why the spec needs this
     route (`route_reason`, from _exact_route_supported; None when the exact
     route would apply).
@@ -927,29 +921,22 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     cfl = max_speed * dt / h
     if cfl > _CFL_LIMIT:
         raise CFLError(dt, cfl, _CFL_LIMIT, suggested_dt=0.5 * _CFL_LIMIT * h / max_speed)
-    if b0_vals is not None and dt * float(np.abs(b0_vals).max()) > 1.0:
-        raise CFLError(dt, dt * float(np.abs(b0_vals).max()), 1.0,
-                       suggested_dt=0.5 / float(np.abs(b0_vals).max()))
+    b0_max = 0.0 if b0_vals is None else float(np.abs(b0_vals).max())
+    if dt * b0_max > 1.0:
+        raise CFLError(dt, dt * b0_max, 1.0, suggested_dt=0.5 / b0_max)
 
     times, segments = _snapshot_segments(times, dt, spec.T, strict)
 
-    # the implicit slab solver, chosen from the diffused axes a varies along
+    # the implicit slab solver, by the number of diffused axes a varies along
     varies = [ax for ax, size in enumerate(np.shape(a_vals)) if size > 1]
     lines = [ax for ax in varies if ax < m0]
-    if not lines:
-        slab_solver = "sine"  # a is constant on every slab
-    elif len(lines) == 1:
-        slab_solver = "sine-tridiagonal"
-    elif varies == lines:
-        slab_solver = "splu-shared"  # every column sees the same slab operator
-    else:
-        slab_solver = "splu-per-column"
-    # the two factors of a sine route per step size span the axes of a and of
-    # the slab eigenvalues; the tridiagonal sweep also keeps one slice of n - 1 axes
+    slab_solver = ("sine", "sine-tridiagonal", "sine-cg")[min(len(lines), 2)]
+    # two factors per step size span the axes of a and of the slab eigenvalues (CG's
+    # one and 1/a fit in them); the tridiagonal sweep keeps a slice of n - 1 axes
     factor_axes = len(set(varies) | set(range(m0)))
     factors = 2 * len({step_dt for steps, step_dt in segments if steps}) * (factor_axes,)
-    _require_memory(len(times), n, N, {
-        "sine": factors, "sine-tridiagonal": factors + (n - 1,)}.get(slab_solver, ()))
+    _require_memory(len(times), n, N, factors + {
+        "sine": (), "sine-tridiagonal": (n - 1,), "sine-cg": (n, n, n)}[slab_solver])
 
     # work arrays, allocated once per solve: the state (in the slab solver's
     # coordinates) or the next right-hand side, the explicit terms `rate`,
@@ -966,9 +953,9 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
         if slab_solver == "sine-tridiagonal":
             implicit_solver = _sine_slab_solver(a_vals, m0, h, spare)
         else:
-            from ._slab_lu import lu_slab_solver
+            from ._slab_cg import cg_slab_solver
 
-            implicit_solver = lu_slab_solver(a_vals, m0, h, grid, slab_solver == "splu-shared")
+            implicit_solver = cg_slab_solver(a_vals, m0, h, spare, u4)
         state, step = u, _grid_steps(implicit_solver, a_vals, m0, h, rhs, spare, u4)
 
     def explicit_terms(u):

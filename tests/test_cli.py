@@ -7,6 +7,7 @@ heavyweight configurations live in the acceptance suite.
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -546,7 +547,7 @@ def test_perfbench_smoothing_command_reproduces_its_reference(key, tmp_path):
 
 
 def _two_diffused_axes_spec(tmp_path):
-    """A written spec whose a varies along both of its diffused axes: only sparse LU solves it."""
+    """A written spec whose a varies along both of its diffused axes: the sine-cg route."""
     return write_spec(tmp_path, name="two-axis-a", m0=2, B=[["0", "0"], ["0", "0"]],
                       a={"kind": "gaussian", "width": 10.0},
                       b=[{"kind": "constant", "value": 0.0}] * 2)
@@ -554,7 +555,6 @@ def _two_diffused_axes_spec(tmp_path):
 
 def test_exact_route_stages_never_import_scipy(tmp_path):
     # a fresh interpreter: the pytest process imports SciPy through other tests
-    two_axis = _two_diffused_axes_spec(tmp_path)
     script = textwrap.dedent(f"""
         import sys
         from ultraparabolic import cli
@@ -568,10 +568,6 @@ def test_exact_route_stages_never_import_scipy(tmp_path):
                     "--out", {str(tmp_path / "exact")!r}]
             assert cli.main(argv) == 0, stage
         assert scipy_modules() == [], scipy_modules()
-        argv = ["solve", "--spec", {str(two_axis)!r}, "--grid", "8", "--tgrid", "5",
-                "--out", {str(tmp_path / "fd")!r}]
-        assert cli.main(argv) == 0
-        assert "scipy.sparse" in sys.modules
     """)
     result = _fresh_interpreter("-c", script)
     assert result.returncode == 0, result.stderr
@@ -579,7 +575,8 @@ def test_exact_route_stages_never_import_scipy(tmp_path):
 
 def test_sine_route_stages_never_import_scipy(tmp_path):
     # a fresh interpreter: the pytest process imports SciPy through other tests;
-    # kolmogorov-general's a varies along one diffused axis
+    # kolmogorov-general's a varies along one diffused axis (sine-tridiagonal),
+    # the written spec's a along two (conjugate gradients)
     two_axis = _two_diffused_axes_spec(tmp_path)
     script = textwrap.dedent(f"""
         import json, sys
@@ -589,29 +586,38 @@ def test_sine_route_stages_never_import_scipy(tmp_path):
         def scipy_modules():
             return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-        out = Path({str(tmp_path / "sine")!r})
+        out = Path({str(tmp_path / "fd")!r})
         for spec, grid, slab_solver in (("fokkerplanck", "6", "sine"),
                                         ("brownian-inertia", "16", "sine"),
-                                        ("kolmogorov-general", "8", "sine-tridiagonal")):
+                                        ("kolmogorov-general", "8", "sine-tridiagonal"),
+                                        ({str(two_axis)!r}, "8", "sine-cg")):
             for stage, extra in (("solve", []), ("smoothing", ["--dmax", "3"])):
                 argv = [stage, "--spec", spec, "--grid", grid, "--tgrid", "5", *extra,
                         "--out", str(out)]
                 assert cli.main(argv) == 0, (spec, stage)
                 meta = json.loads((out / "run_meta.json").read_text())
                 assert meta["slab_solver"] == slab_solver, (spec, stage, meta)
+            assert ("ultraparabolic._slab_cg" in sys.modules) == (slab_solver == "sine-cg")
         assert scipy_modules() == [], scipy_modules()
-        assert "ultraparabolic._slab_lu" not in sys.modules  # nor compiled
-        argv = ["solve", "--spec", {str(two_axis)!r}, "--grid", "8", "--tgrid", "5",
-                "--out", {str(tmp_path / "splu")!r}]
-        assert cli.main(argv) == 0
-        assert "scipy.sparse" in sys.modules
     """)
     result = _fresh_interpreter("-c", script)
     assert result.returncode == 0, result.stderr
-    for spec in ("fokkerplanck", "brownian-inertia", "kolmogorov-general"):
-        assert json.loads((tmp_path / "sine" / f"{spec}.solve.json").read_text())["method"] == "fd"
-    meta = json.loads((tmp_path / "splu" / "run_meta.json").read_text())
-    assert meta["slab_solver"] == "splu-shared"
+    for spec in ("fokkerplanck", "brownian-inertia", "kolmogorov-general", "two-axis-a"):
+        assert json.loads((tmp_path / "fd" / f"{spec}.solve.json").read_text())["method"] == "fd"
+
+
+def test_unconverged_slab_solve_is_a_numerical_abort(tmp_path, monkeypatch, capsys):
+    from ultraparabolic import _slab_cg
+
+    two_axis = _two_diffused_axes_spec(tmp_path)
+    monkeypatch.setattr(_slab_cg, "_iteration_cap", lambda ratio: 1)
+    out = tmp_path / "out"
+    assert run("solve", "--spec", str(two_axis), "--grid", "8", "--tgrid", "5",
+               "--out", str(out)) == EXIT_NUMERICAL
+    assert re.search(r"numerical abort: the sine-cg slab solve reached a relative residual of "
+                     r"0\.\d+, not 1e-15, within its cap of 1 iterations \(max a / min a = ",
+                     capsys.readouterr().err)
+    assert not (out / "two-axis-a.solve.json").exists()  # no unconverged state is written
 
 
 def test_solve_tgrid_too_small_for_residual(tmp_path):

@@ -11,12 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
+from scipy.sparse.linalg import splu
 
-from ultraparabolic import cli, solver
+from ultraparabolic import _slab_cg, cli, solver
 
-from ultraparabolic._slab_lu import _subgrid_laplacian
 from ultraparabolic.fieldio import read_field, write_field
 from ultraparabolic.problems import (
     ConstantPreset,
@@ -456,10 +457,21 @@ class _SpanningConstant(ConstantPreset):
         return np.broadcast_to(super().evaluate(grid), shape).copy()
 
 
+@dataclasses.dataclass(frozen=True)
+class _TwoAxisCoefficient(ConstantPreset):
+    """value + 0.75 sin(x_0 / L) sin(x_1 / L): varies along axes 0 and 1 alone."""
+
+    value: float = 1.25
+
+    def evaluate(self, grid):
+        return self.value + 0.75 * (np.sin(grid.coordinate(0) / grid.L)
+                                    * np.sin(grid.coordinate(1) / grid.L))
+
+
 def test_fd_slab_batching_consistent():
     # the slab solvers, picked from the diffused axes a's sample varies along,
     # solve the same steps; fokkerplanck (m0 = 3, with b and b0) runs the sine
-    # matrix along 3 axes, and reaches sparse LU when a spans two of them
+    # matrix along 3 axes, and reaches conjugate gradients when a spans two of them
     for name, N, dt in (("kolmogorov2d", 16, 0.0125), ("fokkerplanck", 6, 0.25 / 64)):
         base = load_builtin(name)
         grid = base.default_grid(N=N)
@@ -471,13 +483,13 @@ def test_fd_slab_batching_consistent():
             return sol.final
 
         # a full-grid sample spans every diffused axis: one on kolmogorov2d, three on fokkerplanck
-        everywhere = "sine-tridiagonal" if base.m0 == 1 else "splu-per-column"
+        everywhere = "sine-tridiagonal" if base.m0 == 1 else "sine-cg"
         sine = final(ConstantPreset(1.0), "sine")
         cases = [(SinPerturbPreset(axis=0, amplitude=0.0), "sine-tridiagonal"),
                  (_SpanningConstant(1.0, axes=tuple(range(base.n))), everywhere)]
         if base.m0 >= 2:
-            cases += [(_SpanningConstant(1.0, axes=(0, 1)), "splu-shared"),
-                      (_SpanningConstant(1.0, axes=(0, 1, base.n - 1)), "splu-per-column")]
+            cases += [(_SpanningConstant(1.0, axes=(0, 1)), "sine-cg"),
+                      (_SpanningConstant(1.0, axes=(0, 1, base.n - 1)), "sine-cg")]
         for a, slab_solver in cases:
             gap = l2_norm(sine - final(a, slab_solver))
             assert gap <= 1e-13 * l2_norm(sine), (name, slab_solver)
@@ -489,6 +501,24 @@ def test_fd_slab_batching_consistent():
         assert l2_norm(sloped - sine) > 1e-6 * l2_norm(sine), name
 
 
+def _dirichlet_d2(N: int, h: float):
+    main = np.full(N, -2.0)
+    off = np.ones(N - 1)
+    return sp.diags([off, main, off], [-1, 0, 1], format="csr") / (h * h)
+
+
+def _subgrid_laplacian(N: int, m0: int, h: float):
+    """Reference: sparse CSR Laplacian of the leading m0 axes (3-point Dirichlet stencil)."""
+    D2 = _dirichlet_d2(N, h)
+    total = None
+    for ax in range(m0):
+        term = sp.identity(N**ax, format="csr")
+        term = sp.kron(term, D2, format="csr")
+        term = sp.kron(term, sp.identity(N ** (m0 - 1 - ax), format="csr"), format="csr")
+        total = term if total is None else total + term
+    return total
+
+
 def _splu_slab_solver(a_vals, m0, h, spare):
     """Reference: the implicit slab step by sparse LU, one factorization per column.
 
@@ -496,9 +526,6 @@ def _splu_slab_solver(a_vals, m0, h, spare):
     returns solve(rhs), which solves (I - dt a lap / 2) x = rhs and writes x
     into rhs's buffer.
     """
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import splu
-
     N, n = spare.shape[0], spare.ndim
     M, R = N**m0, N ** (n - m0)
     lap = _subgrid_laplacian(N, m0, h)
@@ -558,6 +585,30 @@ def test_kolmogorov_general_sine_tridiagonal_snapshots_equal_the_sparse_lu_route
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("n, m0, axes", [
+    (2, 2, (0, 1)),        # a along both diffused axes: one operator for every column
+    (3, 2, (0, 1, 2)),     # and along the non-diffused axis: a preconditioner per column
+    (4, 3, (0, 2)),        # an axis a does not vary along between two it does
+    (4, 3, (0, 1, 2, 3)),
+])
+def test_sine_cg_step_equals_sparse_lu(n, m0, axes):
+    N, h = 6, 0.37
+    rng = np.random.default_rng(10 * n + len(axes))
+    a_vals = 0.5 + 1.5 * rng.random([N if ax in axes else 1 for ax in range(n)])
+    spare, u4 = np.empty((N,) * n), np.empty((N,) * n)
+    cg = _slab_cg.cg_slab_solver(a_vals, m0, h, spare, u4)
+    reference = _splu_slab_solver(a_vals, m0, h, spare)
+    # a second step size, then the first again: the factors belong to one step size each
+    for step_dt in (0.05, 0.5, 0.05):
+        rhs = rng.standard_normal((N,) * n)
+        want = reference(step_dt)(rhs.copy())
+        got = cg(step_dt)(rhs)
+        assert got is rhs  # the result is written back into the right-hand side's buffer
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), step_dt
+    zero = np.zeros((N,) * n)
+    assert not np.any(cg(0.05)(zero))  # converged before the first iteration
+
+
 def _sine_division_solver(a_vals, m0, h, spare):
     """Reference: the sine route's slab solve on grid values.
 
@@ -579,6 +630,14 @@ def _sine_division_solver(a_vals, m0, h, spare):
         return solve
 
     return implicit_solver
+
+
+def _cg_solver(a_vals, m0, h, spare):
+    """_slab_cg.cg_slab_solver with the signature of solver._sine_slab_solver.
+
+    Its second work array is a fresh one: the solve writes it before reading it.
+    """
+    return _slab_cg.cg_slab_solver(a_vals, m0, h, spare, np.empty_like(spare))
 
 
 def _grid_loop_reference(sol, spec, slab_solver, strict=False):
@@ -635,9 +694,13 @@ def test_dst_coordinate_steps_equal_the_grid_loop():
     spec = dataclasses.replace(base, a=_SpanningConstant(1.0, axes=(0, 1, base.n - 1)))
     dt = 0.25 / 64
     sol = solve_fd(spec, spec.default_grid(N=6), dt=dt, times=[0.0, 4 * dt, 8 * dt])
-    assert sol.diagnostics["slab_solver"] == "splu-per-column"
-    want = _grid_loop_reference(sol, spec, _splu_slab_solver, strict=True)
+    assert sol.diagnostics["slab_solver"] == "sine-cg"
+    want = _grid_loop_reference(sol, spec, _cg_solver, strict=True)
     assert all(np.array_equal(got, ref) for got, ref in zip(sol.fields.values, want, strict=True))
+    # and the same steps as sparse LU, up to round-off
+    lu = _grid_loop_reference(sol, spec, _splu_slab_solver, strict=True)
+    for got, ref in zip(sol.fields.values, lu, strict=True):
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_step_sizes_a_b_a_reuse_one_advance_each(monkeypatch):
@@ -664,7 +727,7 @@ def test_step_sizes_a_b_a_reuse_one_advance_each(monkeypatch):
     cases = [(base, 6, "sine", _sine_division_solver),
              (load_builtin("kolmogorov-general"), 8, "sine-tridiagonal", solver._sine_slab_solver),
              (dataclasses.replace(base, a=_SpanningConstant(1.0, axes=(0, 1, base.n - 1))), 6,
-              "splu-per-column", _splu_slab_solver)]
+              "sine-cg", _cg_solver)]
     for spec, N, slab_solver, reference in cases:
         # dyadic gaps T/32, 3T/128, T/32: the first and last are equal to the bit
         times = spec.T * np.array([0.0, 1 / 32, 1 / 32 + 3 / 128, 2 / 32 + 3 / 128])
@@ -681,17 +744,24 @@ def test_step_sizes_a_b_a_reuse_one_advance_each(monkeypatch):
                 assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
             else:
                 assert np.array_equal(got, ref), slab_solver
+        if slab_solver == "sine-cg":  # and the same steps as sparse LU, up to round-off
+            lu = _grid_loop_reference(sol, spec, _splu_slab_solver)
+            for got, ref in zip(sol.fields.values, lu, strict=True):
+                assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("name, N, slab_solver", [
     ("fokkerplanck", 8, "sine"),
     ("kolmogorov-general", 20, "sine-tridiagonal"),
+    ("fokkerplanck", 8, "sine-cg"),  # a varies along two diffused axes
 ])
 def test_fd_steps_allocate_no_full_grid(name, N, slab_solver, monkeypatch):
     spec = load_builtin(name)
+    if slab_solver == "sine-cg":
+        spec = dataclasses.replace(spec, a=_TwoAxisCoefficient())
     grid = spec.default_grid(N=N)
     array = 8 * grid.N**grid.n
-    end = 2 * solve_fd(spec, grid, times=[0.0, spec.T]).diagnostics["dt"]
+    end = 2 * solve_fd(spec, grid, times=[0.0, spec.T / 64]).diagnostics["dt"]  # the default dt
     # 2 and then 16 steps to the same snapshots: a step that kept a full
     # grid array would raise the peak with the step count
     peaks = {}
@@ -1078,6 +1148,23 @@ def test_fd_memory_guard_refuses_before_allocating_and_names_an_n_that_fits(monk
     assert code == cli.EXIT_NUMERICAL and not out.exists()
 
 
+def test_fd_memory_guard_counts_the_sine_cg_work_arrays(monkeypatch):
+    spec = dataclasses.replace(load_builtin("fokkerplanck"), a=_TwoAxisCoefficient())
+    grid = spec.default_grid(N=8)
+    times = np.linspace(0.0, spec.T, 9)
+    # 9 snapshots + 12 work and transient arrays of 8**6 float64 take 44.0 MB; the
+    # conjugate gradients' three more take 50.3 MB
+    monkeypatch.setattr(solver, "_physical_memory", lambda: 47e6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SolverError, match=r"needs about 48\.\d+ MiB .* retry with N <= 6\b"):
+            solve_fd(spec, grid, times=times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * grid.N**grid.n  # refused before one grid array was allocated
+
+
 def test_trajectory_container_invariants():
     spec = load_builtin("kolmogorov2d")
     grid = TorusGrid(2, 32, 4.0)
@@ -1263,6 +1350,18 @@ def test_snapshot_sequences_slice_into_tuples_of_their_items():
                 if hasattr(got, name):
                     assert np.array_equal(getattr(got, name), getattr(sequence[i], name))
     assert exact.fields[:1] == (exact.fields[0],)  # formed once, then the kept field
+
+
+def test_exact_ledger_forms_within_four_grid_arrays():
+    # the kept coefficients are 2 float64 grid arrays, the damping exponent 1,
+    # exponentiated in place; the Gauss-Legendre rule is built once per solve
+    spec = load_builtin("lp-block")
+    grid = spec.default_grid(N=12)
+    sol = solve_exact(spec, grid, times=[0.0, 0.37, spec.T])
+    sol.mode_ledgers[1]  # warm any first-call cache
+    array = 8 * grid.N**grid.n
+    for i in (1, 2):
+        assert _traced_peak(lambda: sol.mode_ledgers[i]) <= 4.0 * array, i
 
 
 def test_cli_stages_form_each_exact_ledger_at_most_once(monkeypatch, tmp_path):
