@@ -29,6 +29,7 @@ this module on first access, so they can be looked up or replaced before
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import math
@@ -75,6 +76,7 @@ _VERIFY_DRAWS = 5
 _DEFERRED = {
     "auxfields": ("build_H", "build_Hk_closed", "build_Hk_recursive", "invert_to_X",
                   "random_graded_polynomial", "verify_commutator_identity"),
+    "_norms": ("snapshot_norms",),
     "solver": ("energy_check", "residual_series", "solve_auto"),
     "smoothing": ("smoothing_profile",),
 }
@@ -268,7 +270,11 @@ def _require_representable_weights(spec: ProblemSpec, grid, power: float) -> Non
 
 
 def _require_finite(spec: ProblemSpec, grid, what: str, values) -> None:
-    """Refuse, before anything is written, results that overflowed on this grid."""
+    """Refuse results that overflowed on this grid, before any artifact is kept.
+
+    `smoothing` calls it before writing anything; `solve` after writing its
+    snapshots under temporary names, which the refusal removes (_staged).
+    """
     if not all(math.isfinite(v) for v in values):
         raise SolverError(
             f"{what} of {spec.name} is not a finite number on N={grid.N}^{grid.n} with "
@@ -293,6 +299,35 @@ def _solve(spec: ProblemSpec, args, first_time: float, power: float):
     solution = solve_auto(spec, grid=grid, dt=args.dt, times=times)
     args.run_meta.update(_route_meta(solution, args))
     return grid, guard, solution
+
+
+@contextlib.contextmanager
+def _staged(out: Path):
+    """Yield stage(name) -> a temporary path in `out`, created if missing.
+
+    Leaving the block normally renames each staged file to its name.  An
+    exception removes the staged files, and `out` and the parents this call
+    created, so a refused stage leaves the output directory as it found it.
+    """
+    created = [p for p in (out, *out.parents) if not p.exists()]
+    staged = {}
+
+    def stage(name: str) -> Path:
+        staged[name] = out / f".{name}.partial"
+        return staged[name]
+
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        yield stage
+    except BaseException:
+        for path in staged.values():
+            path.unlink(missing_ok=True)
+        for path in created:
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise
+    for name, path in staged.items():
+        path.replace(out / name)
 
 
 def _fail(code: int, message: str) -> int:
@@ -397,24 +432,27 @@ def cmd_verify(args) -> int:
 def cmd_solve(args) -> int:
     import numpy as np
 
-    _bind("solver")
+    _bind("_norms", "solver")
     spec = load_spec_file(args.spec)
     if args.tgrid < 5:
         raise ProblemSpecError("--tgrid must be at least 5 (the residual series "
                                "needs five uniformly spaced snapshots)")
     # the residual's H^2 normaliser and the energy's H^s norms
     grid, guard, solution = _solve(spec, args, 0.0, max(4.0, 2.0 * float(spec.s)))
-    residual = residual_series(solution, spec)
-    energy = energy_check(solution, spec)
-    _require_finite(spec, grid, "the residual or energy",
-                    (residual.max_value, energy.budget, energy.max_ratio))
-
-    out = _outdir(args)
-    field_files = []
-    for i, field in enumerate(solution.fields):
-        name = f"{spec.name}.t{i:04d}.upf"
-        write_field(out / name, field)
-        field_files.append(name)
+    out = Path(args.out)
+    field_files, norms = [], []
+    with _staged(out) as stage:
+        # each snapshot is read once: its spectrum gives its norms and its .upf
+        for i, field in enumerate(solution.fields):
+            name = f"{spec.name}.t{i:04d}.upf"
+            norms.append(snapshot_norms(field, float(spec.s), spec.m0))
+            write_field(stage(name), field)
+            field_files.append(name)
+            del field  # gone before the residual's arrays are formed
+        residual = residual_series(solution, spec, norms)
+        energy = energy_check(solution, spec, norms)
+        _require_finite(spec, grid, "the residual or energy",
+                        (residual.max_value, energy.budget, energy.max_ratio))
     write_csv(out / f"{spec.name}.energy.csv",
               ["time", "energy", "ratio"],
               [(float(t), float(e), float(r))

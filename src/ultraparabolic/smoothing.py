@@ -200,8 +200,7 @@ def _mode_data(source, s: float, grid: TorusGrid | None = None) -> _Modes:
     route's real grid values: their half spectrum rfftn(u) / N^n is read on
     the lattice's first N/2 + 1 frequencies of the last axis, each bin
     counted twice except k = 0 and k = N/2 of that axis, which have no
-    distinct conjugate partner (the layout of solver._weighted_spectra), so
-    no full complex spectrum is formed.  |c| is the one float array of the
+    distinct conjugate partner, so no full complex spectrum is formed.  |c| is the one float array of the
     spectrum's size; it becomes the power spectrum in place.
     """
     if isinstance(source, ModeLedger):

@@ -58,7 +58,8 @@ second derivative along an axis is one product with a fixed real N x N
 matrix along that axis (a BLAS matmul, no transform), plus, for a first
 derivative, the rank-one Nyquist term of the complex transform pair.
 energy_check tracks the parabolic energy balance against its theoretical
-budget.  Both norms come from one weighted power spectrum per snapshot.
+budget.  Both read each snapshot's norms from one pass over its spectrum
+(snapshot_norms), which the CLI's solve stage forms with each .upf write.
 """
 
 from __future__ import annotations
@@ -72,8 +73,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from ._errors import CFLError, CoercivityError, SolverError
+from ._norms import snapshot_norms
 from .problems import ConstantPreset, ProblemSpec, coercivity_check
-from .sobolev import SpectralField, TorusGrid, _along, _bessel_weight, _frequency_sq, hs_norm
+from .sobolev import SpectralField, TorusGrid, _along, hs_norm
 from .vfalgebra import _matmul
 
 __all__ = [
@@ -202,8 +204,8 @@ class _LedgerFields(_OnRead):
 
     Item i is ledger i's amplitudes resampled on the grid by _transport at
     times[i].  The ledger is read for it and dropped; the field is formed
-    once and kept, because `solve` reads every field three times (residual,
-    energy, write).
+    once and kept, because `solve` reads every field twice (its norms and
+    .upf write, then the residual).
     """
 
     def __init__(self, ledgers: _Ledgers, order: list):
@@ -556,6 +558,10 @@ def _apply_transport(plan, u, u4, spare, out) -> np.ndarray:
     return out
 
 
+# NumPy's ufunc buffer size, in values, while _slab_laplacian adds its faces.
+_FACE_BUFSIZE = 256
+
+
 def _slab_laplacian(u, m0, h, out, neighbour, centre) -> np.ndarray:
     """3-point Dirichlet Laplacian of u along its leading m0 axes, written into `out`.
 
@@ -567,7 +573,10 @@ def _slab_laplacian(u, m0, h, out, neighbour, centre) -> np.ndarray:
     the diagonal, upper neighbours in reverse axis order), so it reproduces
     the sparse product bit for bit.  `out`, `neighbour` and `centre` are
     arrays of u's shape that overlap neither u nor each other; the last two
-    are overwritten.
+    are overwritten.  A face's contiguous runs are short along the trailing
+    axes, and NumPy copies runs shorter than a quarter of its buffer size
+    through three buffers it allocates per call; at _FACE_BUFSIZE values,
+    runs of 64 or more go unbuffered and any buffer takes 2 KiB.
     """
     c = 1.0 / (h * h)
     d = -2.0 * c
@@ -578,11 +587,15 @@ def _slab_laplacian(u, m0, h, out, neighbour, centre) -> np.ndarray:
     out.fill(0.0)
     faces = [((slice(None),) * ax + (slice(None, -1),), (slice(None),) * ax + (slice(1, None),))
              for ax in range(m0)]
-    for lower, upper in faces:
-        np.add(out[upper], neighbour[lower], out=out[upper])
-    np.add(out, centre, out=out)
-    for lower, upper in reversed(faces):
-        np.add(out[lower], neighbour[upper], out=out[lower])
+    bufsize = np.setbufsize(_FACE_BUFSIZE)
+    try:
+        for lower, upper in faces:
+            np.add(out[upper], neighbour[lower], out=out[upper])
+        np.add(out, centre, out=out)
+        for lower, upper in reversed(faces):
+            np.add(out[lower], neighbour[upper], out=out[lower])
+    finally:
+        np.setbufsize(bufsize)
     return out
 
 
@@ -782,12 +795,12 @@ def _physical_memory() -> float:
 
 # Full float64 grid arrays a solve stage holds beyond its snapshots, summed
 # over its phases: the state and four step buffers (5; solve_fd peaks at
-# 5.1), the transients of the a-posteriori checks (5; residual_series 3.2
-# and energy_check 3.8) and the one complex spectrum of each .upf write (2,
-# at 16 B per point; fftn holds a second one while it forms it, 4.0), each
-# measured with tracemalloc on fokkerplanck at N = 8.  The phases do not
-# overlap, so the sum also covers the largest of them and leaves room for
-# the interpreter and the libraries.
+# 5.1), the residual's transients (5; residual_series 3.2) and the complex
+# spectrum of each .upf write and its norms (2, at 16 B per point; fftn
+# holds a second one while it forms it, 4.0; the norms' slabs come after),
+# each measured with tracemalloc on fokkerplanck at N = 8.  The phases do
+# not overlap, so the sum also covers the largest of them and leaves room
+# for the interpreter and the libraries.
 _FD_STAGE_ARRAYS = 5 + 5 + 2
 
 
@@ -1030,42 +1043,6 @@ class ResidualReport:
         return float(np.max(self.values))
 
 
-def _weighted_spectra(solution: TrajectorySolution, s: float):
-    """(freqs, power): power(i) is <xi>^{2s} |c|^2 of snapshot i, laid out on freqs.
-
-    power(i) sums to ||u(t_i)||_{H^s}^2.  On the FD route c is the half
-    spectrum rfftn(u) / N^n of the real grid values, each bin counted twice
-    except k = 0 and k = N/2 of the last axis, which have no distinct
-    conjugate partner; on the exact route c is the kept coefficients.  The
-    weight is built once per call.  A weight that overflows to inf on a zero
-    coefficient adds nothing, as in hs_norm.
-    """
-    grid = solution.grid
-    real = isinstance(solution.fields, _GridFields)
-    freqs = [grid.frequency(ax) for ax in range(grid.n)]
-    if real:
-        freqs[-1] = freqs[-1][..., :grid.N // 2 + 1]
-    shape = np.broadcast_shapes(*(f.shape for f in freqs))
-    weight = _bessel_weight(_frequency_sq(freqs, shape), 2.0 * s)
-    if real:
-        weight[..., 1:-1] *= 2.0
-    overflow = weight.max() == np.inf
-
-    def power(i):
-        if real:
-            c = np.fft.rfftn(solution.fields.values[i])
-            c /= grid.N**grid.n
-        else:
-            c = solution.fields[i].coeffs
-        out = c.real**2 + c.imag**2
-        if overflow:
-            return np.multiply(weight, out, out=out, where=out != 0)
-        out *= weight
-        return out
-
-    return freqs, power
-
-
 def _derivative_matrices(grid: TorusGrid):
     """(D1, D2, nyquist): spectral differentiation along one axis as real matrices.
 
@@ -1085,17 +1062,18 @@ def _derivative_matrices(grid: TorusGrid):
     return D1, D2, nyquist
 
 
-def residual_series(solution: TrajectorySolution, spec: ProblemSpec) -> ResidualReport:
+def residual_series(solution: TrajectorySolution, spec: ProblemSpec,
+                    norms=None) -> ResidualReport:
     """||du/dt + Xu + Yu - a lap u - g||_{L2} / (||u||_{H2} + 1) at interior times.
 
     Time derivative: fourth-order five-point central stencil, so the snapshot
     times must be uniformly spaced with at least five entries; space
-    derivatives are spectral on the snapshot grid, and the normaliser is one
-    weighted spectrum per snapshot (_weighted_spectra).  Each first and second
-    derivative along an axis is one product with a fixed N x N matrix
-    (_derivative_matrices, built once per call) along that axis
-    (_apply_along): a BLAS matmul in place of a 1-D transform pair.  The
-    first derivative's Nyquist term is the rank-one part
+    derivatives are spectral on the snapshot grid, and ||u||_{H^2}^2 is the
+    last of snapshot i's snapshot_norms: norms[i], or formed here without
+    `norms`.  Each first and second derivative along an axis is one product
+    with a fixed N x N matrix (_derivative_matrices, built once per call)
+    along that axis (_apply_along): a BLAS matmul in place of a 1-D
+    transform pair.  The first derivative's Nyquist term is the rank-one part
     i (-1)^j (xi_{N/2} / N) sum_k (-1)^k u_k, one alternating sum per line.
     The normalisers come first.  Then the stencil is formed in place in one
     kept array, and each term is formed in a second kept array and added to
@@ -1134,12 +1112,13 @@ def residual_series(solution: TrajectorySolution, spec: ProblemSpec) -> Residual
     if not real:
         nyquist = 1j * nyquist  # a complex residual takes the Nyquist terms in itself
     alternating = (-1.0) ** np.arange(N)
-    weighted = _weighted_spectra(solution, 2.0)[1]
 
     interior = range(2, len(times) - 2)
     # the normalisers first, so their spectra are gone before the kept arrays
-    scales = [float(np.sqrt(np.sum(weighted(i)))) + 1.0 for i in interior]
-    del weighted
+    if norms is None:
+        norms = {i: snapshot_norms(solution.fields[i], float(spec.s), spec.m0)
+                 for i in interior}
+    scales = [float(np.sqrt(norms[i][2])) + 1.0 for i in interior]
     stencil = np.empty_like(stack[0])
     # the terms' array; a complex stencil is spent once transformed, and takes them
     term = np.empty_like(stencil) if real else stencil
@@ -1216,27 +1195,18 @@ class EnergyReport:
         return float(np.max(self.ratio))
 
 
-def energy_check(solution: TrajectorySolution, spec: ProblemSpec) -> EnergyReport:
-    """The EnergyReport of a trajectory, from one weighted spectrum per snapshot.
+def energy_check(solution: TrajectorySolution, spec: ProblemSpec, norms=None) -> EnergyReport:
+    """The EnergyReport of a trajectory in H^s, s = spec.s.
 
-    Norms are in H^s, s = spec.s: ||u||_{H^s}^2 is the sum of the spectrum
-    P = <xi>^{2s} |c|^2 (_weighted_spectra), and ||d_k u||_{H^s}^2 is its
-    marginal along axis k against xi_k^2, so no derivative field is formed.
+    Each snapshot's ||u||_{H^s}^2 and sum_{k<m0} ||d_k u||_{H^s}^2 are the
+    first two of its snapshot_norms: norms[i], or formed here without `norms`.
     """
     s = float(spec.s)
     grid = solution.grid
     times = solution.times
-    freqs, weighted = _weighted_spectra(solution, s)
-    norms_sq = np.zeros(len(times))
-    dissipation = np.zeros(len(times))
-    for i in range(len(times)):
-        power = weighted(i)
-        norms_sq[i] = np.sum(power)
-        for ax in range(spec.m0):
-            # xi_k = 0 sits at index 0 alone; leaving it out keeps an
-            # overflowed weight there from adding inf * 0
-            marginal = power.sum(axis=tuple(a for a in range(grid.n) if a != ax))
-            dissipation[i] += marginal[1:] @ freqs[ax].ravel()[1:] ** 2
+    if norms is None:
+        norms = [snapshot_norms(f, s, spec.m0) for f in solution.fields]
+    norms_sq, dissipation, _ = np.array(norms, dtype=float).T
     integral = np.concatenate(
         [[0.0], np.cumsum(0.5 * (dissipation[1:] + dissipation[:-1]) * np.diff(times))]
     )

@@ -5,6 +5,7 @@ can be asserted without subprocess overhead.  Grids are kept small; the
 heavyweight configurations live in the acceptance suite.
 """
 
+import dataclasses
 import json
 import os
 import re
@@ -13,6 +14,7 @@ import sys
 import textwrap
 import time
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ultraparabolic import cli
 from ultraparabolic.cli import (
     EXIT_CONDITION,
     EXIT_IO,
@@ -618,6 +621,58 @@ def test_unconverged_slab_solve_is_a_numerical_abort(tmp_path, monkeypatch, caps
                      r"0\.\d+, not 1e-15, within its cap of 1 iterations \(max a / min a = ",
                      capsys.readouterr().err)
     assert not (out / "two-axis-a.solve.json").exists()  # no unconverged state is written
+
+
+def _count_forward_transforms(monkeypatch) -> Counter:
+    """Count calls of np.fft.fftn and np.fft.rfftn, the n-D forward transforms."""
+    counts = Counter()
+    for name in ("fftn", "rfftn"):
+        def counted(*args, _name=name, _transform=getattr(np.fft, name), **kwargs):
+            counts[_name] += 1
+            return _transform(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return counts
+
+
+def test_solve_transforms_each_fd_snapshot_once(tmp_path, monkeypatch):
+    counts = _count_forward_transforms(monkeypatch)
+    assert run("solve", "--spec", "fokkerplanck", "--grid", "6", "--tgrid", "9",
+               "--out", str(tmp_path / "fd")) == EXIT_OK
+    # one spectrum per snapshot gives its .upf, its energy norms and its
+    # residual normaliser
+    assert counts == {"fftn": 9}
+    for tgrid in ("5", "9"):
+        counts.clear()
+        assert run("solve", "--spec", "kolmogorov2d", "--grid", "16", "--tgrid", tgrid,
+                   "--out", str(tmp_path / f"exact{tgrid}")) == EXIT_OK
+        # the exact route keeps each snapshot's coefficients: only the initial
+        # data's spectrum is formed, whatever the number of snapshots
+        assert counts == {"fftn": 1}, tgrid
+
+
+def _overflowed_energy(solution, spec, norms=None):
+    from ultraparabolic.solver import energy_check
+
+    report = energy_check(solution, spec, norms)
+    return dataclasses.replace(report, ratio=np.full_like(report.ratio, np.inf))
+
+
+def test_refused_solve_leaves_the_output_directory_as_it_found_it(tmp_path, monkeypatch):
+    # the refusal comes after every snapshot has been written under a temporary name
+    monkeypatch.setattr(cli, "energy_check", _overflowed_energy)
+    argv = ["solve", "--spec", "fokkerplanck", "--grid", "6", "--tgrid", "5"]
+    missing = tmp_path / "new" / "out"
+    assert run(*argv, "--out", str(missing)) == EXIT_NUMERICAL
+    assert not (tmp_path / "new").exists()
+
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    older = b"an older snapshot"
+    (kept / "fokkerplanck.t0000.upf").write_bytes(older)
+    assert run(*argv, "--out", str(kept)) == EXIT_NUMERICAL
+    assert (kept / "fokkerplanck.t0000.upf").read_bytes() == older
+    # only the volatile sidecar, which every stage writes when it can, is new
+    assert sorted(p.name for p in kept.iterdir()) == ["fokkerplanck.t0000.upf", "run_meta.json"]
 
 
 def test_solve_tgrid_too_small_for_residual(tmp_path):

@@ -28,7 +28,8 @@ from ultraparabolic.problems import (
     builtin_spec_names,
     load_builtin,
 )
-from ultraparabolic.sobolev import SpectralField, TorusGrid, hs_norm
+from ultraparabolic._norms import snapshot_norms
+from ultraparabolic.sobolev import SpectralField, TorusGrid, hs_norm, random_band_limited
 from ultraparabolic.smoothing import smoothing_profile
 from ultraparabolic.solver import (
     _MAX_FD_STEPS,
@@ -1013,6 +1014,29 @@ def test_slab_laplacian_equals_the_sparse_matrix(m0):
     assert np.array_equal(got, want)  # same terms, same order: bit for bit
 
 
+@pytest.mark.parametrize("N, n, m0", [(6, 6, 3), (8, 6, 3), (20, 4, 2)])
+def test_slab_laplacian_allocates_nothing(N, n, m0):
+    # at 6^6 the faces of axis 2 are runs of 5 * 216 values, which NumPy's
+    # buffered loop copies through three 64 KiB buffers it allocates per call
+    u = np.random.default_rng(N).standard_normal((N,) * n)
+    buffers = [np.empty_like(u) for _ in range(3)]
+    want = _slab_laplacian(u, m0, 0.37, *buffers).copy()
+    assert _traced_peak(lambda: _slab_laplacian(u, m0, 0.37, *buffers)) < 4096
+    assert np.array_equal(buffers[0], want)
+
+
+@pytest.mark.parametrize("n, m0, s", [(1, 1, 1.0), (2, 2, -1.0), (3, 1, 0.5), (4, 2, 1.0)])
+def test_snapshot_norms_equal_the_per_axis_derivative_norms(n, m0, s):
+    # one slab pass against one hs_norm per derivative, also with one axis
+    # (a slab of one value) and with every axis diffused
+    grid = TorusGrid(n, 8, L=1.3)
+    f = random_band_limited(grid, np.random.default_rng(n), decay=1.0)
+    dissipation = sum(hs_norm(partial_derivative(f, tuple(int(j == k) for j in range(n))), s) ** 2
+                      for k in range(m0))
+    want = (hs_norm(f, s) ** 2, dissipation, hs_norm(f, 2.0) ** 2)
+    np.testing.assert_allclose(snapshot_norms(f, s, m0), want, rtol=1e-13, atol=0.0)
+
+
 def test_energy_heat_within_budget():
     spec = load_builtin("heat")
     grid = spec.default_grid()
@@ -1113,6 +1137,25 @@ def test_fd_upf_write_holds_one_complex_spectrum(tmp_path):
     assert _traced_peak(lambda: write_field(path, field)) <= 0.1 * array
     assert path.stat().st_size == 18 + 2 * array
     assert np.array_equal(read_field(path).coeffs, sol.fields[2].coeffs)
+
+
+def test_fd_snapshot_read_norms_and_write_stay_within_one_spectrum_transform(tmp_path):
+    # what the CLI's solve stage does per snapshot: one fftn, its norms, its .upf
+    spec = load_builtin("fokkerplanck")
+    grid = spec.default_grid(N=8)
+    sol = solve_fd(spec, grid, times=np.linspace(0.0, spec.T, 5))
+    array = 8 * grid.N**grid.n
+    path = tmp_path / "u.upf"
+
+    def read_norms_write():
+        field = sol.fields[2]
+        snapshot_norms(field, float(spec.s), spec.m0)
+        write_field(path, field)
+
+    read_norms_write()  # warm the transform caches
+    # SpectralField.from_grid_values alone peaks at 4.0 arrays inside fftn;
+    # the norms' three slab arrays (3/8 of an array) come after it
+    assert _traced_peak(read_norms_write) <= 4 * array + 2**16
 
 
 def test_fd_residual_series_transients_stay_within_the_memory_guard():
