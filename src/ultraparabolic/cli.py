@@ -211,12 +211,13 @@ def _outdir(args) -> Path:
     return out
 
 
-def _write_sidecar(args, started: float) -> None:
+def _write_sidecar(args, started: float, code: int) -> None:
     """Volatile run metadata; the only file allowed to differ between reruns.
 
     A stage adds its own keys through `args.run_meta` (see _route_meta).
-    `peak_rss_mb` is the process's peak resident set size so far, in units
-    of 2^20 bytes.
+    `exit_code` is the stage's exit status, nonzero when it failed or was
+    refused.  `peak_rss_mb` is the process's peak resident set size so far,
+    in units of 2^20 bytes.
     """
     peak = None
     if resource is not None:
@@ -228,6 +229,7 @@ def _write_sidecar(args, started: float) -> None:
         "argv": sys.argv[1:],
         "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "elapsed_seconds": time.perf_counter() - started,
+        "exit_code": code,
         "peak_rss_mb": peak,
         **args.run_meta,
     }
@@ -240,16 +242,16 @@ def _route_meta(solution, args) -> dict:
 
     `unused_options` maps each given option the route ignored to its value:
     the exact route takes no time step, so it ignores --dt.  On the FD route
-    also its slab solver, step count, and advective CFL number next to its
-    limit.
+    also its slab solver, transport kernel, step count, and advective CFL
+    number next to its limit.
     """
     diag = solution.diagnostics
     unused = {"--dt": args.dt} if solution.method == "exact" and args.dt is not None else {}
     meta = {"route": solution.method, "route_reason": diag.get("route_reason"),
             "unused_options": unused}
     if solution.method == "fd":
-        meta.update(slab_solver=diag["slab_solver"], fd_steps=diag["steps"],
-                    cfl=diag["cfl"], cfl_limit=diag["cfl_limit"])
+        meta.update(slab_solver=diag["slab_solver"], transport=diag["transport"],
+                    fd_steps=diag["steps"], cfl=diag["cfl"], cfl_limit=diag["cfl_limit"])
     return meta
 
 
@@ -636,7 +638,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         code = _fail(EXIT_IO, f"error: {exc}")
     try:
-        _write_sidecar(args, started)
+        _write_sidecar(args, started, code)
     except OSError:
         pass
     return code

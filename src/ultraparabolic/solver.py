@@ -29,11 +29,13 @@ snapshots on one grid):
   Dirichlet data: diffusion (second-order central) is treated implicitly on
   the diffused slabs, drift and the lower-order terms explicitly with
   second-order upwind-biased one-sided differences chosen by the local sign
-  of the transport speed.  The explicit transport is regrouped as one centre
-  term for all axes (the upwind diagonals and b0, built once per solve) plus
-  each axis's neighbour terms, formed on at most two boxes per axis (the
-  smallest box holding each sign of the speed, whatever its sign pattern),
-  as shifted slices with long inner loops.
+  of the transport speed.  The explicit transport (_upwind, imported only
+  by solve_fd) is one N x N upwind matrix per axis, or a stack of them over
+  the one earlier axis the speed varies along, applied by one matmul, on
+  grids of four or more axes where every speed spans at most one other
+  axis, an earlier one, and the matrices fit in one grid array; otherwise a
+  stencil of one centre term for all axes plus each axis's neighbour terms
+  on at most two sign boxes per axis.
   Each implicit step (theta = 1/2, Crank-Nicolson) applies the DST-I matrix,
   the eigenbasis of the 3-point Dirichlet second difference, along every
   diffused axis that a does not vary along.  When that is every diffused
@@ -439,125 +441,6 @@ def _transport_speeds(spec: ProblemSpec, grid: TorusGrid) -> dict:
     return speeds
 
 
-def _sign_box(mask):
-    """The smallest box of slices that holds every True cell of `mask`, or None.
-
-    An axis the box spans whole is slice(None), as is every axis of length
-    1, so the box of a compact mask also indexes the full grid it
-    broadcasts over.
-    """
-    if not mask.any():
-        return None
-    box = []
-    for ax, size in enumerate(mask.shape):
-        hits = np.flatnonzero(mask.any(axis=tuple(a for a in range(mask.ndim) if a != ax)))
-        lo, hi = int(hits[0]), int(hits[-1]) + 1
-        box.append(slice(None) if (lo, hi) == (0, size) else slice(lo, hi))
-    return tuple(box)
-
-
-def _transport_plan(speeds: dict, b0_vals, h: float, shape: tuple):
-    """-sum_j w_j D_j u - b0 u as one centre term plus upwind neighbour terms.
-
-    D_j is the second-order one-sided difference biased against the sign of
-    w_j: (3u_i - 4u_{i-1} + u_{i-2}) / (2h) where w_j > 0, else
-    (-3u_i + 4u_{i+1} - u_{i+2}) / (2h), with zeros outside the box (Dirichlet
-    ghosts).  So the sum equals
-
-        centre * u + sum_j c_j (4 u[i + sigma] - u[i + 2 sigma]),
-
-    centre = -(3/(2h)) sum_j |w_j| - b0, c_j = |w_j| / (2h), and sigma = -1
-    where w_j > 0, +1 elsewhere.  Returns (centre, boxes): centre in the
-    per-axis form of the speeds, and at most two tuples
-    (box, c, view, dest, near, far, faces) per axis j, one for each sigma
-    that occurs:
-
-    * `box` (from _sign_box) is the smallest box that holds every cell where
-      sigma w_j < 0; it indexes the full grid.  `c` is c_j there and 0 on
-      the cells of the box where sigma w_j >= 0, so the two boxes of an axis
-      may overlap, and the cost of an axis never exceeds two full-grid terms
-      whatever the shape of its sign pattern;
-    * `view` is the grid shape with the axes after the box's last cut merged
-      into one run; `dest`, `near` and `far` index that view at the cells
-      and at their shifts by sigma and 2 sigma.  When the box is cut along
-      axis j or a later one, the shift runs along axis j and stops short of
-      the two cells nearest the face.  Otherwise it is a flat shift by axis
-      j's stride along the merged run, so the inner loops stay long; it
-      then also reaches the two cells nearest the face, which read across
-      rows;
-    * `faces` re-forms those cells: (cells, None) where both neighbours are
-      ghosts, (cells, source) where 4 u[source] is the only term.
-    """
-    n = len(shape)
-    total = np.zeros((1,) * n)
-    for w in speeds.values():
-        total = total + np.abs(w)
-    centre = (-3.0 / (2.0 * h)) * total
-    if b0_vals is not None:
-        centre = centre - b0_vals
-    boxes = []
-    for j, w in speeds.items():
-        N = shape[j]
-        for sigma in (-1, 1):
-            upwind = -sigma * w  # > 0 where this sigma applies
-            box = _sign_box(upwind > 0)
-            if box is None:
-                continue
-            c = np.maximum(upwind, 0.0) / (2.0 * h)
-            cut = max((ax + 1 for ax, s in enumerate(box) if s != slice(None)), default=0)
-            view = shape[:cut] + (int(np.prod(shape[cut:], dtype=int)),)
-            if j < cut:
-                ax, step = j, 1
-                lo, hi, _ = box[j].indices(N)
-            else:
-                ax, step = cut, int(np.prod(shape[j + 1:], dtype=int))
-                lo, hi = 0, view[cut]
-            if sigma < 0:
-                lo = max(lo, 2 * step)
-            else:
-                hi = min(hi, view[ax] - 2 * step)
-            hi = max(hi, lo)
-
-            def shifted(offset):
-                index = list(box[:cut]) + [slice(None)]
-                index[ax] = slice(lo + offset, hi + offset)
-                return tuple(index)
-
-            def at_j(i):
-                return box[:j] + (slice(i, i + 1),) + box[j + 1:]
-
-            rows = range(*box[j].indices(N))
-            edge = 0 if sigma < 0 else N - 1  # both neighbours of the edge cell are ghosts
-            faces = [(at_j(i), source) for i, source in ((edge, None), (edge - sigma, at_j(edge)))
-                     if i in rows]
-            boxes.append((box, c[box], view, shifted(0), shifted(sigma * step),
-                          shifted(2 * sigma * step), faces))
-    return centre, boxes
-
-
-def _apply_transport(plan, u, u4, spare, out) -> np.ndarray:
-    """centre * u + sum_j c_j (4 u[i + sigma] - u[i + 2 sigma]), written into `out`.
-
-    `plan` comes from _transport_plan for u's shape.  u is C-contiguous; u4
-    (overwritten with 4u when the plan has boxes), `spare` (the neighbour
-    terms of one box at a time) and `out` are C-contiguous arrays of u's
-    shape that overlap neither u nor each other.  Per box: one pass for the
-    shifted difference, one for the factor c_j and one to add it in.
-    """
-    centre, boxes = plan
-    np.multiply(centre, u, out=out)
-    if boxes:
-        np.multiply(u, 4.0, out=u4)
-    for box, c, view, dest, near, far, faces in boxes:
-        np.subtract(u4.reshape(view)[near], u.reshape(view)[far], out=spare.reshape(view)[dest])
-        for cells, source in faces:
-            spare[cells] = 0.0 if source is None else u4[source]
-        term = spare[box]
-        term *= c
-        np.add(out[box], term, out=out[box])
-    return out
-
-
 # NumPy's ufunc buffer size, in values, while _slab_laplacian adds its faces.
 _FACE_BUFSIZE = 256
 
@@ -809,8 +692,8 @@ def _require_memory(snapshots: int, n: int, N: int, solver_axes=()) -> None:
 
     The run holds one float64 grid array per snapshot plus _FD_STAGE_ARRAYS
     more, and one float64 array of N**k values for each k in `solver_axes`
-    (the slab solver's factors, slice buffer or CG work arrays).  The error
-    names the largest N that fits.
+    (the slab solver's factors, slice buffer or CG work arrays, and the
+    transport's matrices).  The error names the largest N that fits.
     """
     def need(size):
         size = float(size)
@@ -824,7 +707,7 @@ def _require_memory(snapshots: int, n: int, N: int, solver_axes=()) -> None:
         fit -= 2
     raise SolverError(
         f"the FD route needs about {need(N) / 2**20:.4g} MiB for {snapshots} snapshots, "
-        f"{_FD_STAGE_ARRAYS} work and transient arrays and the slab solver's on N = {N} in "
+        f"{_FD_STAGE_ARRAYS} work and transient arrays and the solver's on N = {N} in "
         f"{n}-D, more than the {budget / 2**20:.4g} MiB of physical memory; "
         + (f"retry with N <= {fit}" if fit >= 4 else "no grid fits"))
 
@@ -883,7 +766,7 @@ def _snapshot_segments(times, dt_base, T, strict):
 
 def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None = None,
              times=None) -> TrajectorySolution:
-    """IMEX Crank-Nicolson scheme: implicit central diffusion, explicit upwinded transport.
+    """IMEX Crank-Nicolson scheme: implicit central diffusion, explicit upwind transport.
 
     One loop takes every step: the explicit terms E(u) of the grid values u
     go to the slab solver's advance, which returns the new state, in the
@@ -907,6 +790,12 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     "sine-tridiagonal" for one, see _sine_slab_solver; "sine-cg" for two or
     more, see _slab_cg.cg_slab_solver, whose unconverged solve raises
     SolverError),
+    which explicit transport kernel ran (`transport`, see _upwind:
+    "matrices", one N x N upwind matrix or one stack of them over an
+    earlier axis per axis, on a grid of four or more axes when every speed
+    varies along at most one axis besides its own, an earlier one, and the
+    matrices hold no more values than one grid array; "stencil", the centre
+    term and sign-box neighbour terms, otherwise),
     the number of time steps taken (`steps`) and why the spec needs this
     route (`route_reason`, from _exact_route_supported; None when the exact
     route would apply).
@@ -948,15 +837,19 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     # one and 1/a fit in them); the tridiagonal sweep keeps a slice of n - 1 axes
     factor_axes = len(set(varies) | set(range(m0)))
     factors = 2 * len({step_dt for steps, step_dt in segments if steps}) * (factor_axes,)
-    _require_memory(len(times), n, N, factors + {
+    from ._upwind import apply_transport, matrix_axes, transport_plan
+
+    # the transport kernel's matrices (none on the stencil)
+    matrices = matrix_axes(speeds, grid.shape) or ()
+    _require_memory(len(times), n, N, factors + matrices + {
         "sine": (), "sine-tridiagonal": (n - 1,), "sine-cg": (n, n, n)}[slab_solver])
 
     # work arrays, allocated once per solve: the state (in the slab solver's
     # coordinates) or the next right-hand side, the explicit terms `rate`,
-    # and `u4` and `spare`, which serve in turn the upwind neighbour terms,
-    # the slab Laplacian and the sine transforms
+    # and `u4` and `spare`, which serve in turn the transport's terms, the
+    # slab Laplacian and the sine transforms
     spare, u4, rate, rhs = (np.empty(grid.shape) for _ in range(4))
-    plan = _transport_plan(speeds, b0_vals, h, grid.shape)
+    plan = transport_plan(speeds, b0_vals, h, grid.shape)
     # the grid values, a fresh C-ordered copy at the full grid shape
     u = np.array(np.broadcast_to(spec.u0.evaluate(grid), grid.shape), dtype=float, order="C")
 
@@ -972,7 +865,7 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
         state, step = u, _grid_steps(implicit_solver, a_vals, m0, h, rhs, spare, u4)
 
     def explicit_terms(u):
-        _apply_transport(plan, u, u4, spare, rate)
+        apply_transport(plan, u, u4, spare, rate)
         if g_vals is not None:
             np.add(rate, g_vals, out=rate)
         return rate
@@ -1014,6 +907,7 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
             "mass": np.array(mass),
             "boundary_fraction": np.array(boundary_fraction),
             "slab_solver": slab_solver,
+            "transport": plan[0],
             "steps": sum(steps for steps, _ in segments),
             "route_reason": _exact_route_supported(spec),
         },

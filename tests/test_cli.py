@@ -503,6 +503,8 @@ def test_exact_stages_load_no_numerical_code(tmp_path):
                     "--out", {str(tmp_path / "numerical")!r}]
             assert cli.main(argv) == 0, argv
         assert loaded() == list(NUMERICAL), loaded()
+        # the FD transport kernels load with the FD route only
+        assert "ultraparabolic._upwind" not in sys.modules
     """)
     result = _fresh_interpreter("-c", script)
     assert result.returncode == 0, result.stderr
@@ -671,8 +673,14 @@ def test_refused_solve_leaves_the_output_directory_as_it_found_it(tmp_path, monk
     (kept / "fokkerplanck.t0000.upf").write_bytes(older)
     assert run(*argv, "--out", str(kept)) == EXIT_NUMERICAL
     assert (kept / "fokkerplanck.t0000.upf").read_bytes() == older
-    # only the volatile sidecar, which every stage writes when it can, is new
+    # only the volatile sidecar, which every stage writes when it can, is new,
+    # and it says that the stage was refused
     assert sorted(p.name for p in kept.iterdir()) == ["fokkerplanck.t0000.upf", "run_meta.json"]
+    assert json.loads((kept / "run_meta.json").read_text())["exit_code"] == EXIT_NUMERICAL == 3
+    # a stage that succeeds records 0
+    monkeypatch.undo()
+    assert run(*argv, "--out", str(kept)) == EXIT_OK
+    assert json.loads((kept / "run_meta.json").read_text())["exit_code"] == 0
 
 
 def test_solve_tgrid_too_small_for_residual(tmp_path):
@@ -796,13 +804,16 @@ def test_run_meta_records_the_route_and_the_fd_step_count(tmp_path):
             assert meta["route"] == ("exact" if reason is None else "fd")
             assert meta["route_reason"] == reason
             if reason is None:
-                assert not {"slab_solver", "fd_steps", "cfl", "cfl_limit"} & set(meta)
+                assert not {"slab_solver", "transport", "fd_steps", "cfl", "cfl_limit"} & set(meta)
                 continue
             loaded = load_builtin(spec)
             times = (np.linspace(0.0, loaded.T, 5) if stage == "solve"
                      else np.linspace(loaded.T / 100.0, loaded.T, 5))
             sol = solve_fd(loaded, loaded.default_grid(N=int(grid)), times=times)
             assert meta["slab_solver"] == sol.diagnostics["slab_solver"]
+            # kolmogorov-general's speeds each span one other axis; brownian-inertia is 2-D
+            assert meta["transport"] == sol.diagnostics["transport"] == {
+                "kolmogorov-general": "matrices", "brownian-inertia": "stencil"}[spec]
             assert meta["fd_steps"] == sol.diagnostics["steps"] > 0
             assert meta["cfl"] == sol.diagnostics["cfl"]
             assert 0.0 < meta["cfl"] <= meta["cfl_limit"] == sol.diagnostics["cfl_limit"] == 0.8

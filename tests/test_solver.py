@@ -16,7 +16,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.sparse.linalg import splu
 
-from ultraparabolic import _slab_cg, cli, solver
+from ultraparabolic import _slab_cg, _upwind, cli, solver
 
 from ultraparabolic.fieldio import read_field, write_field
 from ultraparabolic.problems import (
@@ -36,7 +36,6 @@ from ultraparabolic.solver import (
     CFLError,
     CoercivityError,
     SolverError,
-    _apply_transport,
     _axis_order,
     _damping_exponent,
     _matrix_exponential,
@@ -44,7 +43,6 @@ from ultraparabolic.solver import (
     _slab_laplacian,
     _snapshot_segments,
     _transport,
-    _transport_plan,
     _transport_speeds,
     energy_check,
     residual_series,
@@ -103,9 +101,15 @@ def _upwind_derivative(u, speed, axis, h):
 
 
 def _explicit_transport(u, speeds, h, b0=None):
-    """The solver's explicit transport -sum_j w_j D_j u - b0 u on fresh buffers."""
-    plan = _transport_plan(speeds, b0, h, u.shape)
-    return _apply_transport(plan, u, *(np.empty_like(u) for _ in range(3)))
+    """The stencil kernel's explicit transport -sum_j w_j D_j u - b0 u on fresh buffers."""
+    plan = _upwind.stencil_plan(speeds, b0, h, u.shape)
+    return _upwind.apply_stencil(plan, u, *(np.empty_like(u) for _ in range(3)))
+
+
+def _matrix_transport(u, speeds, h, b0=None):
+    """The matrix kernel's explicit transport -sum_j w_j D_j u - b0 u on fresh buffers."""
+    plan = _upwind.matrix_plan(speeds, b0, h, u.shape)
+    return _upwind.apply_matrices(plan, u, np.empty_like(u), np.empty_like(u))
 
 
 def _centre_neighbour_reference(u, speeds, h, b0=None):
@@ -271,6 +275,9 @@ def test_shifted_zero_fill():
     assert backward.tolist() == [-3.0, -2.0, -2.0, -2.0, -2.0]
     forward = _explicit_transport(u, {0: -np.ones(1)}, 0.5)
     assert forward.tolist() == [2.0, 2.0, 2.0, 8.0, -15.0]
+    # and so do the matrix kernel's rows, cut at the faces
+    assert _matrix_transport(u, {0: np.ones(1)}, 0.5).tolist() == backward.tolist()
+    assert _matrix_transport(u, {0: -np.ones(1)}, 0.5).tolist() == forward.tolist()
 
 
 def _random_speeds(rng, shape):
@@ -319,18 +326,121 @@ def test_upwind_stencil_equals_roll_reference():
                                       _centre_neighbour_reference(u, {axis: w}, h))
 
 
+def _one_other_axis_speeds(rng, shape):
+    """Speed sets whose speeds each vary along at most one other axis: (earlier, later).
+
+    `earlier`, which the matrix kernel takes: constant speeds of both signs;
+    speeds along their own axis; along their own axis and one earlier one,
+    and along one earlier axis only, for every distance between the two (so
+    the other axis is next to its own or not, and its own is the last axis
+    or not); a mix of all four.  `later`, which only the stencil takes: the
+    same with the other axis after its own, the last axis among them.  Every
+    speed that varies is zero on a quarter of its cells.
+    """
+    n = len(shape)
+
+    def sample(*axes):
+        w = rng.standard_normal(tuple(shape[ax] if ax in axes else 1 for ax in range(n)))
+        w.flat[::4] = 0.0
+        return w
+
+    earlier = [{j: np.full((1,) * n, rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+                for j in range(n)},
+               {j: sample(j) for j in range(n)}]
+    later = []
+    for shift in range(1, n):
+        earlier.append({j: sample(j, j - shift) for j in range(shift, n)})
+        earlier.append({j: sample(j - shift) for j in range(shift, n)})
+        later.append({j: sample(j, j + shift) for j in range(n - shift)})
+        later.append({j: sample(j + shift) for j in range(n - shift)})
+    earlier.append({0: np.full((1,) * n, -0.8), 1: sample(1), 2: sample(2, 0), 3: sample(1)})
+    return earlier, later
+
+
 def test_transport_equals_the_per_axis_upwind_form():
-    # regrouping the centre terms of all axes moves the sum by round-off only
+    # regrouping the centre terms of all axes moves the sum by round-off only;
+    # also on a 4-D grid for the speeds along a later axis, which the matrix
+    # kernel refuses
     rng = np.random.default_rng(11)
     u = rng.standard_normal((6, 7, 8))
     h = 0.37
     b0 = rng.standard_normal((6, 1, 1))
-    for speeds in _random_speeds(rng, u.shape):
-        want = -b0 * u
+    cases = [(u, speeds, b0) for speeds in _random_speeds(rng, u.shape)]
+    u = rng.standard_normal((5, 6, 7, 8))
+    for speeds in _one_other_axis_speeds(rng, u.shape)[1]:
+        cases += [(u, speeds, b0) for b0 in (None, np.full((1,) * 4, 0.6),
+                                             rng.standard_normal((1, 6, 1, 1)))]
+    for u, speeds, b0 in cases:
+        want = np.zeros(u.shape) if b0 is None else -b0 * u
         for axis, w in speeds.items():
             want = want - w * _upwind_derivative(u, w, axis, h)
         got = _explicit_transport(u, speeds, h, b0)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_matrix_transport_equals_the_per_axis_upwind_form():
+    # each axis's term as one matrix product per matrix moves the sum by round-off only
+    rng = np.random.default_rng(13)
+    shape = (5, 6, 7, 8)
+    u = rng.standard_normal(shape)
+    h = 0.37
+    b0s = (None, np.full((1,) * 4, rng.standard_normal()),  # constant: on one diagonal
+           rng.standard_normal((1, 6, 1, 1)))  # varying: a pass of its own
+    earlier, later = _one_other_axis_speeds(rng, shape)
+    for speeds in earlier:
+        for b0 in b0s:
+            want = np.zeros(shape) if b0 is None else -b0 * u
+            for axis, w in speeds.items():
+                want = want - w * _upwind_derivative(u, w, axis, h)
+            got = _matrix_transport(u, speeds, h, b0)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # a speed spanning two other axes, or varying along a later one
+    for speeds in [{3: rng.standard_normal((5, 6, 1, 1))}] + later:
+        with pytest.raises(ValueError, match="later axis or along two or more"):
+            _upwind.matrix_plan(speeds, None, h, shape)
+
+
+@pytest.mark.parametrize("N", [6, 8, 10, 12, 16])
+def test_transport_kernel_follows_the_speeds_and_the_grid(N):
+    # matrices on grids of four or more axes where every speed spans at most
+    # one other axis, an earlier one, and the matrices fit in one grid array;
+    # the stencil on 2-D and 3-D grids, for a speed along a later axis and for
+    # a speed that spans every axis (a full grid array, so on the smallest
+    # grid only)
+    def kernel(spec, size=N):
+        grid = spec.default_grid(N=size)
+        b0 = None if spec.b0.is_zero else spec.b0.evaluate(grid)
+        speeds = _transport_speeds(spec, grid)
+        name, plan = _upwind.transport_plan(speeds, b0, grid.spacing, grid.shape)
+        if name == "matrices":
+            held = sum(A.size for A, *_ in plan[0])
+            assert held <= grid.N**grid.n
+            assert held == sum(size**k for k in _upwind.matrix_axes(speeds, grid.shape))
+        return name
+
+    specs = {name: load_builtin(name) for name in builtin_spec_names()}
+    fd = {name: kernel(spec) for name, spec in specs.items()
+          if solver._exact_route_supported(spec) is not None}
+    assert fd == {"brownian-inertia": "stencil", "fokkerplanck": "matrices",
+                  "kolmogorov-general": "matrices"}
+    assert {name: kernel(spec) for name, spec in specs.items() if spec.n < 4} == dict.fromkeys(
+        ["brownian-inertia", "chain3", "heat", "kolmogorov2d", "kolmogorov2d-lowreg"], "stencil")
+    fokkerplanck = specs["fokkerplanck"]
+    gaussian = (GaussianPreset(width=1.0),) + fokkerplanck.b[1:]
+    assert kernel(dataclasses.replace(fokkerplanck, b=gaussian), size=6) == "stencil"
+    # a 2-D constant speed: N^2 values would fit, but the stencil is faster there
+    drifting = dataclasses.replace(specs["heat"], b=(ConstantPreset(-0.5), ConstantPreset(0.0)))
+    assert kernel(drifting) == "stencil"
+    # on a 3-D grid, one speed stacked over an earlier axis: N^3 values fit too
+    cube, one = (N,) * 3, {1: np.linspace(-1.0, 1.0, N).reshape(N, 1, 1)}
+    assert _upwind.matrix_axes(one, cube) is None
+    assert _upwind.transport_plan(one, None, 0.1, cube)[0] == "stencil"
+    # on a 4-D grid the same speed takes the matrices, and one along the last axis does not
+    hyper = (N,) * 4
+    assert _upwind.matrix_axes(one | {0: np.full((1,) * 4, 0.5)}, hyper) == (3, 2)
+    assert _upwind.matrix_axes({1: np.linspace(-1.0, 1.0, N).reshape(1, 1, 1, N)}, hyper) is None
+    for speeds in _one_other_axis_speeds(np.random.default_rng(N), hyper)[1]:
+        assert _upwind.transport_plan(speeds, None, 0.1, hyper)[0] == "stencil"
 
 
 @pytest.mark.parametrize("case", ["fokkerplanck", "lp-block", "random"])
@@ -349,7 +459,7 @@ def test_sign_boxes_hold_every_cell_of_their_sign(case):
     h = 0.5
     for j, w in enumerate(speeds):
         full = np.broadcast_to(w, shape)
-        _, boxes = _transport_plan({j: w}, None, h, shape)
+        _, boxes = _upwind.stencil_plan({j: w}, None, h, shape)
         assert 1 <= len(boxes) <= 2
         cover = np.zeros(shape, dtype=int)
         signs = set()
@@ -653,7 +763,7 @@ def _grid_loop_reference(sol, spec, slab_solver, strict=False):
     a_vals = spec.a.evaluate(grid)
     b0 = None if spec.b0.is_zero else spec.b0.evaluate(grid)
     g = None if spec.g.is_zero else spec.g.evaluate(grid)
-    plan = _transport_plan(_transport_speeds(spec, grid), b0, h, grid.shape)
+    plan = _upwind.transport_plan(_transport_speeds(spec, grid), b0, h, grid.shape)
     spare, u4, rate, rhs = (np.empty(grid.shape) for _ in range(4))
     implicit_solver = slab_solver(a_vals, m0, h, spare)
     u = np.array(np.broadcast_to(spec.u0.evaluate(grid), grid.shape), dtype=float)
@@ -664,7 +774,7 @@ def _grid_loop_reference(sol, spec, slab_solver, strict=False):
             _slab_laplacian(u, m0, h, rhs, spare, u4)
             rhs *= a_vals
             rhs *= 0.5
-            _apply_transport(plan, u, u4, spare, rate)
+            _upwind.apply_transport(plan, u, u4, spare, rate)
             if g is not None:
                 rate += g
             rhs += rate
@@ -776,14 +886,14 @@ def test_fd_steps_allocate_no_full_grid(name, N, slab_solver, monkeypatch):
     # alone, from one explicit transport to the next: its peak stays within
     # half an array of the memory held when it began (NumPy's buffered loops
     # take a few 64 KiB buffers, about 0.1 array on these grids)
-    transport, marks = solver._apply_transport, []
+    transport, marks = _upwind.apply_transport, []
 
     def marked(*args):
         marks.append(tracemalloc.get_traced_memory())
         tracemalloc.reset_peak()
         return transport(*args)
 
-    monkeypatch.setattr(solver, "_apply_transport", marked)
+    monkeypatch.setattr(_upwind, "apply_transport", marked)
     _traced_peak(lambda: solve_fd(spec, grid, dt=end / 16, times=[0.0, end]))
     rises = [peak - held for (held, _), (_, peak) in zip(marks, marks[1:])]
     assert len(rises) == 15 and max(rises) < array / 2, rises
@@ -949,6 +1059,84 @@ def _residual_reference(solution, spec):
             residual = residual - spec.g.evaluate(grid)
         values.append(float(np.sqrt(np.mean(np.abs(residual) ** 2))) / (hs_norm(u, 2.0) + 1.0))
     return np.array(values)
+
+
+def _gaussian_solution(spec, grid, t, steps=1000):
+    """Reference: the closed-form solution on R^n at time t, sampled on the grid.
+
+    For u_t + (M x + c).grad u + b0 u - a lap_P u = 0 with constant a and b0
+    and Gaussian data of width w about m0, M the drift's transpose B^T plus
+    the slopes of linear b and c the constant parts of b, the solution
+    (Kolmogorov, Ann. of Math. 35, 1934) is the Gaussian
+
+        e^{-(b0 - tr M) t} sqrt(det Sigma0 / det Sigma) exp(-(x - m)^T Sigma^{-1} (x - m) / 2),
+
+    Sigma' = M Sigma + Sigma M^T + 2 a P (P the projection onto the diffused
+    axes), Sigma0 = w^2 I, and m' = M m + c: RK4 with `steps` steps on both.
+    """
+    n = spec.n
+    M = spec.B_float().T
+    c = np.zeros(n)
+    for j, b in enumerate(spec.b):
+        if isinstance(b, LinearPreset):
+            M[j, b.axis] += b.slope
+            c[j] += b.intercept
+        else:
+            c[j] += b.value
+    diffusion = np.diag([2.0 * spec.a.value * (j < spec.m0) for j in range(n)])
+    sigma0 = spec.u0.width**2 * np.eye(n)
+
+    def rate(state):
+        sigma, m = state
+        return M @ sigma + sigma @ M.T + diffusion, M @ m + c
+
+    state = (sigma0, np.array(spec.u0.center or (0.0,) * n, dtype=float))
+    dt = t / steps
+    for _ in range(steps):
+        k1 = rate(state)
+        k2 = rate([x + 0.5 * dt * k for x, k in zip(state, k1)])
+        k3 = rate([x + 0.5 * dt * k for x, k in zip(state, k2)])
+        k4 = rate([x + dt * k for x, k in zip(state, k3)])
+        state = [x + dt / 6.0 * (p + 2.0 * q + 2.0 * r + s)
+                 for x, p, q, r, s in zip(state, k1, k2, k3, k4)]
+    sigma, m = state
+    inverse = np.linalg.inv(sigma)
+    offsets = [grid.coordinate(ax) - m[ax] for ax in range(n)]
+    form = np.zeros(grid.shape)
+    for i in range(n):
+        for k in range(n):
+            form += inverse[i, k] * offsets[i] * offsets[k]
+    scale = np.exp(-(spec.b0.value - np.trace(M)) * t)
+    scale *= np.sqrt(np.linalg.det(sigma0) / np.linalg.det(sigma))
+    return scale * np.exp(-0.5 * form)
+
+
+def test_gaussian_reference_matches_the_exact_route():
+    # the closed form against the characteristics solution, which it must
+    # match up to the periodic box's truncation of the Gaussian's tails
+    spec = load_builtin("kolmogorov2d")
+    grid = spec.default_grid(N=64)
+    final = solve_exact(spec, grid, times=[0.0, spec.T]).final.grid_values()
+    want = _gaussian_solution(spec, grid, spec.T)
+    assert np.linalg.norm(final - want) <= 1e-6 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("name, N, kernel, bound", [
+    ("fokkerplanck", 8, "matrices", 0.105),  # 10.0 % at the re-anchor
+    ("brownian-inertia", 64, "stencil", 0.071),  # 6.6 %
+    ("kolmogorov2d", 64, "stencil", 0.117),  # 11.2 %, an exact-route spec through solve_fd
+])
+def test_fd_route_against_the_gaussian_closed_form(name, N, kernel, bound):
+    # each transport kernel against the PDE: the final snapshot's relative l2
+    # error at the default dt, pinned at the re-anchor's value plus 0.5 points;
+    # the Dirichlet box cuts no more than a sliver of the solution
+    spec = load_builtin(name)
+    sol = solve_fd(spec, spec.default_grid(N=N))
+    assert sol.diagnostics["transport"] == kernel
+    assert sol.diagnostics["boundary_fraction"].max() < 1e-2
+    want = _gaussian_solution(spec, sol.grid, float(sol.times[-1]))
+    error = np.linalg.norm(sol.fields.values[-1] - want) / np.linalg.norm(want)
+    assert error <= bound, error
 
 
 def _assert_residual_matches_reference(solution, spec):
@@ -1189,6 +1377,25 @@ def test_fd_memory_guard_refuses_before_allocating_and_names_an_n_that_fits(monk
     code = cli.main(["solve", "--spec", "fokkerplanck", "--grid", "8", "--tgrid", "9",
                      "--out", str(out)])
     assert code == cli.EXIT_NUMERICAL and not out.exists()
+
+
+def test_fd_memory_guard_counts_the_transport_matrices(monkeypatch):
+    counted = []
+    guard = solver._require_memory
+
+    def spy(snapshots, n, N, solver_axes=()):
+        counted.append(sorted(solver_axes))
+        return guard(snapshots, n, N, solver_axes)
+
+    monkeypatch.setattr(solver, "_require_memory", spy)
+    for name, axes in (("fokkerplanck", [2, 2, 2, 3, 3, 3, 3, 3]), ("brownian-inertia", [1, 1])):
+        spec = load_builtin(name)
+        sol = solve_fd(spec, spec.default_grid(N=6), times=[0.0, spec.T / 64])
+        # the sine route's two factors on the diffused axes; on fokkerplanck the
+        # matrices too: one N x N along each diffused axis (b_j = -x_j) and a
+        # stack over x_j along each x_{j+3}, whose speed is x_j
+        assert counted.pop() == axes, name
+        assert sol.diagnostics["transport"] == ("matrices" if name == "fokkerplanck" else "stencil")
 
 
 def test_fd_memory_guard_counts_the_sine_cg_work_arrays(monkeypatch):
@@ -1486,7 +1693,7 @@ def test_transport_plan_never_holds_a_full_grid():
     b0 = spec.b0.evaluate(grid)
     tracemalloc.start()
     try:
-        centre, boxes = _transport_plan(speeds, b0, grid.spacing, grid.shape)
+        centre, boxes = _upwind.stencil_plan(speeds, b0, grid.spacing, grid.shape)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
