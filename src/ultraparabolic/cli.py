@@ -9,9 +9,9 @@ smoothing  derivative-growth measurement and factorial-scale fit
 report     aggregate of the artifacts the other subcommands produced
 
 Exit codes: 0 = success, 2 = a checked condition or identity failed,
-3 = numerical abort (ellipticity, step-size or step-count guard, a grid whose
-Sobolev weights overflow, a result overflowing on it, an unconverged solve),
-4 = I/O or parse error.
+3 = numerical abort (ellipticity, step-size, step-count or memory guard, a
+grid whose Sobolev weights overflow, a result overflowing on it), 4 = I/O or
+parse error.
 
 Primary outputs are deterministic: the same spec, knobs, and seed produce
 byte-identical JSON/CSV/binary files.  Volatile metadata (timestamps, wall
@@ -242,16 +242,17 @@ def _route_meta(solution, args) -> dict:
 
     `unused_options` maps each given option the route ignored to its value:
     the exact route takes no time step, so it ignores --dt.  On the FD route
-    also its slab solver, transport kernel, step count, and advective CFL
-    number next to its limit.
+    also its slab solver and the axes it sweeps, transport kernel, step
+    count, and advective CFL number next to its limit.
     """
     diag = solution.diagnostics
     unused = {"--dt": args.dt} if solution.method == "exact" and args.dt is not None else {}
     meta = {"route": solution.method, "route_reason": diag.get("route_reason"),
             "unused_options": unused}
     if solution.method == "fd":
-        meta.update(slab_solver=diag["slab_solver"], transport=diag["transport"],
-                    fd_steps=diag["steps"], cfl=diag["cfl"], cfl_limit=diag["cfl_limit"])
+        meta.update(slab_solver=diag["slab_solver"], slab_sweeps=diag["slab_sweeps"],
+                    transport=diag["transport"], fd_steps=diag["steps"], cfl=diag["cfl"],
+                    cfl_limit=diag["cfl_limit"])
     return meta
 
 

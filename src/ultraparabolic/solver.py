@@ -42,12 +42,12 @@ snapshots on one grid):
   axis, the state is kept in sine coordinates, where both halves of the
   diffusion are diagonal: a step is the explicit terms, one transform of
   them, three passes and one transform back.  Otherwise the state stays on
-  the grid, the explicit half of the diffusion is a 3-point stencil written
-  into the right-hand side, and the solve is a batched tridiagonal (Thomas)
-  sweep along the one diffused axis a varies along, or, when it varies
-  along two or more (no builtin spec does), conjugate gradients
-  preconditioned by the sine solve (_slab_cg, imported only then).  All run
-  on NumPy alone, in one step loop, with one advance per step size.
+  the grid and a step is Douglas's delta form: the explicit increment
+  dt (a lap u + E(u)), with lap a 3-point stencil, goes through one batched
+  tridiagonal (Thomas) sweep along each diffused axis a varies along, all
+  between one pair of sine transforms; with one such axis this is the
+  Crank-Nicolson step.  All run on NumPy alone, in one step loop, with one
+  advance per step size.
   Coefficients and transport speeds keep the per-axis form of
   Preset.evaluate; only the state and the step's four work arrays have the
   full grid shape.  solve_fd lists the guards that refuse a run up front.
@@ -584,27 +584,26 @@ def _sine_steps(a_vals, m0: int, h: float, u, state, spare):
 
 
 def _grid_steps(implicit_solver, a_vals, m0: int, h: float, rhs, neighbour, centre):
-    """Crank-Nicolson on grid values: step(step_dt) -> advance(u, rate) -> (u, u).
+    """Douglas's delta form on grid values: step(step_dt) -> advance(u, rate) -> (u, u).
 
-    The right-hand side u + dt ((1 - theta) a lap u + rate) is formed in
-    place in `rhs` (the slab Laplacian through `neighbour` and `centre`,
-    which _slab_laplacian overwrites), and implicit_solver(step_dt)'s solve
-    returns the new u in rhs's buffer; u's buffer takes the next right-hand
-    side.  Every route but the sine one keeps its state on the grid, so the
-    state is u.
+    The increment dt (a lap u + rate) is formed in place in `rhs` (the slab
+    Laplacian through `neighbour` and `centre`, which _slab_laplacian
+    overwrites), implicit_solver(step_dt)'s solve applies its factors
+    T_m ... T_1 to it in rhs's buffer, and u is advanced in place by the
+    result.  With one factor, T_1 = (I - theta dt a lap)^{-1}, this is the
+    Crank-Nicolson step (I - theta dt a lap) u' = u + dt ((1 - theta) a lap u
+    + rate).  Every route but the sine one keeps its state on the grid, so
+    the state is u.
     """
     def step(step_dt):
         solve = implicit_solver(step_dt)
 
         def advance(u, rate):
-            nonlocal rhs
-            _slab_laplacian(u, m0, h, rhs, neighbour, centre)
-            rhs *= a_vals
-            rhs *= 1.0 - _THETA
-            rhs += rate
-            rhs *= step_dt
-            rhs += u
-            rhs, u = u, solve(rhs)
+            delta = _slab_laplacian(u, m0, h, rhs, neighbour, centre)
+            delta *= a_vals
+            delta += rate
+            delta *= step_dt
+            u += solve(delta)
             return u, u
 
         return advance
@@ -613,54 +612,64 @@ def _grid_steps(implicit_solver, a_vals, m0: int, h: float, rhs, neighbour, cent
 
 
 def _sine_slab_solver(a_vals, m0: int, h: float, spare):
-    """implicit_solver(step_dt) -> solve(rhs) when a varies along one diffused axis l.
+    """implicit_solver(step_dt) -> solve(rhs): Douglas's factors when a varies along diffused axes.
 
-    solve(rhs) solves (I - theta dt a lap) x = rhs, lap the 3-point Dirichlet
-    Laplacian of the leading m0 axes, and returns x in rhs's buffer; `spare`
+    The diffused axes a varies along, l_1 < ... < l_m, are swept.  solve(rhs)
+    applies T_m ... T_1 to rhs in rhs's buffer, T_1 = (I - theta dt a
+    (D2_{l_1} + lap_other))^{-1} and T_k = (I - theta dt a D2_{l_k})^{-1}
+    (Douglas and Gunn, Numer. Math. 6, 1964), D2_l the 3-point Dirichlet
+    second difference along l and lap_other the 3-point Laplacian along the
+    other diffused axes; with m = 1, T_1 = (I - theta dt a lap)^{-1}.  `spare`
     is a work array of rhs's shape.  The DST-I matrix S (_slab_sine_basis)
-    is applied along every other diffused axis, where a's sample has length
-    1 and multiplication by a commutes with S.  Each sine mode of those axes
-    is then a tridiagonal system along l, with off-diagonals
-    -theta dt a / h^2 and diagonal 1 + theta dt a (2/h^2 - lam_other),
-    lam_other the sum of the other diffused axes' eigenvalues.  A batched
-    Thomas sweep solves it.  With the reciprocal pivots p_i and the modified
+    is applied along those other axes, where a's sample has length 1, so a
+    commutes with S and every factor runs between one pair of transforms.
+    There each factor is a tridiagonal system along its axis, with
+    off-diagonals -theta dt a / h^2 and diagonal 1 + theta dt a (2/h^2 - eig),
+    eig the other axes' eigenvalues for T_1 and 0 for the rest.  A batched
+    Thomas sweep solves it: with the reciprocal pivots p_i and the modified
     super-diagonal c_i = off_i p_i, the right-hand side is scaled by p once,
-    then y_i -= c_i y_{i-1} runs forward and x_i -= c_i x_{i+1} backward,
-    each a pass over one slice of N^(n-1) points through one kept slice
-    buffer.  The sweep needs no pivoting: lam_other <= 0, and the coercivity
+    then y_i -= c_i y_{i-1} runs forward and x_i -= c_i x_{i+1} backward, each
+    a pass over one slice of N^(n-1) points through one slice buffer that the
+    sweeps share.  No sweep needs pivoting: eig <= 0, and the coercivity
     guard runs first and gives a >= 1/Lambda > 0, so each diagonal exceeds
     the sum of its off-diagonals by at least 1 and every pivot is at least 1.
 
-    Each call implicit_solver(step_dt) builds the factors p and c (of the
-    broadcast shape of a and lam_other); solve_fd makes one per step size.
+    Each call implicit_solver(step_dt) builds p and c for every sweep (of the
+    broadcast shape of a and eig); solve_fd makes one per step size.
     """
     n, N = spare.ndim, spare.shape[0]
     lines = [ax for ax in range(m0) if np.shape(a_vals)[ax] > 1]
     axes = [ax for ax in range(m0) if ax not in lines]
     S, lam = _slab_sine_basis(N, axes, n, h)
-    cells = [(slice(None),) * lines[0] + (i,) for i in range(N)]  # slice i along l
-    line = np.empty(spare[cells[0]].shape)
+    # slice i along each swept axis, with that sweep's eigenvalues
+    sweeps = [([(slice(None),) * l + (i,) for i in range(N)], lam if k == 0 else 0.0)
+              for k, l in enumerate(lines)]
+    line = np.empty((N,) * (n - 1))
 
     def implicit_solver(step_dt):
         off = (-_THETA * step_dt / (h * h)) * a_vals
-        diag = 1.0 + _THETA * step_dt * a_vals * (2.0 / (h * h) - lam)
-        pivot, upper = np.empty(diag.shape), np.empty(diag.shape)
-        pivot[cells[0]] = 1.0 / diag[cells[0]]
-        upper[cells[0]] = off[cells[0]] * pivot[cells[0]]
-        for prev, cell in zip(cells, cells[1:]):
-            pivot[cell] = 1.0 / (diag[cell] - off[cell] * upper[prev])
-            upper[cell] = off[cell] * pivot[cell]
+        factors = []
+        for cells, eig in sweeps:
+            diag = 1.0 + _THETA * step_dt * a_vals * (2.0 / (h * h) - eig)
+            pivot, upper = np.empty(diag.shape), np.empty(diag.shape)
+            pivot[cells[0]] = 1.0 / diag[cells[0]]
+            upper[cells[0]] = off[cells[0]] * pivot[cells[0]]
+            for prev, cell in zip(cells, cells[1:]):
+                pivot[cell] = 1.0 / (diag[cell] - off[cell] * upper[prev])
+                upper[cell] = off[cell] * pivot[cell]
+            factors.append((cells, pivot, upper))
 
         def solve(rhs):
             x, free = _sine_transform(S, rhs, spare, axes)
-            x *= pivot
-            for prev, cell in zip(cells, cells[1:]):
-                np.multiply(upper[cell], x[prev], out=line)
-                np.subtract(x[cell], line, out=x[cell])
-            for cell, succ in zip(cells[-2::-1], cells[::-1]):
-                np.multiply(upper[cell], x[succ], out=line)
-                np.subtract(x[cell], line, out=x[cell])
-            # 2 * (m0 - 1) swaps in all: the result is back in rhs's buffer
+            for cells, pivot, upper in factors:
+                x *= pivot
+                for prev, cell in zip(cells, cells[1:]):
+                    np.multiply(upper[cell], x[prev], out=line)
+                    np.subtract(x[cell], line, out=x[cell])
+                for cell, succ in zip(cells[-2::-1], cells[::-1]):
+                    np.multiply(upper[cell], x[succ], out=line)
+                    np.subtract(x[cell], line, out=x[cell])
+            # 2 * len(axes) swaps in all: the result is back in rhs's buffer
             return _sine_transform(S, x, free, axes)[0]
 
         return solve
@@ -692,8 +701,8 @@ def _require_memory(snapshots: int, n: int, N: int, solver_axes=()) -> None:
 
     The run holds one float64 grid array per snapshot plus _FD_STAGE_ARRAYS
     more, and one float64 array of N**k values for each k in `solver_axes`
-    (the slab solver's factors, slice buffer or CG work arrays, and the
-    transport's matrices).  The error names the largest N that fits.
+    (the slab solver's factors and slice buffer, and the transport's
+    matrices).  The error names the largest N that fits.
     """
     def need(size):
         size = float(size)
@@ -786,10 +795,10 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     fraction of the solution touching the boundary shell at each snapshot,
     the advective CFL number (`cfl`) and its limit (`cfl_limit`),
     which implicit slab solver ran (`slab_solver`, chosen from the diffused
-    axes a's sample varies along: "sine" for none, see _sine_steps;
-    "sine-tridiagonal" for one, see _sine_slab_solver; "sine-cg" for two or
-    more, see _slab_cg.cg_slab_solver, whose unconverged solve raises
-    SolverError),
+    axes a's sample varies along, `slab_sweeps`, each Thomas-swept: "sine"
+    for none, see _sine_steps; "sine-tridiagonal" for one and "sine-adi",
+    Douglas's factors, for two or more, see _grid_steps and
+    _sine_slab_solver),
     which explicit transport kernel ran (`transport`, see _upwind:
     "matrices", one N x N upwind matrix or one stack of them over an
     earlier axis per axis, on a grid of four or more axes when every speed
@@ -831,18 +840,18 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
 
     # the implicit slab solver, by the number of diffused axes a varies along
     varies = [ax for ax, size in enumerate(np.shape(a_vals)) if size > 1]
-    lines = [ax for ax in varies if ax < m0]
-    slab_solver = ("sine", "sine-tridiagonal", "sine-cg")[min(len(lines), 2)]
-    # two factors per step size span the axes of a and of the slab eigenvalues (CG's
-    # one and 1/a fit in them); the tridiagonal sweep keeps a slice of n - 1 axes
+    sweeps = [ax for ax in varies if ax < m0]
+    slab_solver = ("sine", "sine-tridiagonal", "sine-adi")[min(len(sweeps), 2)]
+    # two factors per sweep (two on the sine route) and step size span the axes of
+    # a and of the slab eigenvalues; the sweeps share a slice of n - 1 axes
     factor_axes = len(set(varies) | set(range(m0)))
-    factors = 2 * len({step_dt for steps, step_dt in segments if steps}) * (factor_axes,)
+    sizes = len({step_dt for steps, step_dt in segments if steps})
+    factors = 2 * max(len(sweeps), 1) * sizes * (factor_axes,)
     from ._upwind import apply_transport, matrix_axes, transport_plan
 
     # the transport kernel's matrices (none on the stencil)
     matrices = matrix_axes(speeds, grid.shape) or ()
-    _require_memory(len(times), n, N, factors + matrices + {
-        "sine": (), "sine-tridiagonal": (n - 1,), "sine-cg": (n, n, n)}[slab_solver])
+    _require_memory(len(times), n, N, factors + matrices + ((n - 1,) if sweeps else ()))
 
     # work arrays, allocated once per solve: the state (in the slab solver's
     # coordinates) or the next right-hand side, the explicit terms `rate`,
@@ -853,16 +862,11 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     # the grid values, a fresh C-ordered copy at the full grid shape
     u = np.array(np.broadcast_to(spec.u0.evaluate(grid), grid.shape), dtype=float, order="C")
 
-    if slab_solver == "sine":
-        state, step = _sine_steps(a_vals, m0, h, u, rhs, spare)
-    else:
-        if slab_solver == "sine-tridiagonal":
-            implicit_solver = _sine_slab_solver(a_vals, m0, h, spare)
-        else:
-            from ._slab_cg import cg_slab_solver
-
-            implicit_solver = cg_slab_solver(a_vals, m0, h, spare, u4)
+    if sweeps:
+        implicit_solver = _sine_slab_solver(a_vals, m0, h, spare)
         state, step = u, _grid_steps(implicit_solver, a_vals, m0, h, rhs, spare, u4)
+    else:
+        state, step = _sine_steps(a_vals, m0, h, u, rhs, spare)
 
     def explicit_terms(u):
         apply_transport(plan, u, u4, spare, rate)
@@ -907,6 +911,7 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
             "mass": np.array(mass),
             "boundary_fraction": np.array(boundary_fraction),
             "slab_solver": slab_solver,
+            "slab_sweeps": sweeps,
             "transport": plan[0],
             "steps": sum(steps for steps, _ in segments),
             "route_reason": _exact_route_supported(spec),

@@ -8,7 +8,6 @@ heavyweight configurations live in the acceptance suite.
 import dataclasses
 import json
 import os
-import re
 import subprocess
 import sys
 import textwrap
@@ -552,7 +551,7 @@ def test_perfbench_smoothing_command_reproduces_its_reference(key, tmp_path):
 
 
 def _two_diffused_axes_spec(tmp_path):
-    """A written spec whose a varies along both of its diffused axes: the sine-cg route."""
+    """A written spec whose a varies along both of its diffused axes: the sine-adi route."""
     return write_spec(tmp_path, name="two-axis-a", m0=2, B=[["0", "0"], ["0", "0"]],
                       a={"kind": "gaussian", "width": 10.0},
                       b=[{"kind": "constant", "value": 0.0}] * 2)
@@ -581,7 +580,7 @@ def test_exact_route_stages_never_import_scipy(tmp_path):
 def test_sine_route_stages_never_import_scipy(tmp_path):
     # a fresh interpreter: the pytest process imports SciPy through other tests;
     # kolmogorov-general's a varies along one diffused axis (sine-tridiagonal),
-    # the written spec's a along two (conjugate gradients)
+    # the written spec's a along two (Douglas's sweeps, sine-adi)
     two_axis = _two_diffused_axes_spec(tmp_path)
     script = textwrap.dedent(f"""
         import json, sys
@@ -595,14 +594,13 @@ def test_sine_route_stages_never_import_scipy(tmp_path):
         for spec, grid, slab_solver in (("fokkerplanck", "6", "sine"),
                                         ("brownian-inertia", "16", "sine"),
                                         ("kolmogorov-general", "8", "sine-tridiagonal"),
-                                        ({str(two_axis)!r}, "8", "sine-cg")):
+                                        ({str(two_axis)!r}, "8", "sine-adi")):
             for stage, extra in (("solve", []), ("smoothing", ["--dmax", "3"])):
                 argv = [stage, "--spec", spec, "--grid", grid, "--tgrid", "5", *extra,
                         "--out", str(out)]
                 assert cli.main(argv) == 0, (spec, stage)
                 meta = json.loads((out / "run_meta.json").read_text())
                 assert meta["slab_solver"] == slab_solver, (spec, stage, meta)
-            assert ("ultraparabolic._slab_cg" in sys.modules) == (slab_solver == "sine-cg")
         assert scipy_modules() == [], scipy_modules()
     """)
     result = _fresh_interpreter("-c", script)
@@ -611,18 +609,17 @@ def test_sine_route_stages_never_import_scipy(tmp_path):
         assert json.loads((tmp_path / "fd" / f"{spec}.solve.json").read_text())["method"] == "fd"
 
 
-def test_unconverged_slab_solve_is_a_numerical_abort(tmp_path, monkeypatch, capsys):
-    from ultraparabolic import _slab_cg
-
+def test_sine_adi_solves_with_a_step_of_the_snapshot_gap(tmp_path):
+    # Douglas's sweeps have no iteration to fail: the written spec's T = 0.5
+    # over --tgrid 5 takes one step of 0.125 per snapshot gap
     two_axis = _two_diffused_axes_spec(tmp_path)
-    monkeypatch.setattr(_slab_cg, "_iteration_cap", lambda ratio: 1)
     out = tmp_path / "out"
-    assert run("solve", "--spec", str(two_axis), "--grid", "8", "--tgrid", "5",
-               "--out", str(out)) == EXIT_NUMERICAL
-    assert re.search(r"numerical abort: the sine-cg slab solve reached a relative residual of "
-                     r"0\.\d+, not 1e-15, within its cap of 1 iterations \(max a / min a = ",
-                     capsys.readouterr().err)
-    assert not (out / "two-axis-a.solve.json").exists()  # no unconverged state is written
+    assert run("solve", "--spec", str(two_axis), "--grid", "8", "--tgrid", "5", "--dt", "0.125",
+               "--out", str(out)) == EXIT_OK
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["slab_solver"] == "sine-adi" and meta["slab_sweeps"] == [0, 1]
+    assert meta["fd_steps"] == 4
+    assert (out / "two-axis-a.solve.json").exists()
 
 
 def _count_forward_transforms(monkeypatch) -> Counter:
@@ -804,13 +801,17 @@ def test_run_meta_records_the_route_and_the_fd_step_count(tmp_path):
             assert meta["route"] == ("exact" if reason is None else "fd")
             assert meta["route_reason"] == reason
             if reason is None:
-                assert not {"slab_solver", "transport", "fd_steps", "cfl", "cfl_limit"} & set(meta)
+                assert not {"slab_solver", "slab_sweeps", "transport", "fd_steps", "cfl",
+                            "cfl_limit"} & set(meta)
                 continue
             loaded = load_builtin(spec)
             times = (np.linspace(0.0, loaded.T, 5) if stage == "solve"
                      else np.linspace(loaded.T / 100.0, loaded.T, 5))
             sol = solve_fd(loaded, loaded.default_grid(N=int(grid)), times=times)
             assert meta["slab_solver"] == sol.diagnostics["slab_solver"]
+            # kolmogorov-general's a varies along diffused axis 0; brownian-inertia's is constant
+            assert meta["slab_sweeps"] == sol.diagnostics["slab_sweeps"] == {
+                "kolmogorov-general": [0], "brownian-inertia": []}[spec]
             # kolmogorov-general's speeds each span one other axis; brownian-inertia is 2-D
             assert meta["transport"] == sol.diagnostics["transport"] == {
                 "kolmogorov-general": "matrices", "brownian-inertia": "stencil"}[spec]

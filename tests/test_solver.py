@@ -16,7 +16,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.sparse.linalg import splu
 
-from ultraparabolic import _slab_cg, _upwind, cli, solver
+from ultraparabolic import _upwind, cli, solver
 
 from ultraparabolic.fieldio import read_field, write_field
 from ultraparabolic.problems import (
@@ -582,33 +582,41 @@ class _TwoAxisCoefficient(ConstantPreset):
 def test_fd_slab_batching_consistent():
     # the slab solvers, picked from the diffused axes a's sample varies along,
     # solve the same steps; fokkerplanck (m0 = 3, with b and b0) runs the sine
-    # matrix along 3 axes, and reaches conjugate gradients when a spans two of them
+    # matrix along 3 axes, and Douglas's factors when a spans two of them, which
+    # solve the steps of the factored sparse-LU reference
     for name, N, dt in (("kolmogorov2d", 16, 0.0125), ("fokkerplanck", 6, 0.25 / 64)):
         base = load_builtin(name)
         grid = base.default_grid(N=N)
         times = [0.0, 8 * dt]
 
         def final(a, slab_solver):
-            sol = solve_fd(dataclasses.replace(base, a=a), grid, dt=dt, times=times)
+            spec = dataclasses.replace(base, a=a)
+            sol = solve_fd(spec, grid, dt=dt, times=times)
             assert sol.diagnostics["slab_solver"] == slab_solver
+            if slab_solver == "sine-adi":
+                ref = _grid_loop_reference(sol, spec, _splu_adi_solver, strict=True)[-1]
+                got = sol.fields.values[-1]
+                assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref), (name, a)
             return sol.final
 
         # a full-grid sample spans every diffused axis: one on kolmogorov2d, three on fokkerplanck
-        everywhere = "sine-tridiagonal" if base.m0 == 1 else "sine-cg"
+        everywhere = "sine-tridiagonal" if base.m0 == 1 else "sine-adi"
         sine = final(ConstantPreset(1.0), "sine")
         cases = [(SinPerturbPreset(axis=0, amplitude=0.0), "sine-tridiagonal"),
                  (_SpanningConstant(1.0, axes=tuple(range(base.n))), everywhere)]
         if base.m0 >= 2:
-            cases += [(_SpanningConstant(1.0, axes=(0, 1)), "sine-cg"),
-                      (_SpanningConstant(1.0, axes=(0, 1, base.n - 1)), "sine-cg")]
+            cases += [(_SpanningConstant(1.0, axes=(0, 1)), "sine-adi"),
+                      (_SpanningConstant(1.0, axes=(0, 1, base.n - 1)), "sine-adi")]
         for a, slab_solver in cases:
-            gap = l2_norm(sine - final(a, slab_solver))
-            assert gap <= 1e-13 * l2_norm(sine), (name, slab_solver)
+            got = final(a, slab_solver)
+            if slab_solver != "sine-adi":
+                assert l2_norm(sine - got) <= 1e-13 * l2_norm(sine), (name, slab_solver)
         # a ramp along the last (non-diffused) axis keeps the sine solver
         ramp = {"axis": base.n - 1, "slope": 0.02, "intercept": 1.0}
         sloped = final(LinearPreset(**ramp), "sine")
         twin = final(_VariesEverywhereLinear(**ramp), everywhere)
-        assert l2_norm(sloped - twin) <= 1e-13 * l2_norm(twin), name
+        if everywhere != "sine-adi":
+            assert l2_norm(sloped - twin) <= 1e-13 * l2_norm(twin), name
         assert l2_norm(sloped - sine) > 1e-6 * l2_norm(sine), name
 
 
@@ -618,11 +626,14 @@ def _dirichlet_d2(N: int, h: float):
     return sp.diags([off, main, off], [-1, 0, 1], format="csr") / (h * h)
 
 
-def _subgrid_laplacian(N: int, m0: int, h: float):
-    """Reference: sparse CSR Laplacian of the leading m0 axes (3-point Dirichlet stencil)."""
+def _subgrid_laplacian(N: int, m0: int, h: float, axes=None):
+    """Reference: sparse CSR Laplacian along `axes` (default all) of the leading m0 axes.
+
+    The 3-point Dirichlet stencil, as a matrix on the N**m0 points of a column.
+    """
     D2 = _dirichlet_d2(N, h)
     total = None
-    for ax in range(m0):
+    for ax in range(m0) if axes is None else axes:
         term = sp.identity(N**ax, format="csr")
         term = sp.kron(term, D2, format="csr")
         term = sp.kron(term, sp.identity(N ** (m0 - 1 - ax), format="csr"), format="csr")
@@ -630,31 +641,45 @@ def _subgrid_laplacian(N: int, m0: int, h: float):
     return total
 
 
-def _splu_slab_solver(a_vals, m0, h, spare):
+def _splu_slab_solver(a_vals, m0, h, spare, factors=None):
     """Reference: the implicit slab step by sparse LU, one factorization per column.
 
     Same signature as solver._sine_slab_solver: implicit_solver(step_dt)
-    returns solve(rhs), which solves (I - dt a lap / 2) x = rhs and writes x
-    into rhs's buffer.
+    returns solve(rhs), which solves (I - dt a lap_k / 2) x = rhs for each
+    factor k in turn and writes x into rhs's buffer.  `factors` lists each
+    factor's axes, lap_k the Laplacian along them; the default, one factor
+    of every diffused axis, is the Crank-Nicolson solve.
     """
     N, n = spare.shape[0], spare.ndim
     M, R = N**m0, N ** (n - m0)
-    lap = _subgrid_laplacian(N, m0, h)
+    laps = [_subgrid_laplacian(N, m0, h, axes) for axes in (factors or [None])]
     a2d = np.broadcast_to(a_vals, spare.shape).reshape(M, R)
 
     def implicit_solver(step_dt):
-        lus = [splu((sp.identity(M, format="csr") - 0.5 * step_dt * sp.diags(a2d[:, j]) @ lap)
-                    .tocsc()) for j in range(R)]
+        lus = [[splu((sp.identity(M, format="csr") - 0.5 * step_dt * sp.diags(a2d[:, j]) @ lap)
+                     .tocsc()) for j in range(R)] for lap in laps]
 
         def solve(rhs):
             rhs2d = rhs.reshape(M, R)
-            for j, lu in enumerate(lus):
-                rhs2d[:, j] = lu.solve(rhs2d[:, j])
+            for factor in lus:
+                for j, lu in enumerate(factor):
+                    rhs2d[:, j] = lu.solve(rhs2d[:, j])
             return rhs
 
         return solve
 
     return implicit_solver
+
+
+def _splu_adi_solver(a_vals, m0, h, spare):
+    """Reference: Douglas's factors by sparse LU, with the signature of _sine_slab_solver.
+
+    The first factor spans the first diffused axis a varies along and the
+    diffused axes it does not; each later one, one more axis a varies along.
+    """
+    lines = [ax for ax in range(m0) if np.shape(a_vals)[ax] > 1]
+    factors = [[ax for ax in range(m0) if ax not in lines[1:]]] + [[ax] for ax in lines[1:]]
+    return _splu_slab_solver(a_vals, m0, h, spare, factors)
 
 
 @pytest.mark.parametrize("n, m0, line, other", [
@@ -697,27 +722,25 @@ def test_kolmogorov_general_sine_tridiagonal_snapshots_equal_the_sparse_lu_route
 
 
 @pytest.mark.parametrize("n, m0, axes", [
-    (2, 2, (0, 1)),        # a along both diffused axes: one operator for every column
-    (3, 2, (0, 1, 2)),     # and along the non-diffused axis: a preconditioner per column
-    (4, 3, (0, 2)),        # an axis a does not vary along between two it does
-    (4, 3, (0, 1, 2, 3)),
+    (2, 2, (0, 1)),        # a along both diffused axes: no sine axis, one operator for every column
+    (3, 2, (0, 1, 2)),     # and along the non-diffused axis: factors per column
+    (4, 3, (0, 2)),        # a sine axis between two swept ones, folded into the first factor
+    (4, 3, (0, 1, 2, 3)),  # three sweeps
 ])
-def test_sine_cg_step_equals_sparse_lu(n, m0, axes):
+def test_sine_adi_step_equals_sparse_lu(n, m0, axes):
     N, h = 6, 0.37
     rng = np.random.default_rng(10 * n + len(axes))
     a_vals = 0.5 + 1.5 * rng.random([N if ax in axes else 1 for ax in range(n)])
-    spare, u4 = np.empty((N,) * n), np.empty((N,) * n)
-    cg = _slab_cg.cg_slab_solver(a_vals, m0, h, spare, u4)
-    reference = _splu_slab_solver(a_vals, m0, h, spare)
+    spare = np.empty((N,) * n)
+    adi = solver._sine_slab_solver(a_vals, m0, h, spare)
+    reference = _splu_adi_solver(a_vals, m0, h, spare)
     # a second step size, then the first again: the factors belong to one step size each
     for step_dt in (0.05, 0.5, 0.05):
         rhs = rng.standard_normal((N,) * n)
         want = reference(step_dt)(rhs.copy())
-        got = cg(step_dt)(rhs)
+        got = adi(step_dt)(rhs)
         assert got is rhs  # the result is written back into the right-hand side's buffer
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), step_dt
-    zero = np.zeros((N,) * n)
-    assert not np.any(cg(0.05)(zero))  # converged before the first iteration
 
 
 def _sine_division_solver(a_vals, m0, h, spare):
@@ -743,20 +766,12 @@ def _sine_division_solver(a_vals, m0, h, spare):
     return implicit_solver
 
 
-def _cg_solver(a_vals, m0, h, spare):
-    """_slab_cg.cg_slab_solver with the signature of solver._sine_slab_solver.
-
-    Its second work array is a fresh one: the solve writes it before reading it.
-    """
-    return _slab_cg.cg_slab_solver(a_vals, m0, h, spare, np.empty_like(spare))
-
-
 def _grid_loop_reference(sol, spec, slab_solver, strict=False):
     """Reference: the FD step loop on grid values, replaying sol's times and dt.
 
-    Each step forms u + dt (a lap u / 2 + E(u)) with the slab Laplacian and
-    solves it with slab_solver(a_vals, m0, h, spare)(step_dt).  Returns the
-    grid values at sol's snapshot times.
+    Each step forms dt (a lap u + E(u)) with the slab Laplacian, solves it
+    with slab_solver(a_vals, m0, h, spare)(step_dt) and adds the result to u
+    (Douglas's delta form).  Returns the grid values at sol's snapshot times.
     """
     grid, m0 = sol.grid, spec.m0
     h = grid.spacing
@@ -773,14 +788,12 @@ def _grid_loop_reference(sol, spec, slab_solver, strict=False):
         for _ in range(steps):
             _slab_laplacian(u, m0, h, rhs, spare, u4)
             rhs *= a_vals
-            rhs *= 0.5
             _upwind.apply_transport(plan, u, u4, spare, rate)
             if g is not None:
                 rate += g
             rhs += rate
             rhs *= step_dt
-            rhs += u
-            rhs, u = u, solve(rhs)
+            u += solve(rhs)
         values.append(u.copy())
     return values
 
@@ -805,11 +818,11 @@ def test_dst_coordinate_steps_equal_the_grid_loop():
     spec = dataclasses.replace(base, a=_SpanningConstant(1.0, axes=(0, 1, base.n - 1)))
     dt = 0.25 / 64
     sol = solve_fd(spec, spec.default_grid(N=6), dt=dt, times=[0.0, 4 * dt, 8 * dt])
-    assert sol.diagnostics["slab_solver"] == "sine-cg"
-    want = _grid_loop_reference(sol, spec, _cg_solver, strict=True)
+    assert sol.diagnostics["slab_solver"] == "sine-adi"
+    want = _grid_loop_reference(sol, spec, solver._sine_slab_solver, strict=True)
     assert all(np.array_equal(got, ref) for got, ref in zip(sol.fields.values, want, strict=True))
-    # and the same steps as sparse LU, up to round-off
-    lu = _grid_loop_reference(sol, spec, _splu_slab_solver, strict=True)
+    # and the same steps as Douglas's factors by sparse LU, up to round-off
+    lu = _grid_loop_reference(sol, spec, _splu_adi_solver, strict=True)
     for got, ref in zip(sol.fields.values, lu, strict=True):
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
@@ -838,7 +851,7 @@ def test_step_sizes_a_b_a_reuse_one_advance_each(monkeypatch):
     cases = [(base, 6, "sine", _sine_division_solver),
              (load_builtin("kolmogorov-general"), 8, "sine-tridiagonal", solver._sine_slab_solver),
              (dataclasses.replace(base, a=_SpanningConstant(1.0, axes=(0, 1, base.n - 1))), 6,
-              "sine-cg", _cg_solver)]
+              "sine-adi", solver._sine_slab_solver)]
     for spec, N, slab_solver, reference in cases:
         # dyadic gaps T/32, 3T/128, T/32: the first and last are equal to the bit
         times = spec.T * np.array([0.0, 1 / 32, 1 / 32 + 3 / 128, 2 / 32 + 3 / 128])
@@ -855,20 +868,41 @@ def test_step_sizes_a_b_a_reuse_one_advance_each(monkeypatch):
                 assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
             else:
                 assert np.array_equal(got, ref), slab_solver
-        if slab_solver == "sine-cg":  # and the same steps as sparse LU, up to round-off
-            lu = _grid_loop_reference(sol, spec, _splu_slab_solver)
+        if slab_solver == "sine-adi":  # and the same steps as sparse LU, up to round-off
+            lu = _grid_loop_reference(sol, spec, _splu_adi_solver)
             for got, ref in zip(sol.fields.values, lu, strict=True):
                 assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_sine_adi_is_second_order_and_stable_at_a_step_of_t():
+    # the B = 0 two-axis spec that tests/test_cli.py writes (_two_diffused_axes_spec):
+    # a = exp(-|x|^2 / 200) varies along both diffused axes.  Thresholds: an
+    # observed order of at least 1.8 against a fine-dt Crank-Nicolson reference
+    # by sparse LU, and one step of dt = T finite with no growth in l2
+    spec = dataclasses.replace(load_builtin("heat"), T=0.5, Lambda=2.0,
+                               a=GaussianPreset(width=10.0), u0=GaussianPreset(width=0.5))
+    grid, T = TorusGrid(2, 16, 2.0), 0.5
+    fine = solve_fd(spec, grid, dt=T / 512, times=[0.0, T])
+    assert fine.diagnostics["slab_solver"] == "sine-adi"
+    assert fine.diagnostics["slab_sweeps"] == [0, 1]
+    ref = _grid_loop_reference(fine, spec, _splu_slab_solver, strict=True)[-1]
+    errors = [np.linalg.norm(solve_fd(spec, grid, dt=T / k, times=[0.0, T]).fields.values[-1]
+                             - ref) / np.linalg.norm(ref) for k in (4, 8, 16)]
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all(orders >= 1.8), (errors, orders)
+    start, end = solve_fd(spec, grid, dt=T, times=[0.0, T]).fields.values
+    assert np.all(np.isfinite(end))
+    assert np.linalg.norm(end) <= np.linalg.norm(start)
 
 
 @pytest.mark.parametrize("name, N, slab_solver", [
     ("fokkerplanck", 8, "sine"),
     ("kolmogorov-general", 20, "sine-tridiagonal"),
-    ("fokkerplanck", 8, "sine-cg"),  # a varies along two diffused axes
+    ("fokkerplanck", 8, "sine-adi"),  # a varies along two diffused axes
 ])
 def test_fd_steps_allocate_no_full_grid(name, N, slab_solver, monkeypatch):
     spec = load_builtin(name)
-    if slab_solver == "sine-cg":
+    if slab_solver == "sine-adi":
         spec = dataclasses.replace(spec, a=_TwoAxisCoefficient())
     grid = spec.default_grid(N=N)
     array = 8 * grid.N**grid.n
@@ -1398,16 +1432,19 @@ def test_fd_memory_guard_counts_the_transport_matrices(monkeypatch):
         assert sol.diagnostics["transport"] == ("matrices" if name == "fokkerplanck" else "stencil")
 
 
-def test_fd_memory_guard_counts_the_sine_cg_work_arrays(monkeypatch):
-    spec = dataclasses.replace(load_builtin("fokkerplanck"), a=_TwoAxisCoefficient())
+def test_fd_memory_guard_counts_the_sine_adi_sweep_arrays(monkeypatch):
+    base = load_builtin("fokkerplanck")
+    spec = dataclasses.replace(base, a=_TwoAxisCoefficient())
     grid = spec.default_grid(N=8)
     times = np.linspace(0.0, spec.T, 9)
-    # 9 snapshots + 12 work and transient arrays of 8**6 float64 take 44.0 MB; the
-    # conjugate gradients' three more take 50.3 MB
-    monkeypatch.setattr(solver, "_physical_memory", lambda: 47e6)
+    # 9 snapshots + 12 work and transient arrays of 8**6 float64, the transport
+    # matrices and the sine route's two 8**3 factors take 44.06 MB; the two
+    # sweeps' four 8**3 factors and their shared 8**5 slice take 44.33 MB
+    monkeypatch.setattr(solver, "_physical_memory", lambda: 44.2e6)
+    assert solve_fd(base, grid, times=times).diagnostics["slab_sweeps"] == []
     tracemalloc.start()
     try:
-        with pytest.raises(SolverError, match=r"needs about 48\.\d+ MiB .* retry with N <= 6\b"):
+        with pytest.raises(SolverError, match=r"needs about 42\.28 MiB .* retry with N <= 6\b"):
             solve_fd(spec, grid, times=times)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
