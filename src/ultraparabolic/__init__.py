@@ -8,7 +8,7 @@ The package covers one pipeline, exactly in this order:
   verification of their commutator identities and inversion back to the
   tower fields.
 - ``sobolev``: spectral Sobolev machinery on a periodic box — norms, Bessel
-  multipliers, products, and commutator-bound measurements.
+  weights, products, and commutator-bound measurements.
 - ``solver``: an exact characteristics/Fourier route for constant
   coefficients and an IMEX finite-difference route for variable ones, with
   residual and energy reporting.

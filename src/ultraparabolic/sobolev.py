@@ -34,12 +34,10 @@ __all__ = [
     "SpectralField",
     "SobolevIndexSet",
     "hs_norm",
-    "bessel_apply",
     "spectral_product",
     "commutator_bound_test",
     "product_bound_test",
     "BoundTestReport",
-    "peetre_gap",
     "random_band_limited",
 ]
 
@@ -97,11 +95,6 @@ class TorusGrid:
     def bessel_weight(self, s: float) -> np.ndarray:
         """<xi>^s = (1 + |xi|^2)^(s/2) over the grid frequencies."""
         return _bessel_weight(self.frequency_sq, s)
-
-    def frequency_vectors(self) -> np.ndarray:
-        """All grid frequencies as an (N^n, n) array (for pointwise inequality sweeps)."""
-        axes = np.meshgrid(*(self.axis_modes / self.L for _ in range(self.n)), indexing="ij")
-        return np.stack([a.ravel() for a in axes], axis=-1)
 
 
 def _along(vector: np.ndarray, axis: int, n: int) -> np.ndarray:
@@ -228,11 +221,6 @@ def hs_norm(field: SpectralField, s: float) -> float:
     if np.isnan(total) and w.max() == np.inf:
         total = np.sum(np.multiply(w, power, out=np.zeros_like(power), where=power != 0))
     return float(np.sqrt(total))
-
-
-def bessel_apply(field: SpectralField, s: float) -> SpectralField:
-    """Bessel smoothing operator Lambda^s: multiply coefficients by <xi>^s."""
-    return SpectralField(field.grid, field.coeffs * field.grid.bessel_weight(s))
 
 
 # ---------------------------------------------------------------------------
@@ -366,21 +354,6 @@ def product_bound_test(h: SpectralField, f: SpectralField, s: float) -> BoundTes
         denominator=denominator,
         ratio=numerator / denominator,
     )
-
-
-def peetre_gap(grid: TorusGrid, s: float) -> float:
-    """Max of <xi+eta>^s / (2^|s| <xi>^s <eta>^|s|) over all grid frequency pairs.
-
-    The pointwise inequality holds iff the returned value is <= 1 (up to
-    round-off); keep N^n modest, the sweep is quadratic in the mode count.
-    """
-    xi = grid.frequency_vectors()
-    sq = np.sum(xi**2, axis=1)
-    bracket = np.sqrt(1.0 + sq)
-    pair_sq = np.sum((xi[:, None, :] + xi[None, :, :]) ** 2, axis=-1)
-    lhs = np.power(1.0 + pair_sq, 0.5 * s)
-    rhs = (2.0 ** abs(s)) * np.power(bracket[:, None], s) * np.power(bracket[None, :], abs(s))
-    return float(np.max(lhs / rhs))
 
 
 def random_band_limited(grid: TorusGrid, rng: np.random.Generator, decay: float = 2.0,

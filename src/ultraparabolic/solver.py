@@ -38,19 +38,18 @@ snapshots on one grid):
   on at most two sign boxes per axis.
   Each implicit step (theta = 1/2, Crank-Nicolson) applies the DST-I matrix,
   the eigenbasis of the 3-point Dirichlet second difference, along every
-  diffused axis that a does not vary along.  When that is every diffused
-  axis, the state is kept in sine coordinates, where both halves of the
-  diffusion are diagonal: a step is the explicit terms, one transform of
-  them, three passes and one transform back.  Otherwise the state stays on
-  the grid and a step is Douglas's delta form: the explicit increment
-  dt (a lap u + E(u)), with lap a 3-point stencil, goes through one batched
-  tridiagonal (Thomas) sweep along each diffused axis a varies along, all
-  between one pair of sine transforms; with one such axis this is the
-  Crank-Nicolson step.  All run on NumPy alone, in one step loop, with one
-  advance per step size.
+  diffused axis that a does not vary along, and the state stays in those
+  sine coordinates.  Every slab solver takes one step form, Douglas's delta
+  form (_slab_steps): the increment dt (a L s + S E(u)), with L the sine
+  eigenvalues plus a 3-point second difference along each diffused axis a
+  varies along, goes through one batched tridiagonal (Thomas) sweep along
+  each such axis, or through one division when there is none; with at most
+  one such axis this is the Crank-Nicolson step.  A step is one transform of
+  the explicit terms, a few passes and the sweeps, and one transform back,
+  all on NumPy alone, in one step loop, with one advance per step size.
   Coefficients and transport speeds keep the per-axis form of
-  Preset.evaluate; only the state and the step's four work arrays have the
-  full grid shape.  solve_fd lists the guards that refuse a run up front.
+  Preset.evaluate; only u, the state and the step's three work arrays have
+  the full grid shape.  solve_fd lists the guards that refuse a run up front.
   The route keeps its native output, one real grid array per snapshot; a
   snapshot's spectrum is formed each time it is read.
 
@@ -441,47 +440,6 @@ def _transport_speeds(spec: ProblemSpec, grid: TorusGrid) -> dict:
     return speeds
 
 
-# NumPy's ufunc buffer size, in values, while _slab_laplacian adds its faces.
-_FACE_BUFSIZE = 256
-
-
-def _slab_laplacian(u, m0, h, out, neighbour, centre) -> np.ndarray:
-    """3-point Dirichlet Laplacian of u along its leading m0 axes, written into `out`.
-
-    Zeros stand in for values outside the box, so this is the sparse
-    Kronecker-sum Laplacian of the leading m0 axes (the 3-point second
-    difference along each, summed) applied to every column of u, without a
-    sparse matrix and without allocating.  It uses that matrix's coefficients
-    and adds each row's terms in its column order (lower neighbours by axis,
-    the diagonal, upper neighbours in reverse axis order), so it reproduces
-    the sparse product bit for bit.  `out`, `neighbour` and `centre` are
-    arrays of u's shape that overlap neither u nor each other; the last two
-    are overwritten.  A face's contiguous runs are short along the trailing
-    axes, and NumPy copies runs shorter than a quarter of its buffer size
-    through three buffers it allocates per call; at _FACE_BUFSIZE values,
-    runs of 64 or more go unbuffered and any buffer takes 2 KiB.
-    """
-    c = 1.0 / (h * h)
-    d = -2.0 * c
-    for _ in range(m0 - 1):  # the diagonal as the sparse sum of the axis terms forms it
-        d = d + (-2.0 * c)
-    np.multiply(u, c, out=neighbour)
-    np.multiply(u, d, out=centre)
-    out.fill(0.0)
-    faces = [((slice(None),) * ax + (slice(None, -1),), (slice(None),) * ax + (slice(1, None),))
-             for ax in range(m0)]
-    bufsize = np.setbufsize(_FACE_BUFSIZE)
-    try:
-        for lower, upper in faces:
-            np.add(out[upper], neighbour[lower], out=out[upper])
-        np.add(out, centre, out=out)
-        for lower, upper in reversed(faces):
-            np.add(out[lower], neighbour[upper], out=out[lower])
-    finally:
-        np.setbufsize(bufsize)
-    return out
-
-
 def _slab_sine_basis(N: int, axes, n: int, h: float):
     """Orthonormal DST-I matrix S and the eigenvalues of the Laplacian along `axes`.
 
@@ -524,9 +482,12 @@ def _sine_transform(S, x, spare, axes, out=None):
     x and spare take turns as input and output, so nothing is allocated.
     With `out`, x is only read and the result lands in `out`: the first
     product goes to `out` or `spare`, whichever puts the last one in `out`,
-    and those two take turns from there.
+    and those two take turns from there; with no axes, x is copied into it.
     """
     if out is not None:
+        if not axes:
+            np.copyto(out, x)
+            return out, spare
         first = out if len(axes) % 2 else spare
         _apply_along(S, x, axes[0], first)
         x, spare, axes = first, (spare if first is out else out), axes[1:]
@@ -536,121 +497,72 @@ def _sine_transform(S, x, spare, axes, out=None):
     return x, spare
 
 
-def _sine_steps(a_vals, m0: int, h: float, u, state, spare):
-    """Crank-Nicolson in DST coordinates when a is constant along every diffused axis.
+def _slab_steps(a_vals, m0: int, h: float, u, state, spare, work):
+    """The theta step of every slab solver, in Douglas's delta form; returns step.
 
-    Returns (state, step): `state` holds S u, and step(step_dt) returns
-    advance(state, rate) -> (state, u), one step from the explicit terms
-    `rate` = E(u) of the current grid values u.  S (_slab_sine_basis,
-    applied along the leading m0 axes) is its own inverse and turns the
-    3-point slab Laplacian into the eigenvalues lam, and multiplication by a
-    commutes with it.  So with u_hat = S u the theta step
+    The diffused axes a varies along, l_1 < ... < l_m, are swept; along the
+    others a's sample has length 1, so a commutes with the DST-I matrix S
+    (_slab_sine_basis) there.  `state` holds s = S u, S applied along those
+    other axes (every diffused axis when m = 0), and `u` the grid values the
+    explicit terms read.  With L = lam + sum_l D2_l, lam the other axes'
+    sine eigenvalues and D2_l the 3-point Dirichlet second difference along
+    l, each step is
 
-        (I - theta dt a lap) u' = u + dt ((1 - theta) a lap u + E(u))
+        s' = s + T_m ... T_1 dt (a L s + S E(u)),   u' = S s',
 
-    is, sine mode by sine mode,
+        T_1 = (I - theta dt a (D2_{l_1} + lam))^{-1},
+        T_k = (I - theta dt a D2_{l_k})^{-1}
 
-        u_hat' = growth u_hat + gain S E(u),
-        growth = (1 + (1 - theta) dt a lam) / (1 - theta dt a lam),
-        gain = dt / (1 - theta dt a lam):
+    (Douglas and Gunn, Numer. Math. 6, 1964).  a and each D2_l commute with
+    S, so in grid values this is u' = u + S T_m ... T_1 S dt (a lap u + E(u)),
+    lap the 3-point slab Laplacian; with m <= 1 it is the Crank-Nicolson step
+    (I - theta dt a lap) u' = u + dt ((1 - theta) a lap u + E(u)).  With no
+    swept axis, T_1 is the division by 1 - theta dt a lam.  Otherwise each
+    factor is a tridiagonal system along its axis, with off-diagonals
+    -theta dt a / h^2 and diagonal 1 + theta dt a (2/h^2 - eig), eig lam for
+    T_1 and 0 for the rest.  A batched Thomas sweep solves it: with the
+    reciprocal pivots p_i and the modified super-diagonal c_i = off_i p_i,
+    the increment is scaled by p once, then y_i -= c_i y_{i-1} runs forward
+    and x_i -= c_i x_{i+1} backward, each a pass over one slice of N^(n-1)
+    points through one slice buffer that the sweeps share.  No sweep needs
+    pivoting: eig <= 0, and the coercivity guard runs first and gives
+    a >= 1/Lambda > 0, so each diagonal exceeds the sum of its off-diagonals
+    by at least 1 and every pivot is at least 1.  The factors are linear, so
+    T_1's pivots also take the factor dt.
 
-    one transform of the rate, three passes and one transform back into u,
-    which the next explicit terms read.  `state` keeps u_hat between steps,
-    and `u` receives the grid values; `rate` and `spare` are the transforms'
-    work arrays.  Each call step(step_dt) builds the factors (of the
-    broadcast shape of a and lam); solve_fd makes one per step size.
+    step(step_dt) builds every factor's pivots p, and c for a sweep, of the
+    broadcast shape of a and lam, and returns advance(rate), which takes one
+    step from the explicit terms `rate` = E(u) of the current u and leaves
+    the new state and grid values in `state` and `u`; solve_fd makes one
+    per step size.  The coefficients of a L, a (lam - 2 m / h^2) on the
+    diagonal and a / h^2 off it, are built once.  `rate`, `spare` and `work`
+    are overwritten: the transforms take turns in the first two, and `work`
+    holds the off-diagonal terms of a L s.
     """
     n, N = u.ndim, u.shape[0]
-    axes = list(range(m0))
-    S, lam = _slab_sine_basis(N, axes, n, h)
-    _sine_transform(S, u, spare, axes, out=state)
-
-    def step(step_dt):
-        denominator = 1.0 - _THETA * step_dt * a_vals * lam
-        growth = (1.0 + (1.0 - _THETA) * step_dt * a_vals * lam) / denominator
-        gain = step_dt / denominator
-
-        def advance(state, rate):
-            hat, free = _sine_transform(S, rate, spare, axes)
-            state *= growth
-            hat *= gain
-            state += hat
-            _sine_transform(S, state, free, axes, out=u)
-            return state, u
-
-        return advance
-
-    return state, step
-
-
-def _grid_steps(implicit_solver, a_vals, m0: int, h: float, rhs, neighbour, centre):
-    """Douglas's delta form on grid values: step(step_dt) -> advance(u, rate) -> (u, u).
-
-    The increment dt (a lap u + rate) is formed in place in `rhs` (the slab
-    Laplacian through `neighbour` and `centre`, which _slab_laplacian
-    overwrites), implicit_solver(step_dt)'s solve applies its factors
-    T_m ... T_1 to it in rhs's buffer, and u is advanced in place by the
-    result.  With one factor, T_1 = (I - theta dt a lap)^{-1}, this is the
-    Crank-Nicolson step (I - theta dt a lap) u' = u + dt ((1 - theta) a lap u
-    + rate).  Every route but the sine one keeps its state on the grid, so
-    the state is u.
-    """
-    def step(step_dt):
-        solve = implicit_solver(step_dt)
-
-        def advance(u, rate):
-            delta = _slab_laplacian(u, m0, h, rhs, neighbour, centre)
-            delta *= a_vals
-            delta += rate
-            delta *= step_dt
-            u += solve(delta)
-            return u, u
-
-        return advance
-
-    return step
-
-
-def _sine_slab_solver(a_vals, m0: int, h: float, spare):
-    """implicit_solver(step_dt) -> solve(rhs): Douglas's factors when a varies along diffused axes.
-
-    The diffused axes a varies along, l_1 < ... < l_m, are swept.  solve(rhs)
-    applies T_m ... T_1 to rhs in rhs's buffer, T_1 = (I - theta dt a
-    (D2_{l_1} + lap_other))^{-1} and T_k = (I - theta dt a D2_{l_k})^{-1}
-    (Douglas and Gunn, Numer. Math. 6, 1964), D2_l the 3-point Dirichlet
-    second difference along l and lap_other the 3-point Laplacian along the
-    other diffused axes; with m = 1, T_1 = (I - theta dt a lap)^{-1}.  `spare`
-    is a work array of rhs's shape.  The DST-I matrix S (_slab_sine_basis)
-    is applied along those other axes, where a's sample has length 1, so a
-    commutes with S and every factor runs between one pair of transforms.
-    There each factor is a tridiagonal system along its axis, with
-    off-diagonals -theta dt a / h^2 and diagonal 1 + theta dt a (2/h^2 - eig),
-    eig the other axes' eigenvalues for T_1 and 0 for the rest.  A batched
-    Thomas sweep solves it: with the reciprocal pivots p_i and the modified
-    super-diagonal c_i = off_i p_i, the right-hand side is scaled by p once,
-    then y_i -= c_i y_{i-1} runs forward and x_i -= c_i x_{i+1} backward, each
-    a pass over one slice of N^(n-1) points through one slice buffer that the
-    sweeps share.  No sweep needs pivoting: eig <= 0, and the coercivity
-    guard runs first and gives a >= 1/Lambda > 0, so each diagonal exceeds
-    the sum of its off-diagonals by at least 1 and every pivot is at least 1.
-
-    Each call implicit_solver(step_dt) builds p and c for every sweep (of the
-    broadcast shape of a and eig); solve_fd makes one per step size.
-    """
-    n, N = spare.ndim, spare.shape[0]
     lines = [ax for ax in range(m0) if np.shape(a_vals)[ax] > 1]
     axes = [ax for ax in range(m0) if ax not in lines]
     S, lam = _slab_sine_basis(N, axes, n, h)
+    _sine_transform(S, u, spare, axes, out=state)
+    c = 1.0 / (h * h)
+    centre = a_vals * (lam - 2.0 * len(lines) * c)
+    coupling = a_vals * c
+    # (rows, neighbours) of the off-diagonal terms: i - 1, then i + 1, along each swept axis
+    faces = []
+    for ax in lines:
+        lower = (slice(None),) * ax + (slice(None, -1),)
+        upper = (slice(None),) * ax + (slice(1, None),)
+        faces += [(upper, lower), (lower, upper)]
     # slice i along each swept axis, with that sweep's eigenvalues
     sweeps = [([(slice(None),) * l + (i,) for i in range(N)], lam if k == 0 else 0.0)
               for k, l in enumerate(lines)]
-    line = np.empty((N,) * (n - 1))
+    line = np.empty((N,) * (n - 1)) if lines else None
 
-    def implicit_solver(step_dt):
-        off = (-_THETA * step_dt / (h * h)) * a_vals
+    def step(step_dt):
+        off = (-_THETA * step_dt) * coupling
         factors = []
         for cells, eig in sweeps:
-            diag = 1.0 + _THETA * step_dt * a_vals * (2.0 / (h * h) - eig)
+            diag = 1.0 + _THETA * step_dt * a_vals * (2.0 * c - eig)
             pivot, upper = np.empty(diag.shape), np.empty(diag.shape)
             pivot[cells[0]] = 1.0 / diag[cells[0]]
             upper[cells[0]] = off[cells[0]] * pivot[cells[0]]
@@ -658,23 +570,32 @@ def _sine_slab_solver(a_vals, m0: int, h: float, spare):
                 pivot[cell] = 1.0 / (diag[cell] - off[cell] * upper[prev])
                 upper[cell] = off[cell] * pivot[cell]
             factors.append((cells, pivot, upper))
+        if not factors:
+            factors.append(((), 1.0 / (1.0 - _THETA * step_dt * a_vals * lam), None))
+        first = factors[0][1]
+        first *= step_dt
 
-        def solve(rhs):
-            x, free = _sine_transform(S, rhs, spare, axes)
+        def advance(rate):
+            hat, delta = _sine_transform(S, rate, spare, axes)
+            np.multiply(state, centre, out=delta)
+            for rows, neighbours in faces:
+                np.multiply(state[neighbours], coupling[rows], out=work[rows])
+                np.add(delta[rows], work[rows], out=delta[rows])
+            delta += hat
             for cells, pivot, upper in factors:
-                x *= pivot
+                delta *= pivot
                 for prev, cell in zip(cells, cells[1:]):
-                    np.multiply(upper[cell], x[prev], out=line)
-                    np.subtract(x[cell], line, out=x[cell])
+                    np.multiply(upper[cell], delta[prev], out=line)
+                    np.subtract(delta[cell], line, out=delta[cell])
                 for cell, succ in zip(cells[-2::-1], cells[::-1]):
-                    np.multiply(upper[cell], x[succ], out=line)
-                    np.subtract(x[cell], line, out=x[cell])
-            # 2 * len(axes) swaps in all: the result is back in rhs's buffer
-            return _sine_transform(S, x, free, axes)[0]
+                    np.multiply(upper[cell], delta[succ], out=line)
+                    np.subtract(delta[cell], line, out=delta[cell])
+            np.add(state, delta, out=state)
+            _sine_transform(S, state, hat, axes, out=u)
 
-        return solve
+        return advance
 
-    return implicit_solver
+    return step
 
 
 def _physical_memory() -> float:
@@ -686,13 +607,14 @@ def _physical_memory() -> float:
 
 
 # Full float64 grid arrays a solve stage holds beyond its snapshots, summed
-# over its phases: the state and four step buffers (5; solve_fd peaks at
-# 5.1), the residual's transients (5; residual_series 3.2) and the complex
-# spectrum of each .upf write and its norms (2, at 16 B per point; fftn
-# holds a second one while it forms it, 4.0; the norms' slabs come after),
-# each measured with tracemalloc on fokkerplanck at N = 8.  The phases do
-# not overlap, so the sum also covers the largest of them and leaves room
-# for the interpreter and the libraries.
+# over its phases: the grid values, the state and three step buffers (5;
+# solve_fd peaks at 5.05, and at 5.22 on kolmogorov-general at N = 20), the
+# residual's transients (5; residual_series 3.2) and the complex spectrum of
+# each .upf write and its norms (2, at 16 B per point; fftn holds a second
+# one while it forms it, 4.0; the norms' slabs come after), each measured
+# with tracemalloc on fokkerplanck at N = 8 unless named.  The phases do not
+# overlap, so the sum also covers the largest of them and leaves room for
+# the interpreter and the libraries.
 _FD_STAGE_ARRAYS = 5 + 5 + 2
 
 
@@ -701,8 +623,8 @@ def _require_memory(snapshots: int, n: int, N: int, solver_axes=()) -> None:
 
     The run holds one float64 grid array per snapshot plus _FD_STAGE_ARRAYS
     more, and one float64 array of N**k values for each k in `solver_axes`
-    (the slab solver's factors and slice buffer, and the transport's
-    matrices).  The error names the largest N that fits.
+    (the slab step's pivots, coefficients and slice buffer, and the
+    transport's matrices).  The error names the largest N that fits.
     """
     def need(size):
         size = float(size)
@@ -778,11 +700,10 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     """IMEX Crank-Nicolson scheme: implicit central diffusion, explicit upwind transport.
 
     One loop takes every step: the explicit terms E(u) of the grid values u
-    go to the slab solver's advance, which returns the new state, in the
-    solver's coordinates, and the new grid values.  On the sine route the
-    state is the sine transform of u (_sine_steps), elsewhere u itself
-    (_grid_steps); a step allocates no grid-sized array on either.  One
-    advance, with its factors, serves every gap taken with its step size.
+    go to the advance of _slab_steps, which updates the state, kept in sine
+    coordinates along the diffused axes a does not vary along, and u; a step
+    allocates no grid-sized array.  One advance, with its factors, serves
+    every gap taken with its step size.
     Refuses a non-finite snapshot time before any work.  Aborts with
     CoercivityError when the sampled diffusion coefficient leaves
     [1/Lambda, Lambda], with CFLError (carrying a suggested dt) when the
@@ -796,9 +717,8 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     the advective CFL number (`cfl`) and its limit (`cfl_limit`),
     which implicit slab solver ran (`slab_solver`, chosen from the diffused
     axes a's sample varies along, `slab_sweeps`, each Thomas-swept: "sine"
-    for none, see _sine_steps; "sine-tridiagonal" for one and "sine-adi",
-    Douglas's factors, for two or more, see _grid_steps and
-    _sine_slab_solver),
+    for none, "sine-tridiagonal" for one and "sine-adi", Douglas's factors,
+    for two or more; one step form serves all three, see _slab_steps),
     which explicit transport kernel ran (`transport`, see _upwind:
     "matrices", one N x N upwind matrix or one stack of them over an
     earlier axis per axis, on a grid of four or more axes when every speed
@@ -842,31 +762,29 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     varies = [ax for ax, size in enumerate(np.shape(a_vals)) if size > 1]
     sweeps = [ax for ax in varies if ax < m0]
     slab_solver = ("sine", "sine-tridiagonal", "sine-adi")[min(len(sweeps), 2)]
-    # two factors per sweep (two on the sine route) and step size span the axes of
-    # a and of the slab eigenvalues; the sweeps share a slice of n - 1 axes
+    # the slab step's arrays: per step size, one pivot array without a sweep
+    # or a pivot and a c array per sweep, spanning the axes of a and of the
+    # slab eigenvalues; per solve, a L's diagonal on those axes, a / h^2 on
+    # a's, and with sweeps their shared slice of n - 1 axes
     factor_axes = len(set(varies) | set(range(m0)))
     sizes = len({step_dt for steps, step_dt in segments if steps})
-    factors = 2 * max(len(sweeps), 1) * sizes * (factor_axes,)
+    slab = max(2 * len(sweeps), 1) * sizes * (factor_axes,) + (factor_axes, len(varies))
+    if sweeps:
+        slab += (n - 1,)
     from ._upwind import apply_transport, matrix_axes, transport_plan
 
     # the transport kernel's matrices (none on the stencil)
     matrices = matrix_axes(speeds, grid.shape) or ()
-    _require_memory(len(times), n, N, factors + matrices + ((n - 1,) if sweeps else ()))
+    _require_memory(len(times), n, N, slab + matrices)
 
-    # work arrays, allocated once per solve: the state (in the slab solver's
-    # coordinates) or the next right-hand side, the explicit terms `rate`,
-    # and `u4` and `spare`, which serve in turn the transport's terms, the
-    # slab Laplacian and the sine transforms
-    spare, u4, rate, rhs = (np.empty(grid.shape) for _ in range(4))
+    # work arrays, allocated once per solve: the state in sine coordinates,
+    # the explicit terms `rate`, and `u4` and `spare`, which serve in turn the
+    # transport's terms, the sine transforms and the off-diagonal terms of a L
+    spare, u4, rate, state = (np.empty(grid.shape) for _ in range(4))
     plan = transport_plan(speeds, b0_vals, h, grid.shape)
     # the grid values, a fresh C-ordered copy at the full grid shape
     u = np.array(np.broadcast_to(spec.u0.evaluate(grid), grid.shape), dtype=float, order="C")
-
-    if sweeps:
-        implicit_solver = _sine_slab_solver(a_vals, m0, h, spare)
-        state, step = u, _grid_steps(implicit_solver, a_vals, m0, h, rhs, spare, u4)
-    else:
-        state, step = _sine_steps(a_vals, m0, h, u, rhs, spare)
+    step = _slab_steps(a_vals, m0, h, u, state, spare, u4)
 
     def explicit_terms(u):
         apply_transport(plan, u, u4, spare, rate)
@@ -889,14 +807,12 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
         edge = max(float(magnitude[face].max()) for face in shell)
         boundary_fraction.append(edge / peak if peak > 0 else 0.0)
 
-    # one loop for every slab solver: `state` is in the solver's coordinates,
-    # u the grid values the explicit terms and the snapshots read
     advances = {}  # one per distinct step size
     for steps, step_dt in segments:
         if steps and step_dt not in advances:
             advances[step_dt] = step(step_dt)
         for _ in range(steps):
-            state, u = advances[step_dt](state, explicit_terms(u))
+            advances[step_dt](explicit_terms(u))
         record(u)
 
     return TrajectorySolution(

@@ -16,10 +16,8 @@ from ultraparabolic.sobolev import (
     SobolevIndexSet,
     SpectralField,
     TorusGrid,
-    bessel_apply,
     commutator_bound_test,
     hs_norm,
-    peetre_gap,
     product_bound_test,
     random_band_limited,
     spectral_product,
@@ -30,6 +28,22 @@ from ultraparabolic.sobolev import (
 
 def l2_norm(f):
     return float(np.linalg.norm(f.coeffs))
+
+
+def bessel_apply(field, s):
+    """Bessel smoothing operator Lambda^s: multiply coefficients by <xi>^s."""
+    return SpectralField(field.grid, field.coeffs * field.grid.bessel_weight(s))
+
+
+def peetre_gap(grid, s):
+    """Max of <xi+eta>^s / (2^|s| <xi>^s <eta>^|s|) over all grid frequency pairs."""
+    axes = np.meshgrid(*(grid.axis_modes / grid.L for _ in range(grid.n)), indexing="ij")
+    xi = np.stack([a.ravel() for a in axes], axis=-1)  # every frequency, (N^n, n)
+    bracket = np.sqrt(1.0 + np.sum(xi**2, axis=1))
+    pair_sq = np.sum((xi[:, None, :] + xi[None, :, :]) ** 2, axis=-1)
+    lhs = np.power(1.0 + pair_sq, 0.5 * s)
+    rhs = (2.0 ** abs(s)) * np.power(bracket[:, None], s) * np.power(bracket[None, :], abs(s))
+    return float(np.max(lhs / rhs))
 
 
 def partial_derivative(f, alpha):

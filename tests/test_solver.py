@@ -40,7 +40,6 @@ from ultraparabolic.solver import (
     _damping_exponent,
     _matrix_exponential,
     _nilpotent_powers,
-    _slab_laplacian,
     _snapshot_segments,
     _transport,
     _transport_speeds,
@@ -644,11 +643,11 @@ def _subgrid_laplacian(N: int, m0: int, h: float, axes=None):
 def _splu_slab_solver(a_vals, m0, h, spare, factors=None):
     """Reference: the implicit slab step by sparse LU, one factorization per column.
 
-    Same signature as solver._sine_slab_solver: implicit_solver(step_dt)
-    returns solve(rhs), which solves (I - dt a lap_k / 2) x = rhs for each
-    factor k in turn and writes x into rhs's buffer.  `factors` lists each
-    factor's axes, lap_k the Laplacian along them; the default, one factor
-    of every diffused axis, is the Crank-Nicolson solve.
+    implicit_solver(step_dt) returns solve(rhs), which solves
+    (I - dt a lap_k / 2) x = rhs for each factor k in turn and writes x into
+    rhs's buffer.  `factors` lists each factor's axes, lap_k the Laplacian
+    along them; the default, one factor of every diffused axis, is the
+    Crank-Nicolson solve.
     """
     N, n = spare.shape[0], spare.ndim
     M, R = N**m0, N ** (n - m0)
@@ -672,7 +671,7 @@ def _splu_slab_solver(a_vals, m0, h, spare, factors=None):
 
 
 def _splu_adi_solver(a_vals, m0, h, spare):
-    """Reference: Douglas's factors by sparse LU, with the signature of _sine_slab_solver.
+    """Reference: Douglas's factors by sparse LU, with the signature of _splu_slab_solver.
 
     The first factor spans the first diffused axis a varies along and the
     diffused axes it does not; each later one, one more axis a varies along.
@@ -680,6 +679,26 @@ def _splu_adi_solver(a_vals, m0, h, spare):
     lines = [ax for ax in range(m0) if np.shape(a_vals)[ax] > 1]
     factors = [[ax for ax in range(m0) if ax not in lines[1:]]] + [[ax] for ax in lines[1:]]
     return _splu_slab_solver(a_vals, m0, h, spare, factors)
+
+
+def _slab_factors(a_vals, m0, h, shape):
+    """solve(step_dt, rhs): the slab step's factors T_m ... T_1 on step_dt rhs, in grid values.
+
+    One step of solver._slab_steps from a zero state is u' = S T_m ... T_1 S
+    (step_dt rhs), S the DST-I matrix along the diffused axes a does not vary
+    along, so the step's own sine transforms wrap its factors.  One step
+    builder serves every call; each call builds the factors of its step_dt
+    and returns the step's grid-values buffer.
+    """
+    u, state, spare, work = (np.zeros(shape) for _ in range(4))
+    step = solver._slab_steps(a_vals, m0, h, u, state, spare, work)
+
+    def solve(step_dt, rhs):
+        state.fill(0.0)
+        step(step_dt)(rhs)
+        return u
+
+    return solve
 
 
 @pytest.mark.parametrize("n, m0, line, other", [
@@ -695,29 +714,25 @@ def test_sine_tridiagonal_step_equals_sparse_lu(n, m0, line, other):
     rng = np.random.default_rng(10 * n + line)
     shape = [N if ax in (line, other) else 1 for ax in range(n)]
     a_vals = 0.6 + rng.random(shape)
-    spare = np.empty((N,) * n)
-    tridiagonal = solver._sine_slab_solver(a_vals, m0, h, spare)
-    reference = _splu_slab_solver(a_vals, m0, h, spare)
+    tridiagonal = _slab_factors(a_vals, m0, h, (N,) * n)
+    reference = _splu_slab_solver(a_vals, m0, h, np.empty((N,) * n))
     # a second step size, then the first again: the factors belong to one step size each
     for step_dt in (0.05, 0.5, 0.05):
         rhs = rng.standard_normal((N,) * n)
-        want = reference(step_dt)(rhs.copy())
-        got = tridiagonal(step_dt)(rhs)
-        assert got is rhs  # the result is written back into the right-hand side's buffer
+        want = reference(step_dt)(step_dt * rhs)
+        got = tridiagonal(step_dt, rhs)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), step_dt
 
 
-def test_kolmogorov_general_sine_tridiagonal_snapshots_equal_the_sparse_lu_route(monkeypatch):
+def test_kolmogorov_general_sine_tridiagonal_snapshots_equal_the_sparse_lu_route():
     spec = load_builtin("kolmogorov-general")
     grid = spec.default_grid(N=8)
     # uniform snapshots, and uneven ones whose gaps take three different steps
     for times in (np.linspace(0.0, spec.T, 9), spec.T * np.array([0.0, 0.1, 0.25, 0.5])):
         sol = solve_fd(spec, grid, times=times)
         assert sol.diagnostics["slab_solver"] == "sine-tridiagonal"
-        with monkeypatch.context() as patch:
-            patch.setattr(solver, "_sine_slab_solver", _splu_slab_solver)
-            ref = solve_fd(spec, grid, times=times)
-        for got, want in zip(sol.fields.values, ref.fields.values):
+        ref = _grid_loop_reference(sol, spec, _splu_slab_solver)
+        for got, want in zip(sol.fields.values, ref, strict=True):
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
@@ -731,35 +746,40 @@ def test_sine_adi_step_equals_sparse_lu(n, m0, axes):
     N, h = 6, 0.37
     rng = np.random.default_rng(10 * n + len(axes))
     a_vals = 0.5 + 1.5 * rng.random([N if ax in axes else 1 for ax in range(n)])
-    spare = np.empty((N,) * n)
-    adi = solver._sine_slab_solver(a_vals, m0, h, spare)
-    reference = _splu_adi_solver(a_vals, m0, h, spare)
+    adi = _slab_factors(a_vals, m0, h, (N,) * n)
+    reference = _splu_adi_solver(a_vals, m0, h, np.empty((N,) * n))
     # a second step size, then the first again: the factors belong to one step size each
     for step_dt in (0.05, 0.5, 0.05):
         rhs = rng.standard_normal((N,) * n)
-        want = reference(step_dt)(rhs.copy())
-        got = adi(step_dt)(rhs)
-        assert got is rhs  # the result is written back into the right-hand side's buffer
+        want = reference(step_dt)(step_dt * rhs)
+        got = adi(step_dt, rhs)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), step_dt
 
 
 def _sine_division_solver(a_vals, m0, h, spare):
-    """Reference: the sine route's slab solve on grid values.
+    """Reference: the Crank-Nicolson slab solve when a is constant along every diffused axis.
 
-    Same signature as solver._sine_slab_solver: S along the diffused axes,
-    a division by 1 - dt a lam / 2, and S back into rhs's buffer.
+    With the signature of _splu_slab_solver: the DST-I matrix S, formed
+    here, along each diffused axis, a division by 1 - dt a lam / 2, lam the
+    3-point Laplacian's eigenvalues, and S back, written into rhs's buffer.
     """
     n, N = spare.ndim, spare.shape[0]
-    axes = list(range(m0))
-    S, lam = solver._slab_sine_basis(N, axes, n, h)
+    k = np.arange(1, N + 1)
+    S = np.sqrt(2.0 / (N + 1)) * np.sin(np.pi * np.outer(k, k) / (N + 1))
+    mu = -(4.0 / (h * h)) * np.sin(np.pi * k / (2.0 * (N + 1))) ** 2
+    lam = sum(mu.reshape([N if a == ax else 1 for a in range(n)]) for ax in range(m0))
+
+    def transform(x):
+        for ax in range(m0):
+            x = np.moveaxis(np.tensordot(S, x, axes=(1, ax)), 0, ax)
+        return x
 
     def implicit_solver(step_dt):
         denominator = 1.0 - 0.5 * step_dt * a_vals * lam
 
         def solve(rhs):
-            x, free = solver._sine_transform(S, rhs, spare, axes)
-            np.divide(x, denominator, out=x)
-            return solver._sine_transform(S, x, free, axes)[0]
+            rhs[...] = transform(transform(rhs) / denominator)
+            return rhs
 
         return solve
 
@@ -769,24 +789,27 @@ def _sine_division_solver(a_vals, m0, h, spare):
 def _grid_loop_reference(sol, spec, slab_solver, strict=False):
     """Reference: the FD step loop on grid values, replaying sol's times and dt.
 
-    Each step forms dt (a lap u + E(u)) with the slab Laplacian, solves it
-    with slab_solver(a_vals, m0, h, spare)(step_dt) and adds the result to u
-    (Douglas's delta form).  Returns the grid values at sol's snapshot times.
+    Each step forms dt (a lap u + E(u)) with the sparse slab Laplacian
+    (_subgrid_laplacian), solves it with slab_solver(a_vals, m0, h,
+    spare)(step_dt) and adds the result to u (Douglas's delta form).  Returns
+    the grid values at sol's snapshot times.
     """
     grid, m0 = sol.grid, spec.m0
     h = grid.spacing
+    lap = _subgrid_laplacian(grid.N, m0, h)
+    columns = (grid.N**m0, grid.N ** (grid.n - m0))
     a_vals = spec.a.evaluate(grid)
     b0 = None if spec.b0.is_zero else spec.b0.evaluate(grid)
     g = None if spec.g.is_zero else spec.g.evaluate(grid)
     plan = _upwind.transport_plan(_transport_speeds(spec, grid), b0, h, grid.shape)
-    spare, u4, rate, rhs = (np.empty(grid.shape) for _ in range(4))
+    spare, u4, rate = (np.empty(grid.shape) for _ in range(3))
     implicit_solver = slab_solver(a_vals, m0, h, spare)
     u = np.array(np.broadcast_to(spec.u0.evaluate(grid), grid.shape), dtype=float)
     values = []
     for steps, step_dt in _snapshot_segments(sol.times, sol.diagnostics["dt"], spec.T, strict)[1]:
         solve = implicit_solver(step_dt) if steps else None
         for _ in range(steps):
-            _slab_laplacian(u, m0, h, rhs, spare, u4)
+            rhs = (lap @ u.reshape(columns)).reshape(grid.shape)
             rhs *= a_vals
             _upwind.apply_transport(plan, u, u4, spare, rate)
             if g is not None:
@@ -799,8 +822,8 @@ def _grid_loop_reference(sol, spec, slab_solver, strict=False):
 
 
 def test_dst_coordinate_steps_equal_the_grid_loop():
-    # the sine route keeps its state in DST coordinates: the same steps as
-    # the grid loop up to round-off, over 64 steps
+    # every route keeps its state in DST coordinates: the same steps as the
+    # grid loop up to round-off; on the sine route over 64 steps
     for name, N in (("fokkerplanck", 6), ("brownian-inertia", 32), ("kolmogorov2d", 16)):
         spec = load_builtin(name)
         sol = solve_fd(spec, spec.default_grid(N=N))
@@ -808,20 +831,19 @@ def test_dst_coordinate_steps_equal_the_grid_loop():
         want = _grid_loop_reference(sol, spec, _sine_division_solver)
         for got, ref in zip(sol.fields.values, want, strict=True):
             assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref), name
-    # the other routes keep the grid loop's arithmetic: bit for bit
+    # the swept routes: the same steps as Crank-Nicolson, and as Douglas's
+    # factors, by sparse LU, up to round-off
     spec = load_builtin("kolmogorov-general")
     sol = solve_fd(spec, spec.default_grid(N=8))
     assert sol.diagnostics["slab_solver"] == "sine-tridiagonal"
-    want = _grid_loop_reference(sol, spec, solver._sine_slab_solver)
-    assert all(np.array_equal(got, ref) for got, ref in zip(sol.fields.values, want, strict=True))
+    want = _grid_loop_reference(sol, spec, _splu_slab_solver)
+    for got, ref in zip(sol.fields.values, want, strict=True):
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
     base = load_builtin("fokkerplanck")
     spec = dataclasses.replace(base, a=_SpanningConstant(1.0, axes=(0, 1, base.n - 1)))
     dt = 0.25 / 64
     sol = solve_fd(spec, spec.default_grid(N=6), dt=dt, times=[0.0, 4 * dt, 8 * dt])
     assert sol.diagnostics["slab_solver"] == "sine-adi"
-    want = _grid_loop_reference(sol, spec, solver._sine_slab_solver, strict=True)
-    assert all(np.array_equal(got, ref) for got, ref in zip(sol.fields.values, want, strict=True))
-    # and the same steps as Douglas's factors by sparse LU, up to round-off
     lu = _grid_loop_reference(sol, spec, _splu_adi_solver, strict=True)
     for got, ref in zip(sol.fields.values, lu, strict=True):
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
@@ -839,19 +861,13 @@ def test_step_sizes_a_b_a_reuse_one_advance_each(monkeypatch):
             return step(step_dt)
         return wrapped
 
-    sine_steps, grid_steps = solver._sine_steps, solver._grid_steps
-
-    def sine_counted(*args):
-        state, step = sine_steps(*args)
-        return state, counted(step)
-
-    monkeypatch.setattr(solver, "_sine_steps", sine_counted)
-    monkeypatch.setattr(solver, "_grid_steps", lambda *args: counted(grid_steps(*args)))
+    slab_steps = solver._slab_steps
+    monkeypatch.setattr(solver, "_slab_steps", lambda *args: counted(slab_steps(*args)))
     base = load_builtin("fokkerplanck")
     cases = [(base, 6, "sine", _sine_division_solver),
-             (load_builtin("kolmogorov-general"), 8, "sine-tridiagonal", solver._sine_slab_solver),
+             (load_builtin("kolmogorov-general"), 8, "sine-tridiagonal", _splu_slab_solver),
              (dataclasses.replace(base, a=_SpanningConstant(1.0, axes=(0, 1, base.n - 1))), 6,
-              "sine-adi", solver._sine_slab_solver)]
+              "sine-adi", _splu_adi_solver)]
     for spec, N, slab_solver, reference in cases:
         # dyadic gaps T/32, 3T/128, T/32: the first and last are equal to the bit
         times = spec.T * np.array([0.0, 1 / 32, 1 / 32 + 3 / 128, 2 / 32 + 3 / 128])
@@ -864,27 +880,26 @@ def test_step_sizes_a_b_a_reuse_one_advance_each(monkeypatch):
         assert built == steps[:2], slab_solver
         want = _grid_loop_reference(sol, spec, reference)
         for got, ref in zip(sol.fields.values, want, strict=True):
-            if slab_solver == "sine":
-                assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
-            else:
-                assert np.array_equal(got, ref), slab_solver
-        if slab_solver == "sine-adi":  # and the same steps as sparse LU, up to round-off
-            lu = _grid_loop_reference(sol, spec, _splu_adi_solver)
-            for got, ref in zip(sol.fields.values, lu, strict=True):
-                assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref), slab_solver
 
 
-def test_sine_adi_is_second_order_and_stable_at_a_step_of_t():
-    # the B = 0 two-axis spec that tests/test_cli.py writes (_two_diffused_axes_spec):
-    # a = exp(-|x|^2 / 200) varies along both diffused axes.  Thresholds: an
-    # observed order of at least 1.8 against a fine-dt Crank-Nicolson reference
-    # by sparse LU, and one step of dt = T finite with no growth in l2
+@pytest.mark.parametrize("a, sweeps", [
+    (ConstantPreset(1.0), []),
+    (SinPerturbPreset(axis=0, amplitude=0.25), [0]),
+    (GaussianPreset(width=10.0), [0, 1]),
+], ids=["sine", "sine-tridiagonal", "sine-adi"])
+def test_slab_steps_are_second_order_and_stable_at_a_step_of_t(a, sweeps):
+    # the B = 0 two-axis spec that tests/test_cli.py writes (_two_diffused_axes_spec),
+    # whose a = exp(-|x|^2 / 200) varies along both diffused axes, and the same
+    # spec with a constant and with a varying along axis 0 alone.  Thresholds:
+    # an observed order of at least 1.8 against a fine-dt Crank-Nicolson
+    # reference by sparse LU, and one step of dt = T finite with no growth in l2
     spec = dataclasses.replace(load_builtin("heat"), T=0.5, Lambda=2.0,
-                               a=GaussianPreset(width=10.0), u0=GaussianPreset(width=0.5))
+                               a=a, u0=GaussianPreset(width=0.5))
     grid, T = TorusGrid(2, 16, 2.0), 0.5
     fine = solve_fd(spec, grid, dt=T / 512, times=[0.0, T])
-    assert fine.diagnostics["slab_solver"] == "sine-adi"
-    assert fine.diagnostics["slab_sweeps"] == [0, 1]
+    assert fine.diagnostics["slab_solver"] == ("sine", "sine-tridiagonal", "sine-adi")[len(sweeps)]
+    assert fine.diagnostics["slab_sweeps"] == sweeps
     ref = _grid_loop_reference(fine, spec, _splu_slab_solver, strict=True)[-1]
     errors = [np.linalg.norm(solve_fd(spec, grid, dt=T / k, times=[0.0, T]).fields.values[-1]
                              - ref) / np.linalg.norm(ref) for k in (4, 8, 16)]
@@ -1225,28 +1240,6 @@ def test_compact_transport_speeds_equal_the_full_grid_speeds():
         assert np.array_equal(np.broadcast_to(w, grid.shape), reference[j])
 
 
-@pytest.mark.parametrize("m0", [1, 2, 3])
-def test_slab_laplacian_equals_the_sparse_matrix(m0):
-    N, h = 6, 0.37
-    u = np.random.default_rng(m0).standard_normal((N,) * (m0 + 1))
-    for ax in range(m0 + 1):  # nonzero values on every face
-        assert np.all(np.take(u, [0, N - 1], axis=ax) != 0.0)
-    want = (_subgrid_laplacian(N, m0, h) @ u.reshape(N**m0, N)).reshape(u.shape)
-    got = _slab_laplacian(u, m0, h, *(np.empty_like(u) for _ in range(3)))
-    assert np.array_equal(got, want)  # same terms, same order: bit for bit
-
-
-@pytest.mark.parametrize("N, n, m0", [(6, 6, 3), (8, 6, 3), (20, 4, 2)])
-def test_slab_laplacian_allocates_nothing(N, n, m0):
-    # at 6^6 the faces of axis 2 are runs of 5 * 216 values, which NumPy's
-    # buffered loop copies through three 64 KiB buffers it allocates per call
-    u = np.random.default_rng(N).standard_normal((N,) * n)
-    buffers = [np.empty_like(u) for _ in range(3)]
-    want = _slab_laplacian(u, m0, 0.37, *buffers).copy()
-    assert _traced_peak(lambda: _slab_laplacian(u, m0, 0.37, *buffers)) < 4096
-    assert np.array_equal(buffers[0], want)
-
-
 @pytest.mark.parametrize("n, m0, s", [(1, 1, 1.0), (2, 2, -1.0), (3, 1, 0.5), (4, 2, 1.0)])
 def test_snapshot_norms_equal_the_per_axis_derivative_norms(n, m0, s):
     # one slab pass against one hs_norm per derivative, also with one axis
@@ -1422,12 +1415,14 @@ def test_fd_memory_guard_counts_the_transport_matrices(monkeypatch):
         return guard(snapshots, n, N, solver_axes)
 
     monkeypatch.setattr(solver, "_require_memory", spy)
-    for name, axes in (("fokkerplanck", [2, 2, 2, 3, 3, 3, 3, 3]), ("brownian-inertia", [1, 1])):
+    for name, axes in (("fokkerplanck", [0, 2, 2, 2, 3, 3, 3, 3, 3]),
+                       ("brownian-inertia", [0, 1, 1])):
         spec = load_builtin(name)
         sol = solve_fd(spec, spec.default_grid(N=6), times=[0.0, spec.T / 64])
-        # the sine route's two factors on the diffused axes; on fokkerplanck the
-        # matrices too: one N x N along each diffused axis (b_j = -x_j) and a
-        # stack over x_j along each x_{j+3}, whose speed is x_j
+        # the sine route's pivots and diagonal of a L on the diffused axes, and
+        # a / h^2, one value for a constant a; on fokkerplanck the matrices
+        # too: one N x N along each diffused axis (b_j = -x_j) and a stack over
+        # x_j along each x_{j+3}, whose speed is x_j
         assert counted.pop() == axes, name
         assert sol.diagnostics["transport"] == ("matrices" if name == "fokkerplanck" else "stencil")
 
@@ -1438,8 +1433,9 @@ def test_fd_memory_guard_counts_the_sine_adi_sweep_arrays(monkeypatch):
     grid = spec.default_grid(N=8)
     times = np.linspace(0.0, spec.T, 9)
     # 9 snapshots + 12 work and transient arrays of 8**6 float64, the transport
-    # matrices and the sine route's two 8**3 factors take 44.06 MB; the two
-    # sweeps' four 8**3 factors and their shared 8**5 slice take 44.33 MB
+    # matrices and the sine route's pivots and diagonal of a L (two 8**3
+    # arrays) take 44.06 MB; the two sweeps' four 8**3 factors, the diagonal,
+    # a / h^2 on 8**2 values and the sweeps' shared 8**5 slice take 44.34 MB
     monkeypatch.setattr(solver, "_physical_memory", lambda: 44.2e6)
     assert solve_fd(base, grid, times=times).diagnostics["slab_sweeps"] == []
     tracemalloc.start()
