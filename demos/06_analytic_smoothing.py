@@ -6,7 +6,7 @@ The degenerate evolution regularizes: even data far below L2 becomes
 smooth for t > 0, with derivative growth controlled by a factorial power.
 We measure this directly on a trajectory.  For each order d,
 
-    S_d = sup_t  t^(kappa d) max_alpha ||d^alpha u(t)|| / alpha!
+    S_d = sup_t  t^(kappa d) max_j ||d_j^d u(t)|| / d!
     L_d = S_d^(1/(d+1))
 
 where kappa reflects the anisotropy of the drift (time weights must pay
@@ -28,7 +28,7 @@ times = np.linspace(spec.T / 100.0, spec.T, 41)
 sol = solve_exact(spec, grid, times=times)
 report = smoothing_profile(sol, spec, d_max=8)
 
-print(f"{spec.name}: kappa = {report.kappa}, strategy = {report.strategy}")
+print(f"{spec.name}: kappa = {report.kappa}, axes = {report.axes}")
 print(f"{'d':>2s} {'S_d':>12s} {'L_d':>8s} {'argmax t':>9s} {'alpha':>8s}")
 for rec in report.orders:
     print(f"{rec.d:2d} {rec.supremum:12.4e} {rec.scale:8.4f} "

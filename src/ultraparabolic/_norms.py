@@ -9,7 +9,7 @@ process's memory.
 
 import numpy as np
 
-from .sobolev import SpectralField, _frequency_sq
+from .sobolev import SpectralField, _frequency_sq, _weighted_sum
 
 
 # Values per block of snapshot_norms (64 KiB of float64): enough that a
@@ -51,12 +51,3 @@ def snapshot_norms(field: SpectralField, s: float, m0: int) -> tuple:
             dissipation += _weighted_sum(weight, np.add(diffused_sq, x, out=spare))
     return hs, dissipation, h2
 
-
-def _weighted_sum(terms, factor) -> float:
-    """sum(terms * factor), formed in `terms`, where a zero factor zeroes its term."""
-    terms *= factor
-    total = float(terms.sum())
-    if np.isnan(total):
-        terms[factor == 0.0] = 0.0
-        total = float(terms.sum())
-    return total

@@ -2,22 +2,22 @@
 
 For a trajectory u(t) the d-th order smoothing functional is
 
-    S_d = max_{t >= t_min} max_{|alpha| = d}  t^{kappa d} ||d^alpha u(t)||_{H^s} / alpha!
+    S_d = max_{t >= t_min} max_j  t^{kappa d} ||d_j^d u(t)||_{L^2} / d!
 
 with kappa = delta + 2r (the time weight matching the problem's anisotropy:
-delta from the spec, r the bracket-tower depth).  The normalized scale
-L_d = S_d^(1/(d+1)) stays bounded in d exactly when the trajectory smooths
-analytically in the weighted sense; the report records max_d L_d over the
-reliable orders as the empirical analyticity constant.
+delta from the spec, r the bracket-tower depth) and t_min a hundredth of
+the final time.  The normalized scale L_d = S_d^(1/(d+1)) stays bounded in
+d exactly when the trajectory smooths analytically in the weighted sense;
+the report records max_d L_d over the reliable orders as the empirical
+analyticity constant.
 
-Two selector strategies choose the tested multi-indices alpha:
-
-* "axis" (default) -- only the pure powers d * e_j.  Mixed derivatives are
-  dominated by the same-order axis norms (||d^alpha u|| <= sum_j ||d_j^d u||,
-  since prod |xi_j|^{alpha_j} <= sum_j |xi_j|^d pointwise), so the axis ladder
-  already decides boundedness at a fraction of the cost.
-* "full" -- every multi-index of order d; the report then also verifies the
-  axis-domination inequality on each tested mixed index.
+Each order tests the pure powers d * e_j on every axis j, the axis ladder.
+Mixed derivatives are dominated by the same-order axis norms
+(||d^alpha u|| <= sum_j ||d_j^{|alpha|} u||, since
+prod |xi_j|^{alpha_j} <= max_j |xi_j|^{|alpha|} pointwise), so the ladder
+decides boundedness at a fraction of the cost of every multi-index.
+derivative_norm measures any d^alpha in any H^s: it is the definition the
+profile is tested against.
 
 Norms prefer the solution's exact per-mode ledger when present (true
 off-lattice frequencies; see solver.ModeLedger) and otherwise fall back to
@@ -25,16 +25,16 @@ the grid spectrum: the half spectrum of the real grid values on the FD
 route.  Each snapshot is reduced once to its power spectrum |c|^2, and
 each norm is formed on the span of its multiplier <xi>^s prod |xi_j|^alpha_j,
 the axes that multiplier varies along, against the power summed over the
-other axes.  At s = 0 a pure power d * e_j spans only the axes its
-frequency row couples (one axis on a lattice), so the axis ladder makes a
-few grid-size passes per snapshot (|c|^2 and one sum per distinct span)
-and only span-size ones per order.  Every value is checked against its
+other axes.  In L^2 a pure power d * e_j spans only the axes its frequency
+row couples (one axis on a lattice), so the axis ladder makes a few
+grid-size passes per snapshot (|c|^2 and one sum per distinct span) and
+only span-size ones per order.  Every value is checked against its
 round-off floor: a norm below 1000 * eps * (max multiplier) * ||u|| is
 noise and the record carries reliable=False; unreliable orders are
 reported but excluded from fits.
 
 gevrey_fit quantifies the growth of the *unweighted* suprema
-M_d = max_t ||d^alpha u(t)||_{H^s} by least squares in the model
+M_d = max_t max_j ||d_j^d u(t)||_{L^2} by least squares in the model
 log M_d = log_c + d * rate + sigma * log d!; sigma is the Gevrey exponent
 (0 for single-mode/geometric scales, 1/2 for heat kernels, 1 for factorial
 growth at the edge of analyticity).
@@ -45,8 +45,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
-from math import factorial, lgamma, prod
+from math import factorial, lgamma
 
 import numpy as np
 
@@ -56,8 +55,6 @@ from .solver import ModeLedger, TrajectorySolution, _GridFields
 from .sobolev import SpectralField, TorusGrid, _bessel_weight, _frequency_sq
 
 __all__ = [
-    "DerivativeSelector",
-    "derivative_multi_indices",
     "derivative_norm",
     "DerivativeRecord",
     "smoothing_profile",
@@ -74,63 +71,7 @@ _NOISE_FACTOR = 1e3
 _EPS = float(np.finfo(float).eps)
 # a sum of squares this large lost only terms below round-off to underflow
 _SMALLEST_SAFE_SUM = 2.0**-900
-_ROUNDOFF = 1e-12  # relative: the axis-domination slack and the argmax tie window
-
-
-@dataclass(frozen=True)
-class DerivativeSelector:
-    """Which multi-indices of each order to test.
-
-    strategy "axis" tests the pure powers d*e_j only; "full" sweeps every
-    multi-index of order d.  `axes` restricts either strategy to a subset of
-    coordinate axes (default: all).
-    """
-
-    strategy: str = "axis"
-    axes: tuple | None = None
-
-    def __post_init__(self):
-        if self.strategy not in ("axis", "full"):
-            raise ValueError(f"selector strategy must be 'axis' or 'full', got {self.strategy!r}")
-        if self.axes is not None:
-            object.__setattr__(self, "axes", tuple(int(ax) for ax in self.axes))
-
-    def resolved_axes(self, n: int) -> tuple:
-        axes = tuple(range(n)) if self.axes is None else self.axes
-        if not axes or any(not 0 <= ax < n for ax in axes) or len(set(axes)) != len(axes):
-            raise ValueError(f"axes must be a nonempty subset of range({n}) without repeats")
-        return axes
-
-    def indices(self, n: int, d: int) -> list:
-        axes = self.resolved_axes(n)
-        if d == 0:
-            return [(0,) * n]
-        if self.strategy == "axis":
-            out = []
-            for ax in axes:
-                alpha = [0] * n
-                alpha[ax] = d
-                out.append(tuple(alpha))
-            return out
-        return derivative_multi_indices(n, d, axes)
-
-
-def derivative_multi_indices(n: int, d: int, axes=None) -> list:
-    """All multi-indices |alpha| = d over the given axes (default: all axes)."""
-    axes = tuple(range(n)) if axes is None else tuple(axes)
-    if not axes or any(not 0 <= ax < n for ax in axes):
-        raise ValueError(f"axes must be a nonempty subset of range({n})")
-    if d < 0:
-        raise ValueError("derivative order must be nonnegative")
-    if d == 0:
-        return [(0,) * n]
-    out = []
-    for combo in combinations_with_replacement(axes, d):
-        alpha = [0] * n
-        for ax in combo:
-            alpha[ax] += 1
-        out.append(tuple(alpha))
-    return out
+_ROUNDOFF = 1e-12  # relative: the argmax tie window
 
 
 @dataclass(frozen=True)
@@ -288,11 +229,11 @@ class OrderRecord:
     """Weighted and raw suprema at one derivative order."""
 
     d: int
-    supremum: float          # S_d = max t^(kappa d) |d^alpha u|_{H^s} / alpha!
+    supremum: float          # S_d = max t^(kappa d) |d_j^d u|_{L^2} / d!
     scale: float             # L_d = S_d^(1/(d+1))
     argmax_time: float
     argmax_alpha: tuple
-    raw_supremum: float      # M_d = max |d^alpha u|_{H^s}, no weight, no factorial
+    raw_supremum: float      # M_d = max |d_j^d u|_{L^2}, no weight, no factorial
     raw_argmax_time: float
     reliable: bool
 
@@ -324,14 +265,9 @@ class GevreyFit:
 class SmoothingReport:
     """Derivative-norm profile of one trajectory: S_d, L_d, raw M_d, and fit.
 
-    Invariants kept by construction and verified on assembly:
-    * the d = 0 entry equals the plain supremum of ||u(t)||_{H^s} over the
-      used snapshots;
-    * every tested mixed index obeys the axis-domination inequality
-      ||d^alpha u|| <= sum_j ||d_j^{|alpha|} u|| (full strategy only);
-    * |alpha|! <= (2^n)^{|alpha|+1} alpha! holds exactly on every tested
-      index, so the choice of factorial normalization moves L_d by at most
-      a factor 2^n.
+    `axes` are the axes the ladder tested (all of them), `times_used` the
+    snapshots at or after t_min.  The d = 0 entry equals the plain
+    supremum of ||u(t)||_{L^2} over those snapshots.
     """
 
     spec_name: str
@@ -339,19 +275,15 @@ class SmoothingReport:
     delta: float
     r: int
     kappa: float
-    s: float
     t_min: float
     times_used: tuple
     grid_n: int
     grid_N: int
     grid_L: float
-    strategy: str
     axes: tuple
     orders: tuple
     fit: GevreyFit | None
     fit_error: str | None
-    axis_domination_verified: bool
-    factorial_identity_verified: bool
 
     def scales(self) -> np.ndarray:
         return np.array([rec.scale for rec in self.orders])
@@ -373,11 +305,9 @@ class SmoothingReport:
             "delta": self.delta,
             "r": self.r,
             "kappa": self.kappa,
-            "s": self.s,
             "t_min": self.t_min,
             "times_used": list(self.times_used),
             "grid": {"n": self.grid_n, "N": self.grid_N, "L": self.grid_L},
-            "selector": {"strategy": self.strategy, "axes": list(self.axes)},
             "orders": [
                 {
                     "d": rec.d,
@@ -394,14 +324,7 @@ class SmoothingReport:
             "empirical_L": self.empirical_L(),
             "gevrey_fit": None if self.fit is None else self.fit.to_json_dict(),
             "fit_error": self.fit_error,
-            "axis_domination_verified": self.axis_domination_verified,
-            "factorial_identity_verified": self.factorial_identity_verified,
         }
-
-
-def _multi_factorial(alpha) -> int:
-    """alpha! = prod_j alpha_j!"""
-    return prod(factorial(a) for a in alpha)
 
 
 def _first_maximum(entries, key):
@@ -410,42 +333,34 @@ def _first_maximum(entries, key):
     return top, next((e for e in entries if e[key] * (1.0 + _ROUNDOFF) >= top), entries[0])
 
 
-def smoothing_profile(solution: TrajectorySolution, spec: ProblemSpec, d_max: int = 8,
-                      selector: DerivativeSelector | None = None, s: float = 0.0,
-                      t_min: float | None = None) -> SmoothingReport:
+def smoothing_profile(solution: TrajectorySolution, spec: ProblemSpec,
+                      d_max: int = 8) -> SmoothingReport:
     """Weighted derivative suprema S_d and scales L_d for d = 0..d_max.
 
     The time weight is t^(kappa d) with kappa = delta + 2r; snapshots earlier
-    than t_min (default: a hundredth of the final time) are excluded so the
-    weight never has to fight the initial roughness at t = 0.  Norms are
-    measured in H^s with plain L^2 (s = 0) as the default ladder.  Each argmax
-    is the first candidate (earliest snapshot, then selector order) within
-    _ROUNDOFF of S_d or M_d, so round-off does not pick among indices equal by symmetry.
+    than t_min, a hundredth of the final time, are excluded so the weight
+    never has to fight the initial roughness at t = 0.  Each order reads the
+    L^2 norms of the pure powers d * e_j on every axis j.  Each argmax is the
+    first candidate (earliest snapshot, then axis order) within _ROUNDOFF of
+    S_d or M_d, so round-off does not pick among axes equal by symmetry.
 
-    Raises EmptyReportError when every order's supremum sits below its noise
-    floor (nothing in the report would be usable downstream).
+    Raises ValueError when no snapshot with t > 0 lies at or after t_min,
+    and EmptyReportError when no order has a reliable value (nothing in the
+    report would be usable downstream).
     """
     if d_max < 0:
         raise ValueError("d_max must be nonnegative")
-    selector = DerivativeSelector() if selector is None else selector
-    s = float(s)
     kappa = float(spec.delta) + 2 * spec.tower().r
     times = solution.times
-    t_min = float(times[-1]) / 100.0 if t_min is None else float(t_min)
+    t_min = float(times[-1]) / 100.0
     usable = [i for i, t in enumerate(times) if t >= t_min and t > 0]
     if not usable:
         raise ValueError(f"no snapshots at or after t_min = {t_min}")
     n = solution.grid.n
-    axes = selector.resolved_axes(n)
-    alphas = [selector.indices(n, d) for d in range(d_max + 1)]
-    divisors = {alpha: _multi_factorial(alpha) for indices in alphas for alpha in indices}
-    factorial_ok = all(
-        factorial(d) <= (2**n) ** (d + 1) * divisors[alpha]
-        for d in range(d_max + 1) for alpha in alphas[d]
-    )
-    pure = {ax: [tuple(d if j == ax else 0 for j in range(n)) for d in range(d_max + 1)]
-            for ax in axes}  # pure[ax][d] = d * e_ax
-    domination_ok = True
+    axes = tuple(range(n))
+    # alphas[d] lists the tested indices of order d: zero, then d * e_ax
+    alphas = [[(0,) * n]] + [[tuple(d if j == ax else 0 for j in axes) for ax in axes]
+                             for d in range(1, d_max + 1)]
     candidates = [[] for _ in range(d_max + 1)]  # (S, M, t, alpha, reliable) in visiting order
     sources = solution.mode_ledgers or solution.fields
     # the FD route's snapshots are read as real grid values (half spectra)
@@ -454,24 +369,17 @@ def smoothing_profile(solution: TrajectorySolution, spec: ProblemSpec, d_max: in
     # reduced once to its _Modes, then dropped
     for i in usable:
         t = float(times[i])
-        modes = (_mode_data(sources.values[i], s, solution.grid) if real
-                 else _mode_data(sources[i], s))
-        # the axis ladder: ladder[ax] is <xi>^s |xi_ax|^d, one factor more per order
-        ladder = dict.fromkeys(axes, modes.weight)
+        modes = (_mode_data(sources.values[i], 0.0, solution.grid) if real
+                 else _mode_data(sources[i], 0.0))
+        # the axis ladder: ladder[ax] is |xi_ax|^d, one factor more per order
+        ladder = [modes.weight] * n
         for d in range(d_max + 1):
             weight = t ** (kappa * d)
-            axis_records = {}
-            if d > 0:
-                for ax in axes:
+            for ax, alpha in enumerate(alphas[d]):
+                if d > 0:
                     ladder[ax] = ladder[ax] * modes.steps[ax]
-                    axis_records[pure[ax][d]] = _record(ladder[ax], modes, pure[ax][d])
-            for alpha in alphas[d]:
-                rec = axis_records.get(alpha) or _norm_of_modes(modes, alpha)
-                if d > 0 and alpha not in axis_records:
-                    bound = sum(axis_records[a].value for a in axis_records)
-                    if rec.value > bound * (1.0 + _ROUNDOFF):
-                        domination_ok = False
-                candidates[d].append((weight * rec.value / divisors[alpha], rec.value,
+                rec = _record(ladder[ax], modes, alpha)
+                candidates[d].append((weight * rec.value / factorial(d), rec.value,
                                       t, alpha, rec.reliable))
         del modes, ladder
     orders = []
@@ -481,28 +389,23 @@ def smoothing_profile(solution: TrajectorySolution, spec: ProblemSpec, d_max: in
                                   argmax_time=at[2], argmax_alpha=at[3], raw_supremum=raw,
                                   raw_argmax_time=raw_at[2], reliable=at[4]))
     if not any(rec.reliable for rec in orders):
-        raise EmptyReportError(
-            f"all derivative orders up to {d_max} sit below the round-off noise floor"
-        )
+        raise EmptyReportError(f"no order has a reliable value up to d = {d_max}: "
+                               f"each sits below its round-off floor")
     report = SmoothingReport(
         spec_name=spec.name,
         method=solution.method,
         delta=float(spec.delta),
         r=spec.tower().r,
         kappa=kappa,
-        s=s,
         t_min=t_min,
         times_used=tuple(float(times[i]) for i in usable),
         grid_n=solution.grid.n,
         grid_N=solution.grid.N,
         grid_L=solution.grid.L,
-        strategy=selector.strategy,
         axes=axes,
         orders=tuple(orders),
         fit=None,
         fit_error=None,
-        axis_domination_verified=domination_ok,
-        factorial_identity_verified=factorial_ok,
     )
     try:
         fit = gevrey_fit(report)

@@ -214,13 +214,19 @@ def hs_norm(field: SpectralField, s: float) -> float:
     A weight that overflows to inf on a zero coefficient adds nothing, so the
     norm reads inf (or a finite number), never the nan of inf * 0.
     """
-    w = field.grid.bessel_weight(2.0 * s)
     power = field.coeffs.real**2 + field.coeffs.imag**2
-    with np.errstate(invalid="ignore"):  # inf * 0, summed to nan and handled below
-        total = np.sum(w * power)
-    if np.isnan(total) and w.max() == np.inf:
-        total = np.sum(np.multiply(w, power, out=np.zeros_like(power), where=power != 0))
-    return float(np.sqrt(total))
+    with np.errstate(invalid="ignore"):  # inf * 0, handled by _weighted_sum
+        return float(np.sqrt(_weighted_sum(field.grid.bessel_weight(2.0 * s), power)))
+
+
+def _weighted_sum(terms, factor) -> float:
+    """sum(terms * factor), formed in `terms`, where a zero factor zeroes its term."""
+    terms *= factor
+    total = float(terms.sum())
+    if np.isnan(total):
+        terms[factor == 0.0] = 0.0
+        total = float(terms.sum())
+    return total
 
 
 # ---------------------------------------------------------------------------

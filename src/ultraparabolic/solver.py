@@ -380,11 +380,19 @@ def _transport(grid, coeffs, powers, order, t) -> np.ndarray:
 
 
 def _snapshot_times(times, default: np.ndarray) -> np.ndarray:
-    """`times` as a float array (`default` when None); refuses a non-finite time."""
+    """`times` as a float array (`default` when None), checked for both routes.
+
+    Refuses a non-finite time, then anything but a nonempty 1-D array of
+    nonnegative, strictly increasing instants.
+    """
     times = default if times is None else np.asarray(times, dtype=float)
     bad = np.flatnonzero(~np.isfinite(times))
     if bad.size:
         raise SolverError(f"snapshot time {times.flat[bad[0]]} (entry {bad[0]}) is not finite")
+    if times.ndim != 1 or len(times) == 0 or np.any(times < 0):
+        raise SolverError("times must be a nonempty 1-D array of nonnegative instants")
+    if np.any(np.diff(times) <= 0):
+        raise SolverError("snapshot times must be strictly increasing")
     return times
 
 
@@ -393,7 +401,8 @@ def solve_exact(spec: ProblemSpec, grid: TorusGrid | None = None, times=None,
     """Characteristics solution sampled on the grid at the requested times.
 
     Requires b = b0 = g = 0, constant a and an acyclic drift coupling digraph
-    (see _exact_route_supported) and finite snapshot times.  `u0` overrides
+    (see _exact_route_supported) and snapshot times that pass
+    _snapshot_times.  `u0` overrides
     the spec's initial preset (used for semigroup restarts).  The ledgers are
     formed on read (_Ledgers), the grid fields from them (_LedgerFields).
     """
@@ -404,8 +413,6 @@ def solve_exact(spec: ProblemSpec, grid: TorusGrid | None = None, times=None,
     if grid.n != spec.n:
         raise SolverError(f"grid dimension {grid.n} != spec dimension {spec.n}")
     times = _snapshot_times(times, np.array([0.0, spec.T]))
-    if times.ndim != 1 or len(times) == 0 or np.any(times < 0):
-        raise SolverError("times must be a nonempty 1-D array of nonnegative instants")
     base = (u0 if u0 is not None else spec.u0.spectral(grid)).coeffs
     ledgers = _Ledgers(grid, base, float(spec.a.value), _nilpotent_powers(spec.B, spec.n),
                        spec.m0, times)
@@ -658,16 +665,13 @@ def _snapshot_segments(times, dt_base, T, strict):
 
     With an explicit dt (`strict`), every gap must be an integer multiple of
     it; otherwise each gap uses the largest step <= dt_base that divides it.
+    `times` has passed _snapshot_times; a time beyond T is refused here.
     Refuses, before any step is counted out, a dt that needs more than
     _MAX_FD_STEPS steps to reach the last snapshot.
     """
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) == 0:
-        raise SolverError("times must be a nonempty 1-D array")
-    if np.any(times < 0) or np.any(times > T + 1e-12 * max(T, 1.0)):
+    if np.any(times > T + 1e-12 * max(T, 1.0)):
         raise SolverError(f"snapshot times must lie in [0, T] = [0, {T}]")
-    if np.any(np.diff(times) <= 0):
-        raise SolverError("snapshot times must be strictly increasing")
     end = float(times[-1])
     needed = end / dt_base if dt_base > 0 else np.inf
     if not needed <= _MAX_FD_STEPS:  # also refuses a nan, zero or subnormal dt
@@ -704,7 +708,7 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     coordinates along the diffused axes a does not vary along, and u; a step
     allocates no grid-sized array.  One advance, with its factors, serves
     every gap taken with its step size.
-    Refuses a non-finite snapshot time before any work.  Aborts with
+    Refuses snapshot times that fail _snapshot_times before any work.  Aborts with
     CoercivityError when the sampled diffusion coefficient leaves
     [1/Lambda, Lambda], with CFLError (carrying a suggested dt) when the
     advective step bound (_CFL_LIMIT) fails, and with SolverError when the run would take

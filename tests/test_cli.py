@@ -512,7 +512,8 @@ def test_exact_stages_load_no_numerical_code(tmp_path):
 def test_perfbench_traced_stage_records_every_layer_span(tmp_path):
     # perfbench/traced_stage.py wraps the functions cli and problems call;
     # a name it cannot find before main runs would leave its metric at 0.
-    # The span of solve_auto is named after the route that ran.
+    # The span of solve_auto is named after the route that ran, and the
+    # span of smoothing_profile counts its norm evaluations from the report.
     bench = Path(__file__).resolve().parents[1] / "perfbench" / "traced_stage.py"
     spans = tmp_path / "spans.json"
     result = _fresh_interpreter(str(bench), str(spans), "solve", "--spec", "fokkerplanck",
@@ -521,6 +522,16 @@ def test_perfbench_traced_stage_records_every_layer_span(tmp_path):
     names = {span["name"] for span in json.loads(spans.read_text(encoding="utf-8"))}
     assert {"cli.main", "solver.solve_fd", "solver.residual_series", "solver.energy_check",
             "fieldio.write_field", "problems.coercivity_check"} <= names, names
+
+    result = _fresh_interpreter(str(bench), str(spans), "smoothing", "--spec", "kolmogorov2d",
+                                "--grid", "16", "--tgrid", "9", "--dmax", "4",
+                                "--out", str(tmp_path / "out"))
+    assert result.returncode == 0, result.stderr
+    by_name = {span["name"]: span for span in json.loads(spans.read_text(encoding="utf-8"))}
+    assert {"cli.main", "solver.solve_exact", "fieldio.write_json",
+            "fieldio.write_csv"} <= set(by_name), set(by_name)
+    # five orders on two axes at the nine snapshots from t = T / 100 to T
+    assert by_name["smoothing.smoothing_profile"]["norm_evals"] == 5 * 2 * 9
 
 
 _REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"

@@ -14,9 +14,7 @@ from scipy.integrate import quad
 from ultraparabolic.problems import load_builtin
 from ultraparabolic.smoothing import (
     DegenerateFitError,
-    DerivativeSelector,
     EmptyReportError,
-    derivative_multi_indices,
     derivative_norm,
     fit_gevrey_sequence,
     gevrey_fit,
@@ -41,54 +39,6 @@ def partial_derivative(f, alpha):
         if a:
             out = out * (1j * f.grid.frequency(axis)) ** a
     return SpectralField(f.grid, out)
-
-
-def comb(n, k):
-    return math.comb(n, k)
-
-
-# ---------------------------------------------------------------------------
-# multi-index enumeration and selectors
-
-
-def test_multi_index_counts_match_stars_and_bars():
-    for n in (1, 2, 3, 4):
-        for d in (0, 1, 2, 3, 5):
-            got = derivative_multi_indices(n, d)
-            assert len(got) == comb(n + d - 1, d) if d else len(got) == 1
-            assert len(set(got)) == len(got)
-            assert all(sum(a) == d and len(a) == n for a in got)
-
-
-def test_multi_index_axis_restriction():
-    got = derivative_multi_indices(3, 2, axes=(1,))
-    assert got == [(0, 2, 0)]
-    with pytest.raises(ValueError):
-        derivative_multi_indices(2, 1, axes=(5,))
-    with pytest.raises(ValueError):
-        derivative_multi_indices(2, -1)
-
-
-def test_selector_axis_strategy_lists_pure_powers():
-    sel = DerivativeSelector()
-    assert sel.strategy == "axis"
-    assert sel.indices(2, 3) == [(3, 0), (0, 3)]
-    assert sel.indices(2, 0) == [(0, 0)]
-    assert DerivativeSelector(axes=(1,)).indices(3, 2) == [(0, 2, 0)]
-
-
-def test_selector_full_strategy_sweeps_everything():
-    sel = DerivativeSelector("full")
-    assert set(sel.indices(2, 2)) == {(2, 0), (1, 1), (0, 2)}
-
-
-def test_selector_validation():
-    with pytest.raises(ValueError):
-        DerivativeSelector("diagonal")
-    with pytest.raises(ValueError):
-        DerivativeSelector(axes=(0, 0)).resolved_axes(2)
-    with pytest.raises(ValueError):
-        DerivativeSelector(axes=(3,)).resolved_axes(2)
 
 
 # ---------------------------------------------------------------------------
@@ -308,26 +258,25 @@ def test_profile_records_consistent_metadata_and_argmaxes():
     rep = smoothing_profile(sol, spec, d_max=4)
     assert rep.kappa == pytest.approx(float(spec.delta) + 2 * spec.tower().r)
     assert rep.delta == 1.5 and rep.r == 1 and rep.kappa == pytest.approx(3.5)
-    assert rep.s == 0.0 and rep.strategy == "axis" and rep.axes == (0, 1)
+    assert rep.axes == (0, 1)
     assert rep.times_used == tuple(times)
     assert (rep.grid_n, rep.grid_N, rep.grid_L) == (2, 64, 4.0)
     for rec in rep.orders:
         assert rec.d == sum(rec.argmax_alpha)
         assert rec.argmax_time in times
         assert rec.raw_argmax_time in times
-        assert max(rec.argmax_alpha) == rec.d  # axis strategy: pure powers
+        assert max(rec.argmax_alpha) == rec.d  # the axis ladder: pure powers
         assert rec.scale == pytest.approx(rec.supremum ** (1.0 / (rec.d + 1)))
-    assert rep.factorial_identity_verified
 
 
 def test_profile_supremum_is_max_of_weighted_records():
     spec = load_builtin("kolmogorov2d")
     times = np.linspace(spec.T / 100, spec.T, 5)
     sol = solve_exact(spec, times=times)
-    rep = smoothing_profile(sol, spec, d_max=3, s=-1.0)
+    rep = smoothing_profile(sol, spec, d_max=3)
     d = 3
     expected = max(
-        t ** (rep.kappa * d) * derivative_norm(sol.mode_ledgers[i], alpha, -1.0).value
+        t ** (rep.kappa * d) * derivative_norm(sol.mode_ledgers[i], alpha, 0.0).value
         / factorial(d)
         for i, t in enumerate(times)
         for alpha in ((3, 0), (0, 3))
@@ -335,7 +284,12 @@ def test_profile_supremum_is_max_of_weighted_records():
     assert rep.orders[d].supremum == pytest.approx(expected, rel=1e-14)
 
 
-def _profile_by_definition(sol, spec, d_max, selector, s):
+def _axis_ladder(n, d):
+    """The tested indices of order d: zero for d = 0, else d * e_j on every axis j."""
+    return [tuple(d if j == ax else 0 for j in range(n)) for ax in range(n if d else 1)]
+
+
+def _profile_by_definition(sol, spec, d_max):
     """(best weighted entry, best raw entry) per order, straight from the definition."""
     kappa = float(spec.delta) + 2 * spec.tower().r
     t_min = float(sol.times[-1]) / 100.0
@@ -346,8 +300,8 @@ def _profile_by_definition(sol, spec, d_max, selector, s):
         best = raw = None
         for i in usable:
             t = float(sol.times[i])
-            for alpha in selector.indices(spec.n, d):
-                rec = derivative_norm(sources[i], alpha, s)
+            for alpha in _axis_ladder(spec.n, d):
+                rec = derivative_norm(sources[i], alpha, 0.0)
                 weighted = t ** (kappa * d) * rec.value / math.prod(factorial(a) for a in alpha)
                 if best is None or weighted > best[0]:
                     best = (weighted, t, alpha, rec.reliable)
@@ -358,9 +312,8 @@ def _profile_by_definition(sol, spec, d_max, selector, s):
 
 
 @pytest.mark.parametrize("name", ["kolmogorov2d", "chain3"])
-@pytest.mark.parametrize("strategy", ["axis", "full"])
 @pytest.mark.parametrize("source", ["ledger", "grid"])
-def test_profile_equals_its_definition(name, strategy, source):
+def test_profile_equals_its_definition(name, source):
     spec = load_builtin(name)
     grid = TorusGrid(spec.n, 16, 2.0)
     times = np.linspace(spec.T / 100, spec.T, 5)
@@ -373,9 +326,8 @@ def test_profile_equals_its_definition(name, strategy, source):
         sol, times=dup, fields=tuple(sol.fields[i] for i in pick),
         mode_ledgers=(tuple(sol.mode_ledgers[i] for i in pick)
                       if source == "ledger" else None))
-    selector = DerivativeSelector(strategy)
-    rep = smoothing_profile(sol, spec, d_max=4, selector=selector, s=-0.5)
-    expected = _profile_by_definition(sol, spec, 4, selector, -0.5)
+    rep = smoothing_profile(sol, spec, d_max=4)
+    expected = _profile_by_definition(sol, spec, 4)
     assert rep.orders[0].raw_argmax_time == dup[0]
     for rec, (best, raw) in zip(rep.orders, expected):
         assert rec.raw_supremum == raw[0]
@@ -386,17 +338,14 @@ def test_profile_equals_its_definition(name, strategy, source):
         assert rec.reliable == best[3]
 
 
-@pytest.mark.parametrize("strategy", ["axis", "full"])
-@pytest.mark.parametrize("s", [0.0, -0.5])
-def test_fd_profile_from_half_spectra_equals_its_definition(strategy, s):
+def test_fd_profile_from_half_spectra_equals_its_definition():
     # the FD route keeps real grid values; the profile reads their half
     # spectra, the definition the full complex spectrum of each snapshot
     spec = load_builtin("kolmogorov-general")
     sol = solve_fd(spec, TorusGrid(4, 8, 1.0), times=np.linspace(spec.T / 4, spec.T, 4))
     assert sol.mode_ledgers is None and hasattr(sol.fields, "values")
-    selector = DerivativeSelector(strategy)
-    rep = smoothing_profile(sol, spec, d_max=4, selector=selector, s=s)
-    expected = _profile_by_definition(sol, spec, 4, selector, s)
+    rep = smoothing_profile(sol, spec, d_max=4)
+    expected = _profile_by_definition(sol, spec, 4)
     for rec, (best, raw) in zip(rep.orders, expected):
         assert rec.raw_supremum == pytest.approx(raw[0], rel=1e-13)
         assert rec.raw_argmax_time == raw[1]
@@ -443,27 +392,24 @@ def test_profile_tmin_excludes_early_snapshots():
     rep = smoothing_profile(sol, spec, d_max=1)
     assert rep.t_min == pytest.approx(0.01)
     assert rep.times_used == (0.5, 1.0)
+    # t_min = 0 here, but a snapshot at t = 0 is never used
     with pytest.raises(ValueError, match="no snapshots"):
-        smoothing_profile(sol, spec, d_max=1, t_min=2.0)
+        smoothing_profile(solve_exact(spec, times=[0.0]), spec, d_max=1)
 
 
-def test_profile_axes_restriction():
-    spec = load_builtin("kolmogorov2d")
-    sol = solve_exact(spec, times=np.linspace(0.1, 1.0, 4))
-    rep = smoothing_profile(sol, spec, d_max=3, selector=DerivativeSelector(axes=(1,)))
-    for rec in rep.orders[1:]:
-        assert rec.argmax_alpha[0] == 0 and rec.argmax_alpha[1] == rec.d
-
-
-def test_full_sweep_dominates_axis_strategy_and_verifies_inequality():
+def test_axis_ladder_dominates_every_mixed_derivative():
+    # the inequality the axis ladder rests on: ||d^alpha u|| <= sum_j ||d_j^|alpha| u||,
+    # on the ledgers (off-lattice frequencies) and on the grid fields
     spec = load_builtin("kolmogorov2d-lowreg")
     sol = solve_exact(spec, times=np.linspace(0.1, 1.0, 7))
-    axis = smoothing_profile(sol, spec, d_max=4)
-    full = smoothing_profile(sol, spec, d_max=4, selector=DerivativeSelector("full"))
-    assert full.axis_domination_verified
-    assert axis.axis_domination_verified  # trivially: no mixed indices tested
-    for da, df in zip(axis.orders, full.orders):
-        assert df.supremum >= da.supremum * (1.0 - 1e-12)
+    for sources in (sol.mode_ledgers, sol.fields):
+        for source in sources:
+            for d in range(2, 5):
+                bound = sum(derivative_norm(source, alpha, 0.0).value
+                            for alpha in _axis_ladder(2, d))
+                for a in range(1, d):
+                    mixed = derivative_norm(source, (a, d - a), 0.0).value
+                    assert mixed <= bound * (1.0 + 1e-12), (d, a)
 
 
 def test_nested_time_grids_never_lose_and_barely_gain():
@@ -490,18 +436,21 @@ def test_zero_solution_reports_all_zero_orders():
 
 
 def test_all_orders_below_floor_raises_empty_report():
+    # in L^2 finite data always has a reliable order 0 (its value is ||c||,
+    # its floor 1e3 * eps * ||c||); a nan coefficient leaves no order reliable
     spec = load_builtin("heat")
     grid = TorusGrid(2, 16, 1.0)
     field = SpectralField.single_mode(grid, (7, 7), 1.0)
+    field.coeffs[1, 2] = np.nan
     sol = TrajectorySolution(method="manual", grid=grid, times=np.array([1.0]), fields=(field,))
-    with pytest.raises(EmptyReportError):
-        smoothing_profile(sol, spec, d_max=2, s=-40.0)
+    with pytest.raises(EmptyReportError, match="no order has a reliable value"):
+        smoothing_profile(sol, spec, d_max=2)
 
 
 def test_argmax_ties_go_to_the_first_candidate_not_to_round_off():
     # modes (k, 0) and (0, k) whose amplitudes differ by 2^-50 relative: the
     # pure powers along the two axes are equal up to round-off, so the
-    # reported argmax is the first in selector order, axis 0, whichever mode
+    # reported argmax is the first in axis order, axis 0, whichever mode
     # round-off makes larger; S_d and M_d stay the exact maxima
     spec = load_builtin("heat")
     grid = TorusGrid(2, 16, 1.0)

@@ -1670,6 +1670,21 @@ def test_exact_route_refuses_non_finite_times(times, bad):
         solve_exact(spec, TorusGrid(2, 8, 4.0), times=times)
 
 
+@pytest.mark.parametrize("times", [[1.0, 0.5, 0.5, 0.004], [0.5, 0.5], [0.0, 1.0, 0.5]])
+def test_both_routes_refuse_unsorted_or_repeated_times_before_any_work(times, monkeypatch):
+    # a later snapshot listed first would set the smoothing profile's t_min
+    # from the wrong end, below its documented T / 100
+    spec = load_builtin("kolmogorov2d")
+
+    def no_work(*args):
+        raise AssertionError("the coefficients were sampled")
+
+    monkeypatch.setattr(solver, "coercivity_check", no_work)
+    for solve in (solve_exact, solve_fd):
+        with pytest.raises(SolverError, match="strictly increasing"):
+            solve(spec, TorusGrid(2, 8, 4.0), times=times)
+
+
 def test_fd_route_refuses_non_finite_times_before_any_work(monkeypatch):
     spec = load_builtin("kolmogorov-general")
 
