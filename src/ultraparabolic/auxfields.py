@@ -265,12 +265,23 @@ class AuxiliaryField(_ExactTerms):
         return cls(n, terms, delta=delta, direction=direction)
 
     def apply(self, f: GradedPolynomial) -> GradedPolynomial:
+        """H f = sum of c t^w d_j f over H's terms, each product added as it is formed.
+
+        No intermediate polynomial is built.  A product with a negative
+        t-exponent raises ValueError, as a GradedPolynomial holding it would.
+        """
         if f.n != self.n:
             raise ValueError("dimension mismatch")
-        out = GradedPolynomial.zero(self.n)
-        for (w, j), c in self.terms.items():
-            out = out + f.dx(j).mul_t(w).scale(c)
-        return out
+
+        def products():
+            for (w, j), c in self.terms.items():
+                for (t, a), b in f.terms.items():
+                    if a[j]:
+                        if t + w < 0:
+                            raise ValueError("negative t-exponent")
+                        yield (t + w, _lower(a, j)), c * (b * a[j])
+
+        return f._like(_accumulate({}, products()))
 
     def apply_power(self, d: int, f: GradedPolynomial) -> GradedPolynomial:
         if d < 0:
@@ -340,12 +351,13 @@ def verify_commutator_identity(
         raise ValueError("dimension mismatch")
     delta, p = H.delta, H.direction
 
-    Hd_f = H.apply_power(d, f)
+    Hd1_f = H.apply_power(d - 1, f)
+    Hd_f = H.apply(Hd1_f)
     lhs = Hd_f.dt() + _drift_apply(X, Hd_f)
     f_evolved = f.dt() + _drift_apply(X, f)
     lhs = lhs - H.apply_power(d, f_evolved)
 
-    rhs = H.apply_power(d - 1, f).dx(p).mul_t(delta - 1).scale(Fraction(d) * delta)
+    rhs = Hd1_f.dx(p).mul_t(delta - 1).scale(Fraction(d) * delta)
     return lhs - rhs
 
 

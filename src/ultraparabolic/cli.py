@@ -445,13 +445,14 @@ def cmd_solve(args) -> int:
     out = Path(args.out)
     field_files, norms = [], []
     with _staged(out) as stage:
-        # each snapshot is read once: its spectrum gives its norms and its .upf
-        for i, field in enumerate(solution.fields):
+        # each snapshot is read once: its spectrum gives its norms and its
+        # .upf; on the FD route every spectrum is formed in one buffer
+        for i, field in enumerate(solution.fields.spectra()):
             name = f"{spec.name}.t{i:04d}.upf"
             norms.append(snapshot_norms(field, float(spec.s), spec.m0))
             write_field(stage(name), field)
             field_files.append(name)
-            del field  # gone before the residual's arrays are formed
+            del field  # the buffer is gone before the residual's arrays are formed
         residual = residual_series(solution, spec, norms)
         energy = energy_check(solution, spec, norms)
         _require_finite(spec, grid, "the residual or energy",

@@ -229,7 +229,7 @@ class LowRegularityPreset(Preset):
             x = np.ldexp(grid.coordinate(axis), -e)
             window = window * np.exp(-x**2 / (2.0 * sigma**2))
         values = rough.grid_values().real * window
-        coeffs = np.fft.fftn(values) / values.size
+        coeffs = SpectralField.from_grid_values(grid, values).coeffs
         keep = np.ones(grid.shape, dtype=bool)
         for axis in range(grid.n):
             keep &= np.abs(grid.frequency(axis) * grid.L) < grid.N // 4

@@ -138,11 +138,20 @@ class SpectralField:
         return cls(grid, np.zeros(grid.shape, dtype=np.complex128))
 
     @classmethod
-    def from_grid_values(cls, grid, values):
+    def from_grid_values(cls, grid, values, out=None):
+        """The spectrum fftn(values) / values.size of grid samples, formed in place.
+
+        The values are copied into one complex128 array, `out` when given,
+        and transformed there, so the call holds its result alone: 2 float64
+        grid arrays for real values, where an out-of-place fftn holds 4.
+        The bits are those of the out-of-place transform.
+        """
         values = np.asarray(values)
         if values.shape != grid.shape:
             raise ValueError(f"grid values must have shape {grid.shape}")
-        coeffs = np.fft.fftn(values)
+        coeffs = np.empty(grid.shape, dtype=np.complex128) if out is None else out
+        np.copyto(coeffs, values)
+        np.fft.fftn(coeffs, out=coeffs)
         coeffs /= values.size
         return cls(grid, coeffs)
 
@@ -368,7 +377,7 @@ def random_band_limited(grid: TorusGrid, rng: np.random.Generator, decay: float 
     limit = grid.N // 4
     band = limit if band is None else min(int(band), limit)
     noise = rng.standard_normal(grid.shape)
-    coeffs = np.fft.fftn(noise) / noise.size
+    coeffs = SpectralField.from_grid_values(grid, noise).coeffs
     mask = np.ones(grid.shape, dtype=bool)
     for axis in range(grid.n):
         k = np.abs(grid.frequency(axis) * grid.L)

@@ -50,8 +50,10 @@ snapshots on one grid):
   Coefficients and transport speeds keep the per-axis form of
   Preset.evaluate; only u, the state and the step's three work arrays have
   the full grid shape.  solve_fd lists the guards that refuse a run up front.
-  The route keeps its native output, one real grid array per snapshot; a
-  snapshot's spectrum is formed each time it is read.
+  The route keeps its native output, one real grid array per snapshot (the
+  last is the final state itself, not a copy); a snapshot's spectrum is
+  formed each time it is read, in place, and `fields.spectra()` forms them
+  all in one reused buffer.
 
 residual_series measures how well any trajectory satisfies the PDE (spectral
 space derivatives, fourth-order central time differences); every first or
@@ -160,7 +162,9 @@ class _GridFields(_OnRead):
 
     `values[i]` is the real state u at times[i]; item i is
     SpectralField.from_grid_values of it, formed each time it is read and not
-    kept, so a solution holds 8 bytes per grid point and snapshot.
+    kept, so a solution holds 8 bytes per grid point and snapshot.  spectra()
+    forms them all in one complex buffer, each valid until the next is
+    formed, so walking the snapshots allocates one spectrum in all.
     """
 
     def __init__(self, grid: TorusGrid, values: tuple):
@@ -172,6 +176,11 @@ class _GridFields(_OnRead):
 
     def _item(self, i):
         return SpectralField.from_grid_values(self.grid, self.values[i])
+
+    def spectra(self):
+        coeffs = np.empty(self.grid.shape, dtype=np.complex128)
+        for values in self.values:
+            yield SpectralField.from_grid_values(self.grid, values, out=coeffs)
 
 
 class _Ledgers(_OnRead):
@@ -217,6 +226,10 @@ class _LedgerFields(_OnRead):
     def __len__(self):
         return len(self._ledgers)
 
+    def spectra(self):
+        """The fields in order, as _GridFields.spectra walks the FD route's."""
+        return iter(self)
+
     def _item(self, i):
         if self._formed[i] is None:
             ledgers, ledger = self._ledgers, self._ledgers[i]
@@ -237,6 +250,8 @@ class TrajectorySolution:
     the first time it is read (through `fields`, `snapshot(i)` or `final`)
     and keeps it.  On the FD route `fields` holds the real grid values
     (`fields.values`) and forms a snapshot's spectrum each time it is read.
+    On either route `fields.spectra()` walks every snapshot's spectrum once,
+    the FD route's in one reused buffer.
     """
 
     method: str
@@ -615,13 +630,14 @@ def _physical_memory() -> float:
 
 # Full float64 grid arrays a solve stage holds beyond its snapshots, summed
 # over its phases: the grid values, the state and three step buffers (5;
-# solve_fd peaks at 5.05, and at 5.22 on kolmogorov-general at N = 20), the
-# residual's transients (5; residual_series 3.2) and the complex spectrum of
-# each .upf write and its norms (2, at 16 B per point; fftn holds a second
-# one while it forms it, 4.0; the norms' slabs come after), each measured
-# with tracemalloc on fokkerplanck at N = 8 unless named.  The phases do not
-# overlap, so the sum also covers the largest of them and leaves room for
-# the interpreter and the libraries.
+# the last snapshot is the grid values themselves, so solve_fd peaks at
+# 4.05, and at 4.22 on kolmogorov-general at N = 20), the residual's
+# transients (5; residual_series 3.2) and the one complex buffer in which
+# every .upf write's spectrum and its norms are formed (2, at 16 B per
+# point; fftn transforms it in place, and the norms' slabs come after),
+# each measured with tracemalloc on fokkerplanck at N = 8 unless named.  The
+# phases do not overlap, so the sum also covers the largest of them and
+# leaves room for the interpreter and the libraries.
 _FD_STAGE_ARRAYS = 5 + 5 + 2
 
 
@@ -715,8 +731,9 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     more than _MAX_FD_STEPS steps (naming a dt that passes) or when its
     snapshots, work arrays and the solve stage's transients would not fit in
     physical memory (naming the largest N that fits, see _require_memory).
-    `fields` keeps each snapshot's real grid values and forms its spectrum
-    on read (see _GridFields).  Diagnostics record the discrete mass and the
+    `fields` keeps each snapshot's real grid values, the last one being u
+    itself, and forms its spectrum on read (see _GridFields).  Diagnostics
+    record the discrete mass and the
     fraction of the solution touching the boundary shell at each snapshot,
     the advective CFL number (`cfl`) and its limit (`cfl_limit`),
     which implicit slab solver ran (`slab_solver`, chosen from the diffused
@@ -804,7 +821,7 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
         volume_element = float(np.float64(h) ** n)
 
     def record(u):
-        values.append(u.copy())
+        values.append(u)
         mass.append(float(u.sum()) * volume_element)
         magnitude = np.abs(u, out=spare)  # a step buffer, free between steps
         peak = float(magnitude.max())
@@ -812,12 +829,13 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
         boundary_fraction.append(edge / peak if peak > 0 else 0.0)
 
     advances = {}  # one per distinct step size
-    for steps, step_dt in segments:
+    last = len(segments) - 1
+    for k, (steps, step_dt) in enumerate(segments):
         if steps and step_dt not in advances:
             advances[step_dt] = step(step_dt)
         for _ in range(steps):
             advances[step_dt](explicit_terms(u))
-        record(u)
+        record(u if k == last else u.copy())  # no step writes u after the last
 
     return TrajectorySolution(
         method="fd",
@@ -904,10 +922,10 @@ def residual_series(solution: TrajectorySolution, spec: ProblemSpec,
     one the complex transforms measure.  On fokkerplanck at N = 8 the series
     peaks at 3.2 float64 grid arrays beyond the snapshots (tracemalloc).
     The exact route's grid fields are complex, so there du/dt and u take one
-    n-D inverse FFT each (u's without its mean, which no term of that route
-    sees, so a constant field's terms are exactly zero), the stencil's array
-    then holds the terms, and the Nyquist terms, times i, go into the
-    residual itself.
+    n-D inverse FFT each, in place: du/dt in the stencil's array, which
+    becomes the residual, and u in a copy of its coefficients without their
+    mean (which no term of that route sees, so a constant field's terms are
+    exactly zero); the Nyquist terms, times i, go into the residual itself.
     """
     times = solution.times
     if len(times) < 5:
@@ -939,8 +957,7 @@ def residual_series(solution: TrajectorySolution, spec: ProblemSpec,
                  for i in interior}
     scales = [float(np.sqrt(norms[i][2])) + 1.0 for i in interior]
     stencil = np.empty_like(stack[0])
-    # the terms' array; a complex stencil is spent once transformed, and takes them
-    term = np.empty_like(stencil) if real else stencil
+    term = np.empty_like(stencil)  # each term, added to the residual at once
     sums = np.empty(N ** (n - 1), dtype=term.dtype)  # the alternating sum of each line
     imag = np.empty(grid.shape) if real and speeds else None  # the Nyquist terms of a real u
 
@@ -957,13 +974,14 @@ def residual_series(solution: TrajectorySolution, spec: ProblemSpec,
             if imag is not None:
                 imag.fill(0.0)
         else:
-            residual = SpectralField(grid, stencil).grid_values()
+            # du/dt on the grid (SpectralField.grid_values), in the stencil's array
+            residual = np.fft.ifftn(stencil, norm="forward", out=stencil)
             # u without its mean: the exact route has no b0, and derivatives
             # annihilate the mean, so, as with transform pairs, a constant
             # field's terms are exactly zero
             values = solution.fields[i].coeffs * stencil.size
             values[(0,) * n] = 0.0
-            values = np.fft.ifftn(values)
+            np.fft.ifftn(values, out=values)
             nyquist_terms = residual
         for ax in axes:
             if ax in speeds:
@@ -990,7 +1008,7 @@ def residual_series(solution: TrajectorySolution, spec: ProblemSpec,
             power += np.vdot(imag, imag)
         out_times.append(times[i])
         out_values.append(float(np.sqrt(power / residual.size)) / scale)
-        del residual, values  # on the exact route, gone before the next pair is formed
+        del values  # on the exact route, gone before the next one is formed
     return ResidualReport(times=np.array(out_times), values=np.array(out_values))
 
 

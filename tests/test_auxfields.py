@@ -272,3 +272,29 @@ def test_auxiliary_field_application():
     assert A.apply(f) == GradedPolynomial.monomial(2, 2, (1, 1), 2)
     assert A.apply_power(2, f) == GradedPolynomial.monomial(2, 4, (0, 1), 2)
     assert A.apply_power(3, f).is_zero()
+
+
+def test_auxiliary_field_application_is_the_sum_of_its_terms():
+    # the literal definition: sum over H's terms of c t^w d_j f, term by term
+    rng = random.Random(5)
+    for tower in ALL_TOWERS:
+        for delta in DELTAS:
+            H = build_H(tower, delta, 0)
+            f = random_graded_polynomial(tower.n, rng)
+            for _ in range(3):
+                want = GradedPolynomial.zero(tower.n)
+                for (w, j), c in H.terms.items():
+                    want = want + f.dx(j).mul_t(w).scale(c)
+                got = H.apply(f)
+                assert got == want and list(got.terms) == list(want.terms)
+                f = got
+
+
+def test_auxiliary_field_application_refuses_a_negative_t_exponent():
+    A = AuxiliaryField(2, {(F(-3, 2), 0): F(1), (F(1), 1): F(2)})
+    assert A.apply(GradedPolynomial.monomial(2, F(3, 2), (1, 1))) == GradedPolynomial(
+        2, {(F(0), (0, 1)): F(1), (F(5, 2), (1, 0)): F(2)})
+    with pytest.raises(ValueError, match="negative t-exponent"):
+        A.apply(GradedPolynomial.monomial(2, 1, (1, 0)))
+    # a term that d_j annihilates is not formed, so its exponent is never checked
+    assert A.apply(GradedPolynomial.monomial(2, 1, (0, 0))).is_zero()

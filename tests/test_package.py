@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -51,3 +52,16 @@ def test_exact_layer_exports_resolve_without_numpy():
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0, result.stderr
+
+
+def test_numpy_floor_is_stated_once_and_met():
+    import numpy as np
+
+    root = Path(__file__).resolve().parents[1]
+    declared = re.findall(r'"numpy>=([0-9.]+)"', (root / "pyproject.toml").read_text())
+    documented = re.findall(r"NumPy ≥ ([0-9.]+)", (root / "README.md").read_text())
+    assert len(declared) == 1 and set(documented) == set(declared)
+    # the in-place transforms of sobolev and solver need fft's out= (NumPy 2.0)
+    a = np.arange(8.0) + 0j
+    want = np.fft.fftn(a)
+    assert np.fft.fftn(a, out=a) is a and np.array_equal(a, want)

@@ -104,6 +104,53 @@ def test_plancherel_random_field():
     assert abs(hs_norm(f, 0.0) - l2_direct) <= 1e-12 * l2_direct
 
 
+def _grid_samples(shape, complex_input):
+    """Random samples of `shape` and a grid stand-in of that shape.
+
+    TorusGrid takes even N >= 4 only; the transform reads nothing of the grid
+    but its shape, so the stand-in covers odd N too.
+    """
+    from types import SimpleNamespace
+
+    rng = np.random.default_rng(sum(shape))
+    values = rng.standard_normal(shape)
+    if complex_input:
+        values = values + 1j * rng.standard_normal(shape)
+    return SimpleNamespace(shape=shape), values
+
+
+@pytest.mark.parametrize("shape", [(8,), (7,), (16, 6), (9, 5), (4, 6, 8), (5, 5, 5),
+                                   (4, 6, 4, 6), (3, 5, 3, 5), (4,) * 5, (3,) * 5,
+                                   (4,) * 6, (5, 3, 3, 3, 3, 3)])
+@pytest.mark.parametrize("complex_input", [False, True])
+def test_from_grid_values_is_fftn_bit_for_bit(shape, complex_input):
+    grid, values = _grid_samples(shape, complex_input)
+    want = np.fft.fftn(values) / values.size
+    got = SpectralField.from_grid_values(grid, values).coeffs
+    assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
+    buffer = np.empty(shape, dtype=np.complex128)
+    assert SpectralField.from_grid_values(grid, values, out=buffer).coeffs is buffer
+    assert buffer.tobytes() == want.tobytes()
+    # the inverse in place, as residual_series takes it, has the same bits too
+    assert np.fft.ifftn(buffer, out=buffer).tobytes() == np.fft.ifftn(want).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2**16,), (256, 255), (33, 32, 31), (8,) * 6, (5,) * 7])
+@pytest.mark.parametrize("complex_input", [False, True])
+def test_from_grid_values_holds_only_its_result(shape, complex_input):
+    import tracemalloc
+
+    grid, values = _grid_samples(shape, complex_input)
+    tracemalloc.start()
+    try:
+        SpectralField.from_grid_values(grid, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the complex result is 2 float64 grid arrays; fftn out of place holds 4
+    assert peak <= 2 * 8 * values.size + 2**16
+
+
 def test_grid_values_round_trip():
     rng = np.random.default_rng(11)
     grid = TorusGrid(3, 8)

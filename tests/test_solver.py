@@ -1329,6 +1329,39 @@ def test_fd_snapshots_are_real_grid_values_with_spectra_formed_on_read():
         assert np.array_equal(sol.fields[i].coeffs, want)  # same fftn: bit for bit
         assert sol.fields[i] is not sol.fields[i]  # formed on each read, not kept
     assert np.array_equal(sol.final.coeffs, sol.fields[len(sol) - 1].coeffs)
+    # spectra() forms the same bits, every one in the first one's buffer
+    first = None
+    for i, field in enumerate(sol.fields.spectra()):
+        first = field.coeffs if first is None else first
+        assert np.shares_memory(field.coeffs, first)
+        assert np.array_equal(field.coeffs, sol.fields[i].coeffs)
+    assert i == len(sol) - 1
+
+
+def test_exact_route_spectra_are_its_kept_fields():
+    spec = load_builtin("kolmogorov2d")
+    sol = solve_exact(spec, spec.default_grid(N=8), times=np.linspace(0.0, spec.T, 5))
+    assert all(field is sol.fields[i] for i, field in enumerate(sol.fields.spectra()))
+
+
+def test_fd_final_record_keeps_the_final_state_without_a_copy():
+    spec = load_builtin("fokkerplanck")
+    grid = spec.default_grid(N=8)
+    array = 8 * grid.N**grid.n
+    # with five or more snapshots the step loop, not the setup, sets the peak
+    for times in (np.linspace(0.0, spec.T, 5), np.linspace(0.0, spec.T, 9)):
+        solve_fd(spec, grid, times=times)  # warm the caches
+        tracemalloc.start()
+        try:
+            sol = solve_fd(spec, grid, times=times)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained >= len(times) * array
+        # the step loop holds u, the state and three buffers, 5 arrays, on
+        # top of the earlier snapshots; u becomes the last snapshot, where a
+        # copy of it would add a sixth
+        assert peak - retained <= 4 * array + array // 4
 
 
 def _traced_peak(fn):
@@ -1354,6 +1387,13 @@ def test_fd_upf_write_holds_one_complex_spectrum(tmp_path):
     assert np.array_equal(read_field(path).coeffs, sol.fields[2].coeffs)
 
 
+# snapshot_norms on fokkerplanck at N = 8 holds five arrays of one slab
+# (8**5 values, 5/8 of a grid array): its three blocks, one slab each as a
+# slab exceeds _norms._BLOCK, and |xi|^2 over the other axes and its
+# diffused part
+_NORMS_SLABS = 5 * 8 * 8**5
+
+
 def test_fd_snapshot_read_norms_and_write_stay_within_one_spectrum_transform(tmp_path):
     # what the CLI's solve stage does per snapshot: one fftn, its norms, its .upf
     spec = load_builtin("fokkerplanck")
@@ -1368,9 +1408,35 @@ def test_fd_snapshot_read_norms_and_write_stay_within_one_spectrum_transform(tmp
         write_field(path, field)
 
     read_norms_write()  # warm the transform caches
-    # SpectralField.from_grid_values alone peaks at 4.0 arrays inside fftn;
-    # the norms' three slab arrays (3/8 of an array) come after it
-    assert _traced_peak(read_norms_write) <= 4 * array + 2**16
+    # SpectralField.from_grid_values holds its complex result alone, 2 arrays,
+    # transformed in place; the norms' slab-size arrays come on top of it
+    assert _traced_peak(read_norms_write) <= 2 * array + _NORMS_SLABS + 2**16
+
+
+def test_solve_stage_allocates_no_grid_array_per_snapshot_after_the_first(tmp_path, monkeypatch):
+    # the CLI solve stage's write loop on the FD route, traced from its first
+    # .upf write on: each later spectrum is formed in the first one's buffer
+    array = 8 * 8**6
+    first, peaks = [], []
+
+    def traced_write(path, field):
+        if not first:
+            first.append(field.coeffs)  # kept: a fresh buffer could not take its place
+            tracemalloc.start()
+        else:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            assert np.shares_memory(field.coeffs, first[0])
+        write_field(path, field)
+
+    monkeypatch.setattr(cli, "write_field", traced_write)
+    try:
+        assert cli.main(["solve", "--spec", "fokkerplanck", "--grid", "8", "--tgrid", "9",
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 8
+    # only the norms' slab-size arrays come and go
+    assert max(peaks) <= _NORMS_SLABS + 2**16 < array
 
 
 def test_fd_residual_series_transients_stay_within_the_memory_guard():
