@@ -73,8 +73,10 @@ def transport_plan(speeds: dict, b0_vals, h: float, shape: tuple):
 def apply_transport(plan, u, u4, spare, out) -> np.ndarray:
     """The transport of u by transport_plan's kernel, written into `out`.
 
-    u is C-contiguous; u4, `spare` and `out` are C-contiguous arrays of u's
-    shape that overlap neither u nor each other (the matrices leave u4 alone).
+    u is C-contiguous; `spare` and `out` are C-contiguous arrays of u's
+    shape that overlap neither u nor each other.  u4 is the stencil's buffer
+    for 4u, of the same kind, and the stencil's alone: the matrices never
+    read it, so solve_fd passes None for them.
     """
     kernel, plan = plan
     if kernel == "matrices":
@@ -277,7 +279,8 @@ def apply_stencil(plan, u, u4, spare, out) -> np.ndarray:
     `plan` comes from stencil_plan for u's shape.  u is C-contiguous; u4
     (overwritten with 4u when the plan has boxes), `spare` (the neighbour
     terms of one box at a time) and `out` are C-contiguous arrays of u's
-    shape that overlap neither u nor each other.  Per box: one pass for the
+    shape that overlap neither u nor each other.  u4 is the one grid buffer
+    that solve_fd holds for the stencil alone.  Per box: one pass for the
     shifted difference, one for the factor c_j and one to add it in.
     """
     centre, boxes = plan

@@ -20,13 +20,13 @@ Index convention: axes are 0-based everywhere (axis 0 is the first diffused
 direction).
 
 Loading, hashing and certifying a spec is exact and loads no NumPy; the
-methods that sample a grid import NumPy and ``sobolev`` when they run.
+methods that sample a grid import NumPy and ``sobolev`` when they run, and
+spec_hash imports ``hashlib`` (OpenSSL) when it runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 import operator
 from dataclasses import dataclass, field
@@ -168,11 +168,15 @@ class GaussianPreset(Preset):
             raise ProblemSpecError(f"gaussian center has {len(center)} entries, need {grid.n}")
         import numpy as np
 
+        # formed in place, one grid array in all, by the operations of
+        # exp(-(0 + d_0^2 + ... + d_{n-1}^2) / (2 width^2)) in their order
         q = np.zeros(grid.shape)
         with np.errstate(over="ignore"):  # an overflowed square is an exact zero below
             for axis, c in enumerate(center):
-                q = q + (grid.coordinate(axis) - float(c)) ** 2
-        return np.exp(-q / (2.0 * self.width**2))
+                q += (grid.coordinate(axis) - float(c)) ** 2
+        np.negative(q, out=q)
+        q /= 2.0 * self.width**2
+        return np.exp(q, out=q)
 
 
 @dataclass(frozen=True)
@@ -467,6 +471,13 @@ class ProblemSpec:
         return cls.from_json_dict(doc)
 
     def spec_hash(self) -> str:
+        """The first 16 hex digits of the SHA-256 of the canonical JSON form.
+
+        hashlib, which loads OpenSSL, is imported here: a stage that writes
+        no manifest (smoothing) never loads it.
+        """
+        import hashlib
+
         return hashlib.sha256(self.dumps().encode("utf-8")).hexdigest()[:16]
 
 

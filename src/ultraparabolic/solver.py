@@ -48,8 +48,9 @@ snapshots on one grid):
   the explicit terms, a few passes and the sweeps, and one transform back,
   all on NumPy alone, in one step loop, with one advance per step size.
   Coefficients and transport speeds keep the per-axis form of
-  Preset.evaluate; only u, the state and the step's three work arrays have
-  the full grid shape.  solve_fd lists the guards that refuse a run up front.
+  Preset.evaluate; only u, the state and the step's two work arrays (three
+  with the stencil, whose 4u takes one) have the full grid shape.  solve_fd
+  lists the guards that refuse a run up front.
   The route keeps its native output, one real grid array per snapshot (the
   last is the final state itself, not a copy); a snapshot's spectrum is
   formed each time it is read, in place, and `fields.spectra()` forms them
@@ -73,7 +74,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from ._errors import CFLError, CoercivityError, SolverError
 from ._norms import snapshot_norms
@@ -190,12 +190,16 @@ class _Ledgers(_OnRead):
     `base` damped by exp(-a int_0^t_i |P e^{-tau B} xi|^2 dtau), so reading
     the snapshots in order holds one ledger at a time.  The Gauss-Legendre
     rule (`rule`) is built once, and the damping is exponentiated in place.
+    numpy.polynomial, which builds the rule, is imported only where a rule
+    is built, so the FD route never loads it.
     """
 
     def __init__(self, grid: TorusGrid, base: np.ndarray, a: float, powers: list, m0: int,
                  times: np.ndarray):
         self.grid, self.base, self.a = grid, base, a
         self.powers, self.m0, self.times = powers, m0, times
+        from numpy.polynomial.legendre import leggauss
+
         self.rule = leggauss(grid.n + 1)
 
     def __len__(self):
@@ -362,7 +366,12 @@ def _damping_exponent(grid, powers, m0, t, quad_order) -> np.ndarray:
     """
     if t == 0.0:
         return np.zeros(grid.shape)
-    nodes, weights = quad_order if isinstance(quad_order, tuple) else leggauss(quad_order)
+    if isinstance(quad_order, tuple):
+        nodes, weights = quad_order
+    else:
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = leggauss(quad_order)
     taus = 0.5 * t * (nodes + 1.0)
     ws = 0.5 * t * weights
     freqs = [grid.frequency(ax) for ax in range(grid.n)]
@@ -377,21 +386,24 @@ def _transport(grid, coeffs, powers, order, t) -> np.ndarray:
     """Resample modes at e^{-tB} xi by per-axis fractional phase shifts.
 
     The phase along axis ax spans ax and the axes that shift it, so its
-    complex exp runs on those axes only and broadcasts into the grid.
+    complex exp runs on those axes only and broadcasts into the grid.  The
+    coefficients are copied once, and every shifted axis's transform pair
+    and phase run in place in that copy, so the resampling holds one complex
+    grid array besides `coeffs`.
     """
+    out = np.array(coeffs, dtype=np.complex128)
     if t == 0.0:
-        return coeffs.copy()
+        return out
     M = _matrix_exponential(powers, -t)
     np.fill_diagonal(M, 0.0)  # each axis is shifted by the other axes' modes
     modes = [grid.frequency(ax) * grid.L for ax in range(grid.n)]
-    out = coeffs
     for ax, shift in zip(order, _row_combinations(M, modes, order)):
         if not np.any(shift):
             continue
-        values = np.fft.ifft(out, axis=ax)
-        values *= np.exp(1j * shift * grid.coordinate(ax) / grid.L)
-        out = np.fft.fft(values, axis=ax)
-    return np.asarray(out)
+        np.fft.ifft(out, axis=ax, out=out)
+        out *= np.exp(1j * shift * grid.coordinate(ax) / grid.L)
+        np.fft.fft(out, axis=ax, out=out)
+    return out
 
 
 def _snapshot_times(times, default: np.ndarray) -> np.ndarray:
@@ -519,7 +531,7 @@ def _sine_transform(S, x, spare, axes, out=None):
     return x, spare
 
 
-def _slab_steps(a_vals, m0: int, h: float, u, state, spare, work):
+def _slab_steps(a_vals, m0: int, h: float, u, state, spare):
     """The theta step of every slab solver, in Douglas's delta form; returns step.
 
     The diffused axes a varies along, l_1 < ... < l_m, are swept; along the
@@ -557,9 +569,11 @@ def _slab_steps(a_vals, m0: int, h: float, u, state, spare, work):
     step from the explicit terms `rate` = E(u) of the current u and leaves
     the new state and grid values in `state` and `u`; solve_fd makes one
     per step size.  The coefficients of a L, a (lam - 2 m / h^2) on the
-    diagonal and a / h^2 off it, are built once.  `rate`, `spare` and `work`
-    are overwritten: the transforms take turns in the first two, and `work`
-    holds the off-diagonal terms of a L s.
+    diagonal and a / h^2 off it, are built once.  `rate` and `spare` are
+    overwritten: the transforms take turns in them, and once the transformed
+    explicit terms are added into the increment, the off-diagonal terms of
+    a L s are formed, one face at a time, in the buffer that held those
+    terms.  So a step needs no grid array beyond u, the state and these two.
     """
     n, N = u.ndim, u.shape[0]
     lines = [ax for ax in range(m0) if np.shape(a_vals)[ax] > 1]
@@ -600,10 +614,10 @@ def _slab_steps(a_vals, m0: int, h: float, u, state, spare, work):
         def advance(rate):
             hat, delta = _sine_transform(S, rate, spare, axes)
             np.multiply(state, centre, out=delta)
-            for rows, neighbours in faces:
-                np.multiply(state[neighbours], coupling[rows], out=work[rows])
-                np.add(delta[rows], work[rows], out=delta[rows])
             delta += hat
+            for rows, neighbours in faces:  # each face term in hat's freed buffer
+                np.multiply(state[neighbours], coupling[rows], out=hat[rows])
+                np.add(delta[rows], hat[rows], out=delta[rows])
             for cells, pivot, upper in factors:
                 delta *= pivot
                 for prev, cell in zip(cells, cells[1:]):
@@ -630,8 +644,9 @@ def _physical_memory() -> float:
 
 # Full float64 grid arrays a solve stage holds beyond its snapshots, summed
 # over its phases: the grid values, the state and three step buffers (5;
-# the last snapshot is the grid values themselves, so solve_fd peaks at
-# 4.05, and at 4.22 on kolmogorov-general at N = 20), the residual's
+# the matrices kernel needs two buffers, the stencil a third for its 4u,
+# and the last snapshot is the grid values themselves, so solve_fd peaks
+# at 3.05, and at 3.22 on kolmogorov-general at N = 20), the residual's
 # transients (5; residual_series 3.2) and the one complex buffer in which
 # every .upf write's spectrum and its norms are formed (2, at 16 B per
 # point; fftn transforms it in place, and the norms' slabs come after),
@@ -722,8 +737,10 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     One loop takes every step: the explicit terms E(u) of the grid values u
     go to the advance of _slab_steps, which updates the state, kept in sine
     coordinates along the diffused axes a does not vary along, and u; a step
-    allocates no grid-sized array.  One advance, with its factors, serves
-    every gap taken with its step size.
+    allocates no grid-sized array.  Beyond u and the state, the solve holds
+    two grid-sized step buffers, the explicit terms and a spare, and a third
+    for the 4u of the stencil transport only.  One advance, with its
+    factors, serves every gap taken with its step size.
     Refuses snapshot times that fail _snapshot_times before any work.  Aborts with
     CoercivityError when the sampled diffusion coefficient leaves
     [1/Lambda, Lambda], with CFLError (carrying a suggested dt) when the
@@ -798,14 +815,16 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     matrices = matrix_axes(speeds, grid.shape) or ()
     _require_memory(len(times), n, N, slab + matrices)
 
-    # work arrays, allocated once per solve: the state in sine coordinates,
-    # the explicit terms `rate`, and `u4` and `spare`, which serve in turn the
-    # transport's terms, the sine transforms and the off-diagonal terms of a L
-    spare, u4, rate, state = (np.empty(grid.shape) for _ in range(4))
     plan = transport_plan(speeds, b0_vals, h, grid.shape)
+    # work arrays, allocated once per solve: the state in sine coordinates,
+    # the explicit terms `rate` and `spare`, which serve in turn the
+    # transport's terms, the sine transforms and the off-diagonal terms of
+    # a L; the stencil's 4u takes a fourth, which the matrices do without
+    spare, rate, state = (np.empty(grid.shape) for _ in range(3))
+    u4 = np.empty(grid.shape) if plan[0] == "stencil" else None
     # the grid values, a fresh C-ordered copy at the full grid shape
     u = np.array(np.broadcast_to(spec.u0.evaluate(grid), grid.shape), dtype=float, order="C")
-    step = _slab_steps(a_vals, m0, h, u, state, spare, u4)
+    step = _slab_steps(a_vals, m0, h, u, state, spare)
 
     def explicit_terms(u):
         apply_transport(plan, u, u4, spare, rate)

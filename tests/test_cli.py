@@ -620,6 +620,31 @@ def test_sine_route_stages_never_import_scipy(tmp_path):
         assert json.loads((tmp_path / "fd" / f"{spec}.solve.json").read_text())["method"] == "fd"
 
 
+def test_fd_stages_load_neither_gauss_legendre_nor_openssl_unless_they_use_it(tmp_path):
+    # a fresh interpreter, as above: numpy.polynomial (Gauss-Legendre) serves
+    # the exact route alone, and hashlib (OpenSSL) only the manifests'
+    # spec_hash, which the smoothing stage does not write
+    script = textwrap.dedent(f"""
+        import sys
+        from ultraparabolic import cli
+
+        def loaded(name):
+            return sorted(m for m in sys.modules if m == name or m.startswith(name + "."))
+
+        assert loaded("_hashlib") == [], loaded("_hashlib")
+        for stage, extra in (("smoothing", ["--dmax", "3"]), ("solve", [])):
+            argv = [stage, "--spec", "kolmogorov-general", "--grid", "8", "--tgrid", "5",
+                    *extra, "--out", {str(tmp_path / "fd")!r}]
+            assert cli.main(argv) == 0, stage
+            assert loaded("numpy.polynomial") == [], (stage, loaded("numpy.polynomial"))
+            if stage == "smoothing":
+                assert loaded("_hashlib") == [], loaded("_hashlib")
+        assert loaded("_hashlib") == ["_hashlib"]  # the solve manifest's spec_hash
+    """)
+    result = _fresh_interpreter("-c", script)
+    assert result.returncode == 0, result.stderr
+
+
 def test_sine_adi_solves_with_a_step_of_the_snapshot_gap(tmp_path):
     # Douglas's sweeps have no iteration to fail: the written spec's T = 0.5
     # over --tgrid 5 takes one step of 0.125 per snapshot gap

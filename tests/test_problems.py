@@ -93,6 +93,50 @@ def test_gaussian_matches_formula():
         GaussianPreset(width=0.0).evaluate(grid)
 
 
+def _out_of_place_gaussian(preset, grid):
+    """GaussianPreset.evaluate as three grid-size temporaries form it: the bit reference."""
+    center = preset.center or (0.0,) * grid.n
+    q = np.zeros(grid.shape)
+    with np.errstate(over="ignore"):
+        for axis, c in enumerate(center):
+            q = q + (grid.coordinate(axis) - float(c)) ** 2
+    return np.exp(-q / (2.0 * preset.width**2))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_gaussian_in_place_equals_the_out_of_place_form(n):
+    # the same operations in the same order, so the same bits; a box of
+    # 1e160 overflows every square but the origin's
+    N = 8 if n < 6 else 6
+    for L in (1.5, 1e160):
+        grid = TorusGrid(n, N, L=L)
+        for preset in (GaussianPreset(width=0.7),
+                       GaussianPreset(width=1.3, center=tuple(0.25 * (ax + 1) for ax in range(n)))):
+            got = preset.evaluate(grid)
+            assert got.shape == grid.shape
+            assert np.array_equal(got, _out_of_place_gaussian(preset, grid)), (n, L, preset)
+
+
+def test_gaussian_holds_one_grid_array():
+    # out of place, q, its negated quotient and the exponential would be 3 arrays
+    import tracemalloc
+
+    grid = TorusGrid(6, 8, L=2.0)
+    array = 8 * grid.N**grid.n
+    preset = GaussianPreset(width=0.75, center=(0.5,) * grid.n)
+    preset.evaluate(grid)  # warm any first-call cache
+    tracemalloc.start()
+    try:
+        preset.evaluate(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # besides the result: each axis's difference and its square, and the
+    # 64 KiB buffer of NumPy's broadcasting loops
+    vectors = 2 * grid.n * 8 * grid.N
+    assert peak <= array + vectors + 2**17, peak / array
+
+
 def test_linear_matches_coordinate():
     grid = TorusGrid(3, 8, L=2.0)
     p = LinearPreset(axis=2, slope=-1.5, intercept=0.25)

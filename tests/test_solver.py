@@ -690,8 +690,8 @@ def _slab_factors(a_vals, m0, h, shape):
     builder serves every call; each call builds the factors of its step_dt
     and returns the step's grid-values buffer.
     """
-    u, state, spare, work = (np.zeros(shape) for _ in range(4))
-    step = solver._slab_steps(a_vals, m0, h, u, state, spare, work)
+    u, state, spare = (np.zeros(shape) for _ in range(3))
+    step = solver._slab_steps(a_vals, m0, h, u, state, spare)
 
     def solve(step_dt, rhs):
         state.fill(0.0)
@@ -1358,9 +1358,12 @@ def test_fd_final_record_keeps_the_final_state_without_a_copy():
         finally:
             tracemalloc.stop()
         assert retained >= len(times) * array
-        # the step loop holds u, the state and three buffers, 5 arrays, on
-        # top of the earlier snapshots; u becomes the last snapshot, where a
-        # copy of it would add a sixth
+        # the step loop holds u, the state and two buffers (the matrices
+        # kernel needs no 4u), 4 arrays, on top of the earlier snapshots; u
+        # becomes the last snapshot.  A copy of it would add a fifth, still
+        # within this bound, so
+        # test_fd_solve_holds_three_grid_arrays_beyond_its_snapshots pins
+        # the tight figure
         assert peak - retained <= 4 * array + array // 4
 
 
@@ -1372,6 +1375,52 @@ def _traced_peak(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_fd_solve_holds_three_grid_arrays_beyond_its_snapshots():
+    # kolmogorov-general at N = 20 (the matrices kernel, one Thomas sweep):
+    # the step loop holds u, which becomes the last snapshot, the state and
+    # two step buffers, so 3 arrays beyond the snapshots, plus the sweep's
+    # slice and factors (0.2).  A buffer of its own for the face terms of
+    # a L would make it 4.2.  With two snapshots the set-up holds as much:
+    # the three work arrays, the evaluated Gaussian u0 and u, 3 arrays
+    # beyond the snapshots while the Gaussian is formed in one array (4.1
+    # with three temporaries)
+    spec = load_builtin("kolmogorov-general")
+    grid = spec.default_grid(N=20)
+    array = 8 * grid.N**grid.n
+    for times in (np.linspace(0.0, spec.T, 9), [0.0, spec.T]):
+        solve_fd(spec, grid, times=times)  # warm the caches
+        peak = _traced_peak(lambda: solve_fd(spec, grid, times=times))
+        assert peak <= (len(times) + 3.3) * array, (len(times), peak / array - len(times))
+
+
+def test_exact_route_forms_each_field_in_one_copy():
+    # lp-block at N = 12: walking the spectra keeps every field, 2 float64
+    # arrays each.  Forming one holds its ledger's coefficients (2) and the
+    # copy that is resampled in place and kept, with one axis's phases and
+    # the transforms' line buffers: 2.9 arrays above what the walk keeps;
+    # a fresh output per transform would make it 6.0
+    spec = load_builtin("lp-block")
+    grid = spec.default_grid(N=12)
+    array = 8 * grid.N**grid.n
+    times = np.linspace(spec.T / 100, spec.T, 9)
+
+    def walk():
+        sol = solve_exact(spec, grid, times=times)
+        for _ in sol.fields.spectra():
+            pass
+        return sol
+
+    walk()  # warm the transform caches
+    tracemalloc.start()
+    try:
+        sol = walk()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sol.method == "exact" and kept >= 2 * len(times) * array
+    assert peak - kept <= 3.25 * array, (peak - kept) / array
 
 
 def test_fd_upf_write_holds_one_complex_spectrum(tmp_path):
