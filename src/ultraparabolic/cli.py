@@ -10,8 +10,8 @@ report     aggregate of the artifacts the other subcommands produced
 
 Exit codes: 0 = success, 2 = a checked condition or identity failed,
 3 = numerical abort (ellipticity, step-size, step-count or memory guard, a
-grid whose Sobolev weights overflow, a result overflowing on it), 4 = I/O or
-parse error.
+grid whose Sobolev weights overflow, a --dmax whose d! or time weight does,
+a result overflowing on it), 4 = I/O or parse error.
 
 Primary outputs are deterministic: the same spec, knobs, and seed produce
 byte-identical JSON/CSV/binary files.  Volatile metadata (timestamps, wall
@@ -272,6 +272,21 @@ def _require_representable_weights(spec: ProblemSpec, grid, power: float) -> Non
             f"a box scale L >= {passing:.3g}")
 
 
+def _require_representable_orders(spec: ProblemSpec, d_max: int) -> None:
+    """Refuse up front a --dmax whose d! or T^(kappa d) overflows; name the largest that fits."""
+    kappa = float(spec.delta) + 2 * spec.tower().r
+    top = min(d_max, 170)  # 171! is past the float range
+    while top:
+        with contextlib.suppress(OverflowError):
+            float(spec.T) ** (kappa * top)
+            break
+        top -= 1
+    if top < d_max:
+        raise SolverError(f"--dmax {d_max} overflows d! or the time weight T^(kappa d) = "
+                          f"{spec.T!r}^({kappa:g} d) of {spec.name}; "
+                          + (f"retry with --dmax <= {top}" if top else "no --dmax fits"))
+
+
 def _require_finite(spec: ProblemSpec, grid, what: str, values) -> None:
     """Refuse results that overflowed on this grid, before any artifact is kept.
 
@@ -501,6 +516,7 @@ def cmd_solve(args) -> int:
 def cmd_smoothing(args) -> int:
     _bind("solver", "smoothing")
     spec = load_spec_file(args.spec)
+    _require_representable_orders(spec, args.dmax)
     grid, _, solution = _solve(spec, args, spec.T / 100.0, float(args.dmax))
     report = smoothing_profile(solution, spec, d_max=args.dmax)
     _require_finite(spec, grid, "a derivative norm",

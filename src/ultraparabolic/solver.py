@@ -6,10 +6,9 @@ snapshots on one grid):
 * solve_exact -- characteristics in frequency space.  For drift-only lower
   order structure (b = b0 = g = 0, constant a) the evolution of a single
   continuum mode e^{i zeta.x} is exact: the mode transports to e^{-tB} zeta
-  and is damped by exp(-a int_0^t |P e^{-tau B} zeta|^2 dtau), with P the
-  projection onto the diffused axes.  The damping integrand is a polynomial
-  in tau (B is nilpotent), so fixed-order Gauss-Legendre quadrature is exact;
-  the transported off-lattice modes are resampled on the grid by per-axis
+  and is damped by exp(-a zeta^T Q(t) zeta), with Q(t) the controllability
+  Gramian, in closed form since B is nilpotent (_damping_exponent); the
+  transported off-lattice modes are resampled on the grid by per-axis
   fractional phase shifts, valid whenever the drift's coupling digraph is
   acyclic (then e^{-tB} is unit-triangular in topological order).  Up to
   floating round-off and spectral tails, the snapshots are the exact solution
@@ -72,6 +71,7 @@ import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 
@@ -187,27 +187,21 @@ class _Ledgers(_OnRead):
     """The exact route's ModeLedgers, each formed when it is read and not kept.
 
     Item i is the ledger at times[i]: e^{-t_i B} and the initial coefficients
-    `base` damped by exp(-a int_0^t_i |P e^{-tau B} xi|^2 dtau), so reading
-    the snapshots in order holds one ledger at a time.  The Gauss-Legendre
-    rule (`rule`) is built once, and the damping is exponentiated in place.
-    numpy.polynomial, which builds the rule, is imported only where a rule
-    is built, so the FD route never loads it.
+    `base` damped by exp(-a xi^T Q(t_i) xi) (_damping_exponent, exponentiated
+    in place), so reading the snapshots in order holds one ledger at a time.
     """
 
     def __init__(self, grid: TorusGrid, base: np.ndarray, a: float, powers: list, m0: int,
                  times: np.ndarray):
         self.grid, self.base, self.a = grid, base, a
         self.powers, self.m0, self.times = powers, m0, times
-        from numpy.polynomial.legendre import leggauss
-
-        self.rule = leggauss(grid.n + 1)
 
     def __len__(self):
         return len(self.times)
 
     def _item(self, i):
         t = self.times[i]
-        damping = _damping_exponent(self.grid, self.powers, self.m0, t, self.rule)
+        damping = _damping_exponent(self.grid, self.powers, self.m0, t)
         damping *= -self.a
         return ModeLedger(self.grid, _matrix_exponential(self.powers, -t),
                           self.base * np.exp(damping, out=damping))
@@ -299,13 +293,7 @@ def _nilpotent_powers(B: tuple, n: int) -> list:
 
 
 def _matrix_exponential(powers: list, t: float) -> np.ndarray:
-    out = np.zeros_like(powers[0])
-    fact = 1.0
-    for q, P in enumerate(powers):
-        if q:
-            fact *= q
-        out += (t**q / fact) * P
-    return out
+    return sum((t**q / factorial(q)) * P for q, P in enumerate(powers))
 
 
 def _axis_order(B: tuple) -> list:
@@ -357,28 +345,24 @@ def _exact_route_supported(spec: ProblemSpec):
     return None
 
 
-def _damping_exponent(grid, powers, m0, t, quad_order) -> np.ndarray:
-    """int_0^t |P e^{-tau B} xi|^2 dtau on the full frequency mesh (exact GL).
+def _damping_exponent(grid, powers, m0, t) -> np.ndarray:
+    """xi^T Q(t) xi on the full frequency mesh, Q(t) = int_0^t e^{-tau B^T} P e^{-tau B} dtau.
 
-    `quad_order` is the Gauss-Legendre order, or the rule leggauss(order)
-    itself.  Each node's projected frequency spans only the axes its row
-    couples; it is squared there and added into the full mesh.
+    With `powers` [I, B, ..., B^k] (B^{k+1} = 0), the controllability Gramian
+    is the polynomial Q(t) = sum_{p,q} (-1)^{p+q} t^{p+q+1} / (p! q! (p+q+1))
+    (B^p)^T P B^q, P the projection onto the m0 diffused axes (Kolmogorov,
+    Ann. of Math. 35, 1934).  The form is sum_i xi_i (U xi)_i, U the upper
+    fold of Q (its off-diagonal doubled): each row of U xi spans only the
+    axes it couples, and each product is added into the full mesh once.
     """
-    if t == 0.0:
-        return np.zeros(grid.shape)
-    if isinstance(quad_order, tuple):
-        nodes, weights = quad_order
-    else:
-        from numpy.polynomial.legendre import leggauss
-
-        nodes, weights = leggauss(quad_order)
-    taus = 0.5 * t * (nodes + 1.0)
-    ws = 0.5 * t * weights
+    Q = sum((-1.0) ** (p + q) * t ** (p + q + 1) / (factorial(p) * factorial(q) * (p + q + 1))
+            * (Bp[:m0].T @ Bq[:m0]) for p, Bp in enumerate(powers) for q, Bq in enumerate(powers))
+    U = 2.0 * np.triu(Q, 1) + np.diag(np.diag(Q))
+    rows = [i for i in range(grid.n) if np.any(U[i])]
     freqs = [grid.frequency(ax) for ax in range(grid.n)]
     total = np.zeros(grid.shape)
-    for tau, w in zip(taus, ws):
-        for y in _row_combinations(_matrix_exponential(powers, -tau), freqs, range(m0)):
-            total += w * y**2
+    for i, y in zip(rows, _row_combinations(U, freqs, rows)):
+        total += freqs[i] * y
     return total
 
 
@@ -392,8 +376,6 @@ def _transport(grid, coeffs, powers, order, t) -> np.ndarray:
     grid array besides `coeffs`.
     """
     out = np.array(coeffs, dtype=np.complex128)
-    if t == 0.0:
-        return out
     M = _matrix_exponential(powers, -t)
     np.fill_diagonal(M, 0.0)  # each axis is shifted by the other axes' modes
     modes = [grid.frequency(ax) * grid.L for ax in range(grid.n)]
@@ -429,8 +411,8 @@ def solve_exact(spec: ProblemSpec, grid: TorusGrid | None = None, times=None,
 
     Requires b = b0 = g = 0, constant a and an acyclic drift coupling digraph
     (see _exact_route_supported) and snapshot times that pass
-    _snapshot_times.  `u0` overrides
-    the spec's initial preset (used for semigroup restarts).  The ledgers are
+    _snapshot_times.  `u0` overrides the spec's initial preset (used for
+    semigroup restarts).  The ledgers, damped by the closed-form Gramian, are
     formed on read (_Ledgers), the grid fields from them (_LedgerFields).
     """
     reason = _exact_route_supported(spec)

@@ -457,6 +457,28 @@ def test_grid_whose_weights_overflow_is_refused_with_a_box_that_passes(tmp_path,
                "--grid", "8", "--tgrid", "5", "--box", box) == EXIT_OK
 
 
+def test_smoothing_refuses_an_order_whose_weights_overflow_with_one_that_passes(tmp_path,
+                                                                                capsys):
+    # 171! is past the float range on every spec, and on heat with T = 10 so
+    # is the time weight 10^(2 d) from d = 155 on
+    slow = tmp_path / "heat10.json"
+    slow.write_text(json.dumps({**load_builtin("heat").to_json_dict(), "name": "heat10",
+                                "T": 10.0}))
+    for spec, dmax, top in (("heat", "171", "170"), (str(slow), "170", "154")):
+        out = tmp_path / f"refused-{top}"
+        assert run("smoothing", "--spec", spec, "--grid", "8", "--tgrid", "5",
+                   "--dmax", dmax, "--out", str(out)) == EXIT_NUMERICAL
+        message = capsys.readouterr().err
+        assert "Traceback" not in message and not out.exists()
+        assert message.rstrip().endswith(f"retry with --dmax <= {top}"), message
+        out = tmp_path / f"passing-{top}"
+        assert run("smoothing", "--spec", spec, "--grid", "8", "--tgrid", "5",
+                   "--dmax", top, "--out", str(out)) == EXIT_OK
+        name = "heat" if spec == "heat" else "heat10"
+        doc = json.loads((out / f"{name}.smoothing.json").read_text())
+        assert doc["orders"][-1]["d"] == int(top)
+
+
 def test_solve_refuses_a_step_count_past_the_limit(tmp_path):
     # dt = 1e-9 asks for 5e8 explicit steps; the guard refuses before the first
     out = tmp_path / "steps"
@@ -620,12 +642,12 @@ def test_sine_route_stages_never_import_scipy(tmp_path):
         assert json.loads((tmp_path / "fd" / f"{spec}.solve.json").read_text())["method"] == "fd"
 
 
-def test_fd_stages_load_neither_gauss_legendre_nor_openssl_unless_they_use_it(tmp_path):
-    # a fresh interpreter, as above: numpy.polynomial (Gauss-Legendre) serves
-    # the exact route alone, and hashlib (OpenSSL) only the manifests'
-    # spec_hash, which the smoothing stage does not write
+def test_no_stage_loads_numpy_polynomial_nor_smoothing_openssl(tmp_path):
+    # a fresh interpreter, as above: the exact route's damping is a closed
+    # form, so neither route loads numpy.polynomial; hashlib (OpenSSL) serves
+    # only the manifests' spec_hash, which the smoothing stage does not write
     script = textwrap.dedent(f"""
-        import sys
+        import json, sys
         from ultraparabolic import cli
 
         def loaded(name):
@@ -633,12 +655,17 @@ def test_fd_stages_load_neither_gauss_legendre_nor_openssl_unless_they_use_it(tm
 
         assert loaded("_hashlib") == [], loaded("_hashlib")
         for stage, extra in (("smoothing", ["--dmax", "3"]), ("solve", [])):
-            argv = [stage, "--spec", "kolmogorov-general", "--grid", "8", "--tgrid", "5",
-                    *extra, "--out", {str(tmp_path / "fd")!r}]
-            assert cli.main(argv) == 0, stage
-            assert loaded("numpy.polynomial") == [], (stage, loaded("numpy.polynomial"))
-            if stage == "smoothing":
-                assert loaded("_hashlib") == [], loaded("_hashlib")
+            for spec, route in (("kolmogorov-general", "fd"), ("kolmogorov2d", "exact"),
+                                ("lp-block", "exact")):
+                out = {str(tmp_path)!r} + "/" + route
+                argv = [stage, "--spec", spec, "--grid", "8", "--tgrid", "5", *extra,
+                        "--out", out]
+                assert cli.main(argv) == 0, (stage, spec)
+                with open(out + "/run_meta.json") as meta:
+                    assert json.load(meta)["route"] == route, (stage, spec)
+                assert loaded("numpy.polynomial") == [], (stage, spec, loaded("numpy.polynomial"))
+                if stage == "smoothing":
+                    assert loaded("_hashlib") == [], loaded("_hashlib")
         assert loaded("_hashlib") == ["_hashlib"]  # the solve manifest's spec_hash
     """)
     result = _fresh_interpreter("-c", script)

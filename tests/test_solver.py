@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import math
 import re
 import sys
 import tracemalloc
@@ -30,6 +31,7 @@ from ultraparabolic.problems import (
 )
 from ultraparabolic._norms import snapshot_norms
 from ultraparabolic.sobolev import SpectralField, TorusGrid, hs_norm, random_band_limited
+from ultraparabolic.vfalgebra import _matmul, _rank, bracket_tower, hormander_check
 from ultraparabolic.smoothing import smoothing_profile
 from ultraparabolic.solver import (
     _MAX_FD_STEPS,
@@ -171,7 +173,7 @@ def test_damping_matches_adaptive_quadrature():
     grid = TorusGrid(3, 8, 2.0)
     powers = _nilpotent_powers(B, 3)
     t = 0.61
-    D = _damping_exponent(grid, powers, 1, t, quad_order=4)
+    D = _damping_exponent(grid, powers, 1, t)
     K = [np.broadcast_to(grid.frequency(ax) * grid.L, grid.shape) for ax in range(3)]
     for idx in [(1, 2, 3), (0, 5, 1), (7, 7, 7)]:
         k0, k1, k2 = (float(K[ax][idx]) for ax in range(3))
@@ -180,6 +182,87 @@ def test_damping_matches_adaptive_quadrature():
             lambda tau: ((k0 - tau * k1 + 0.5 * tau**2 * k2) / grid.L) ** 2, 0.0, t
         )[0]
         assert abs(D[idx] - oracle) <= 1e-12 * max(1.0, oracle)
+
+
+EXACT_ROUTE_BUILTINS = [name for name in builtin_spec_names()
+                        if solver._exact_route_supported(load_builtin(name)) is None]
+
+
+def test_kolmogorov2d_damping_is_the_closed_form_gramian_mode_by_mode():
+    # Q(t) = [[t, -t^2/2], [-t^2/2, t^3/3]] for B = e_0 e_1^T, P = e_0 e_0^T
+    spec = load_builtin("kolmogorov2d")
+    grid = TorusGrid(2, 16, 4.0)
+    powers = _nilpotent_powers(spec.B, 2)
+    for t in (spec.T / 100, 0.37, spec.T):
+        D = _damping_exponent(grid, powers, spec.m0, t)
+        for i in range(grid.N):
+            for j in range(grid.N):
+                x0, x1 = float(grid.frequency(0)[i, 0]), float(grid.frequency(1)[0, j])
+                want = t * x0**2 - t**2 * x0 * x1 + t**3 / 3.0 * x1**2
+                assert abs(D[i, j] - want) <= 1e-13 * want, (t, i, j)
+
+
+@pytest.mark.parametrize("name", EXACT_ROUTE_BUILTINS)
+def test_closed_form_damping_matches_gauss_legendre(name):
+    # the (n+1)-node Gauss-Legendre rule integrates the degree-2n integrand
+    # exactly; ledgers and snapshots follow the damping within the same bound
+    spec = load_builtin(name)
+    grid = spec.default_grid(N=12 if spec.n >= 4 else 16)
+    powers = _nilpotent_powers(spec.B, spec.n)
+    order = _axis_order(spec.B)
+    times = np.array([spec.T / 100, 0.37, spec.T])
+    sol = solve_exact(spec, grid, times=times)
+    base = spec.u0.spectral(grid).coeffs
+    for i, t in enumerate(times):
+        want = _full_grid_damping_exponent(grid, powers, spec.m0, t, spec.n + 1)
+        got = _damping_exponent(grid, powers, spec.m0, t)
+        assert np.all(np.abs(got - want) <= 1e-13 * want), (name, t)
+        damped = base * np.exp(-float(spec.a.value) * want)
+        ledger = sol.mode_ledgers[i].coefficients
+        assert np.max(np.abs(ledger - damped)) <= 1e-13 * np.max(np.abs(damped)), (name, t)
+        field = _transport(grid, damped, powers, order, t)
+        assert (np.max(np.abs(sol.fields[i].coeffs - field))
+                <= 1e-13 * np.max(np.abs(field))), (name, t)
+
+
+def _exact_gramian(B, m0):
+    """Q(1) = sum_{p,q} (-1)^{p+q} / (p! q! (p+q+1)) (B^p)^T P B^q in Fraction."""
+    n = len(B)
+    powers = [tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))]
+    while any(any(row) for row in powers[-1]):
+        powers.append(_matmul(powers[-1], B))
+    Q = [[F(0)] * n for _ in range(n)]
+    for p, Bp in enumerate(powers):
+        for q, Bq in enumerate(powers):
+            c = F((-1) ** (p + q), math.factorial(p) * math.factorial(q) * (p + q + 1))
+            for i in range(n):
+                for j in range(n):
+                    Q[i][j] += c * sum((Bp[k][i] * Bq[k][j] for k in range(m0)), F(0))
+    return Q
+
+
+def _random_upper_drifts():
+    rng = np.random.default_rng(26)
+    drifts = []
+    for n in (2, 3, 4, 5):
+        for m0 in range(1, n + 1):
+            entries = {(i, j): int(rng.integers(-2, 3)) * int(rng.random() < 0.5)
+                       for i in range(n) for j in range(i + 1, n)}
+            drifts.append((_mat(n, entries), m0))
+    return drifts
+
+
+@pytest.mark.parametrize("B, m0", [
+    *((load_builtin(name).B, load_builtin(name).m0) for name in builtin_spec_names()),
+    (_mat(2, {}), 1),  # kolmogorov2d-lowreg without its drift: rank 1
+    *_random_upper_drifts(),
+])
+def test_gramian_rank_equals_the_spanning_certificate(B, m0):
+    # Kalman's rank condition for (B, P) is Hormander's spanning for a constant drift
+    rank = _rank(_exact_gramian(B, m0))
+    assert rank == hormander_check(bracket_tower(B, m0)).rank
+    if not any(any(row) for row in B):
+        assert rank == m0
 
 
 def test_exact_matches_brute_force_mode_sum():
@@ -1604,7 +1687,7 @@ def _full_grid_row_combinations(M, arrays, rows):
 
 
 def _full_grid_damping_exponent(grid, powers, m0, t, quad_order):
-    """Reference: the Gauss-Legendre sum on full N**n frequency views."""
+    """Reference: int_0^t |P e^{-tau B} xi|^2 dtau by Gauss-Legendre on full N**n views."""
     if t == 0.0:
         return np.zeros(grid.shape)
     nodes, weights = leggauss(quad_order)
@@ -1615,6 +1698,20 @@ def _full_grid_damping_exponent(grid, powers, m0, t, quad_order):
     for tau, w in zip(taus, ws):
         for y in _full_grid_row_combinations(_matrix_exponential(powers, -tau), freqs, range(m0)):
             total += w * y**2
+    return total
+
+
+def _full_grid_quadratic_form(grid, powers, m0, t):
+    """Reference: _damping_exponent's closed-form Gramian with every row on all N**n points."""
+    Q = sum((-1.0) ** (p + q) * t ** (p + q + 1) / (math.factorial(p) * math.factorial(q)
+                                                    * (p + q + 1))
+            * (Bp[:m0].T @ Bq[:m0]) for p, Bp in enumerate(powers) for q, Bq in enumerate(powers))
+    U = 2.0 * np.triu(Q, 1) + np.diag(np.diag(Q))
+    rows = [i for i in range(grid.n) if np.any(U[i])]
+    freqs = [np.broadcast_to(grid.frequency(ax), grid.shape) for ax in range(grid.n)]
+    total = np.zeros(grid.shape)
+    for i, y in zip(rows, _full_grid_row_combinations(U, freqs, rows)):
+        total += freqs[i] * y
     return total
 
 
@@ -1655,8 +1752,8 @@ def test_exact_route_equals_full_grid_reference(spec, N):
     sol = solve_exact(spec, grid, times=times)
     base = spec.u0.spectral(grid).coeffs
     for i, t in enumerate(times):
-        D = _damping_exponent(grid, powers, spec.m0, t, spec.n + 1)
-        assert np.array_equal(D, _full_grid_damping_exponent(grid, powers, spec.m0, t, spec.n + 1))
+        D = _damping_exponent(grid, powers, spec.m0, t)
+        assert np.array_equal(D, _full_grid_quadratic_form(grid, powers, spec.m0, t))
         damped = base * np.exp(-float(spec.a.value) * D)
         ledger = sol.mode_ledgers[i]
         assert np.array_equal(ledger.coefficients, damped)
@@ -1752,7 +1849,7 @@ def test_snapshot_sequences_slice_into_tuples_of_their_items():
 
 def test_exact_ledger_forms_within_four_grid_arrays():
     # the kept coefficients are 2 float64 grid arrays, the damping exponent 1,
-    # exponentiated in place; the Gauss-Legendre rule is built once per solve
+    # exponentiated in place, and one Gramian row's product with its frequency
     spec = load_builtin("lp-block")
     grid = spec.default_grid(N=12)
     sol = solve_exact(spec, grid, times=[0.0, 0.37, spec.T])
@@ -1765,9 +1862,9 @@ def test_exact_ledger_forms_within_four_grid_arrays():
 def test_cli_stages_form_each_exact_ledger_at_most_once(monkeypatch, tmp_path):
     calls = []
 
-    def counting(grid, powers, m0, t, quad_order):
+    def counting(grid, powers, m0, t):
         calls.append(float(t))
-        return damping(grid, powers, m0, t, quad_order)
+        return damping(grid, powers, m0, t)
 
     damping = solver._damping_exponent
     monkeypatch.setattr(solver, "_damping_exponent", counting)
