@@ -13,13 +13,14 @@ The commutator and product bound tests evaluate empirical ratios
     ||h f||_{H^s}          / (||h||_{H^s1} ||f||_{H^s})
 
 with s0 = |s-1| + n/2 + 2 and s1 = |s| + n/2 + 1.  Products and commutators
-are computed by exact circular convolution over the discrete frequency
-lattice (equivalent to pointwise grid products for band-limited inputs, but
-with the property that a constant factor or s = 0 cancels to literal zero).
-Inputs must be band-limited below half Nyquist so nothing aliases.  With
-band-limit radii r_h and r_f every coefficient of the result lies in the
-support box |k_i| <= r_h + r_f, so the lattice sums run on that box alone,
-one term per support mode, at a cost that does not grow with the grid size N.
+are exact convolutions over the frequency lattice (pointwise grid products
+for inputs band-limited below half Nyquist, which is enforced).  With radii
+r_h and r_f the result lies in the box |k_i| <= R = r_h + r_f and is formed
+there alone by one zero-padded FFT convolution, whose shape depends only on
+the boxes, never on N: a grid and its zero-padded refinement agree bit for
+bit.  h's zero mode is taken out of it (the product adds it back exactly),
+so a constant h gives exactly h^(0) f and a commutator of exact zero, as
+does s = 0, where both convolved boxes are the same.
 """
 
 from __future__ import annotations
@@ -242,25 +243,16 @@ def _weighted_sum(terms, factor) -> float:
 # exact lattice convolution and the bound tests
 
 
-def _band_support(field: SpectralField, label: str):
-    """Support modes (in ``np.argwhere`` order), their coefficients, and the radius.
-
-    Refuses a support reaching half Nyquist, where the lattice sums would alias.
-    """
-    mask = field.coeffs != 0
-    modes = field.grid.axis_modes[np.argwhere(mask)]
-    radius = _radius(modes)
+def _band_radius(field: SpectralField, label: str) -> int:
+    """The largest |k_i| over the support; refuses one reaching half Nyquist, where it would alias."""
+    radius = int(np.abs(field.grid.axis_modes[np.argwhere(field.coeffs)]).max(initial=0))
     limit = field.grid.N // 4
     if radius >= limit:
         raise ValueError(
             f"{label} must be band-limited below half Nyquist (|k| < {limit}), "
             f"support reaches |k| = {radius}"
         )
-    return modes, field.coeffs[mask], radius
-
-
-def _radius(modes: np.ndarray) -> int:
-    return int(np.abs(modes).max()) if modes.size else 0
+    return radius
 
 
 def _box_index(grid: TorusGrid, R: int):
@@ -268,39 +260,36 @@ def _box_index(grid: TorusGrid, R: int):
     return np.ix_(*(np.arange(-R, R + 1) % grid.N,) * grid.n)
 
 
-def _windows(modes: np.ndarray, pad: int, R: int):
-    """For each eta, the slices reading a box padded by ``pad`` at xi - eta, xi in the box.
+def _box_convolutions(h: SpectralField, r_h: int, boxes, R: int) -> np.ndarray:
+    """(h - h^(0)) * g on the box |k_i| <= R, for each centred (2R+1)^n box g in `boxes`.
 
-    Padding by the radius of the summed support keeps every window in bounds,
-    so no shift wraps: the box has 2R + 1 <= N - 3 points per axis.
+    Each is a linear convolution, so none wraps: an fftn pair zero-padded to
+    shape (2 r_h + 2R + 1)^n, of which the slice r_h ... r_h + 2R is kept.
     """
-    width = 2 * R + 1
-    for eta in modes.tolist():
-        yield tuple(slice(pad - e, pad - e + width) for e in eta)
+    n = h.grid.n
+    h_box = h.coeffs[_box_index(h.grid, r_h)]  # a copy
+    h_box[(r_h,) * n] = 0.0
+    axes = tuple(range(-n, 0))
+    shape = (2 * r_h + 2 * R + 1,) * n
+    spectra = np.fft.fftn(boxes, shape, axes=axes)
+    spectra *= np.fft.fftn(h_box, shape, axes=axes)
+    return np.fft.ifftn(spectra, axes=axes)[(...,) + (slice(r_h, r_h + 2 * R + 1),) * n]
 
 
 def spectral_product(h: SpectralField, f: SpectralField) -> SpectralField:
     """Pointwise product computed as exact circular convolution of coefficients.
 
-    Alias-free for inputs band-limited below half Nyquist (enforced).  The sum
-    runs over the support of the sparser factor, term by term, and only on the
-    support box |k_i| <= r_h + r_f of the result, so its cost does not grow
-    with N; the box is scattered back into a full-grid field.
+    Alias-free for inputs band-limited below half Nyquist (enforced).  On the
+    box |k_i| <= r_h + r_f it is _box_convolutions of f's box plus h^(0) f,
+    added back exactly; the box is scattered back into a full-grid field.
     """
     h._check(f)
-    h_modes, h_vals, r_h = _band_support(h, "h")
-    f_modes, f_vals, r_f = _band_support(f, "f")
-    R = r_h + r_f
+    r_h = _band_radius(h, "h")
+    R = r_h + _band_radius(f, "f")
     box = _box_index(h.grid, R)
-    modes, vals, pad, other = h_modes, h_vals, r_h, f.coeffs
-    if f_vals.size < h_vals.size:
-        modes, vals, pad, other = f_modes, f_vals, r_f, h.coeffs
-    padded = np.pad(other[box], pad)
-    acc = np.zeros((2 * R + 1,) * h.grid.n, dtype=np.complex128)
-    for c, window in zip(vals, _windows(modes, pad, R)):
-        acc += c * padded[window]
+    f_box = f.coeffs[box]
     out = np.zeros(h.grid.shape, dtype=np.complex128)
-    out[box] = acc
+    out[box] = _box_convolutions(h, r_h, [f_box], R)[0] + h.coeffs[(0,) * h.grid.n] * f_box
     return SpectralField(h.grid, out)
 
 
@@ -321,26 +310,23 @@ def commutator_bound_test(h: SpectralField, f: SpectralField, s: float) -> Bound
 
     The commutator coefficients are the lattice sum
         sum_eta h^(eta) (<xi-eta>^s - <xi>^s) f^(xi-eta),
-    so a constant h (single zero mode) or s = 0 cancels to exact zero.
+    formed as h * (m f) - m (h * f), m = <xi>^s, by one _box_convolutions of
+    the boxes m f and f, so a constant h or s = 0 cancels to exact zero.
     Zero h or f is rejected (the ratio would divide by zero).
     """
     h._check(f)
     if not np.any(h.coeffs) or not np.any(f.coeffs):
         raise ValueError("commutator ratio undefined for zero h or f")
     grid = h.grid
-    h_modes, h_vals, r_h = _band_support(h, "h")
-    r_f = _band_support(f, "f")[2]
-    R = r_h + r_f
+    r_h = _band_radius(h, "h")
+    R = r_h + _band_radius(f, "f")
     # <xi>^s on the box, by the operations of grid.bessel_weight
     box_freqs = [_along(np.arange(-R, R + 1) / grid.L, ax, grid.n) for ax in range(grid.n)]
     m = _bessel_weight(_frequency_sq(box_freqs, (2 * R + 1,) * grid.n), s)
     f_box = f.coeffs[_box_index(grid, R)]
-    f_pad, mf_pad = np.pad(f_box, r_h), np.pad(m * f_box, r_h)
-    acc = np.zeros(f_box.shape, dtype=np.complex128)
-    for c, window in zip(h_vals, _windows(h_modes, r_h, R)):
-        acc += c * (mf_pad[window] - m * f_pad[window])
+    h_mf, h_f = _box_convolutions(h, r_h, [m * f_box, f_box], R)
+    numerator = float(np.linalg.norm(h_mf - m * h_f))
     idxset = SobolevIndexSet(s, grid.n)
-    numerator = float(np.linalg.norm(acc))
     denominator = hs_norm(h, idxset.s0) * hs_norm(f, s - 1.0)
     return BoundTestReport(
         kind="commutator",

@@ -411,7 +411,9 @@ def solve_exact(spec: ProblemSpec, grid: TorusGrid | None = None, times=None,
 
     Requires b = b0 = g = 0, constant a and an acyclic drift coupling digraph
     (see _exact_route_supported) and snapshot times that pass
-    _snapshot_times.  `u0` overrides the spec's initial preset (used for
+    _snapshot_times, and refuses, before any grid array is formed, a run that
+    would not fit in physical memory (naming the largest N that fits, see
+    _require_memory).  `u0` overrides the spec's initial preset (used for
     semigroup restarts).  The ledgers, damped by the closed-form Gramian, are
     formed on read (_Ledgers), the grid fields from them (_LedgerFields).
     """
@@ -422,6 +424,7 @@ def solve_exact(spec: ProblemSpec, grid: TorusGrid | None = None, times=None,
     if grid.n != spec.n:
         raise SolverError(f"grid dimension {grid.n} != spec dimension {spec.n}")
     times = _snapshot_times(times, np.array([0.0, spec.T]))
+    _require_memory(len(times), grid.n, grid.N, route="exact")
     base = (u0 if u0 is not None else spec.u0.spectral(grid)).coeffs
     ledgers = _Ledgers(grid, base, float(spec.a.value), _nilpotent_powers(spec.B, spec.n),
                        spec.m0, times)
@@ -637,18 +640,36 @@ def _physical_memory() -> float:
 # leaves room for the interpreter and the libraries.
 _FD_STAGE_ARRAYS = 5 + 5 + 2
 
+# The same count for the exact route, whose snapshots are complex (2 arrays
+# each, counted by the guard) and formed on read, then kept by `solve`: the
+# initial spectrum, held throughout (2), one field's formation from its
+# ledger (8, the field included) and the residual's transients (10; u0's
+# spectrum, formed before any snapshot, takes 10.1 on kolmogorov2d-lowreg
+# and 3 elsewhere, and the smoothing profile 5.2), each measured with
+# tracemalloc on kolmogorov2d and kolmogorov2d-lowreg at N = 256, chain3 at
+# N = 32 and lp-block at N = 12.  `solve` peaked at 13.5 beyond its
+# snapshots, `smoothing`, which keeps none, at 10.5.
+_EXACT_STAGE_ARRAYS = 2 + 8 + 10
 
-def _require_memory(snapshots: int, n: int, N: int, solver_axes=()) -> None:
-    """Refuse, before allocating, an FD run whose arrays exceed physical memory.
+# route: (float64 grid arrays per snapshot, work and transient arrays)
+_ROUTE_ARRAYS = {"FD": (1, _FD_STAGE_ARRAYS), "exact": (2, _EXACT_STAGE_ARRAYS)}
 
-    The run holds one float64 grid array per snapshot plus _FD_STAGE_ARRAYS
-    more, and one float64 array of N**k values for each k in `solver_axes`
-    (the slab step's pivots, coefficients and slice buffer, and the
-    transport's matrices).  The error names the largest N that fits.
+
+def _require_memory(snapshots: int, n: int, N: int, solver_axes=(), route: str = "FD") -> None:
+    """Refuse, before allocating, a run of `route` whose arrays exceed physical memory.
+
+    The run holds _ROUTE_ARRAYS[route] float64 grid arrays: so many per
+    snapshot and so many work and transient arrays, and one float64 array
+    of N**k values for each k in `solver_axes` (the FD slab step's pivots,
+    coefficients and slice buffer, and the transport's matrices).  The
+    error names the route and the largest N that fits.
     """
+    per_snapshot, stage = _ROUTE_ARRAYS[route]
+
     def need(size):
         size = float(size)
-        return 8.0 * ((snapshots + _FD_STAGE_ARRAYS) * size**n + sum(size**k for k in solver_axes))
+        return 8.0 * ((per_snapshot * snapshots + stage) * size**n
+                      + sum(size**k for k in solver_axes))
 
     budget = _physical_memory()
     if need(N) <= budget:
@@ -657,9 +678,9 @@ def _require_memory(snapshots: int, n: int, N: int, solver_axes=()) -> None:
     while fit >= 4 and need(fit) > budget:
         fit -= 2
     raise SolverError(
-        f"the FD route needs about {need(N) / 2**20:.4g} MiB for {snapshots} snapshots, "
-        f"{_FD_STAGE_ARRAYS} work and transient arrays and the solver's on N = {N} in "
-        f"{n}-D, more than the {budget / 2**20:.4g} MiB of physical memory; "
+        f"the {route} route needs about {need(N) / 2**20:.4g} MiB for {snapshots} snapshots, "
+        f"{stage} work and transient arrays" + (" and the solver's" if solver_axes else "")
+        + f" on N = {N} in {n}-D, more than the {budget / 2**20:.4g} MiB of physical memory; "
         + (f"retry with N <= {fit}" if fit >= 4 else "no grid fits"))
 
 

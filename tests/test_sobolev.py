@@ -320,7 +320,9 @@ def test_commutator_exact_zeros_in_one_and_three_dimensions(grid):
     one = SpectralField.constant(grid, value=-1.75)
     for s in (-1.0, 0.5, 2.0):
         assert commutator_bound_test(one, f, s).numerator == 0.0
+        assert product_bound_test(one, f, s).ratio == 1.0
     assert commutator_bound_test(h, f, 0.0).numerator == 0.0
+    assert np.array_equal(spectral_product(one, f).coeffs, -1.75 * f.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +396,9 @@ def _draw(grid, rng, band):
 def test_box_sums_equal_full_grid_reference(grid, band_h, band_f):
     rng = np.random.default_rng(31 * grid.n + band_h)
     h, f = _draw(grid, rng, band_h), _draw(grid, rng, band_f)
-    assert np.array_equal(spectral_product(h, f).coeffs, _reference_product(h, f))
+    # the FFT convolution sums in another order than the roll sum: round-off only
+    got, ref = spectral_product(h, f).coeffs, _reference_product(h, f)
+    assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
     for s in (-1.0, 0.0, 0.5, 2.0):
         numerator = commutator_bound_test(h, f, s).numerator
         reference = _reference_commutator_numerator(h, f, s)

@@ -1604,6 +1604,52 @@ def test_fd_memory_guard_refuses_before_allocating_and_names_an_n_that_fits(monk
     assert code == cli.EXIT_NUMERICAL and not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--spec", "kolmogorov2d", "--grid", "100000"],
+    ["smoothing", "--spec", "kolmogorov2d", "--grid", "100000"],
+    ["solve", "--spec", "chain3", "--grid", "2000"],
+], ids=["solve-kolmogorov2d", "smoothing-kolmogorov2d", "solve-chain3"])
+def test_exact_memory_guard_refuses_an_oversized_grid_at_exit_3(argv, monkeypatch, tmp_path, capsys):
+    # 74.5 GiB for one float64 array of 100000^2 points, 59.6 GiB for 2000^3;
+    # physical memory is capped at 1 TiB, so no machine gets to allocate them
+    physical = solver._physical_memory
+    monkeypatch.setattr(solver, "_physical_memory", lambda: min(physical(), 2.0**40))
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = cli.main(argv + ["--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_NUMERICAL and not out.exists()
+    assert re.search(r"the exact route needs about .* retry with N <= \d+$", err.strip()), err
+    assert "Traceback" not in err and peak < 2**26  # refused before a grid array was formed
+
+
+def test_exact_memory_guard_names_an_n_that_then_runs(monkeypatch, tmp_path, capsys):
+    spec = load_builtin("kolmogorov2d")
+    times = np.linspace(0.0, spec.T, 9)
+    # 9 complex snapshots + 20 work and transient arrays of 64**2 float64 = 1.25 MB;
+    # 56**2 ones take 0.95 MB
+    monkeypatch.setattr(solver, "_physical_memory", lambda: 1e6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SolverError, match=r"^the exact route .* retry with N <= 56$"):
+            solve_exact(spec, TorusGrid(2, 64, 4.0), times=times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 64**2  # refused before one grid array was allocated
+    argv = ["solve", "--spec", "kolmogorov2d", "--tgrid", "9", "--out", str(tmp_path / "out")]
+    assert cli.main(argv + ["--grid", "64"]) == cli.EXIT_NUMERICAL
+    assert "retry with N <= 56" in capsys.readouterr().err
+    assert cli.main(argv + ["--grid", "56"]) == cli.EXIT_OK
+    monkeypatch.setattr(solver, "_physical_memory", lambda: 1e3)
+    with pytest.raises(SolverError, match="no grid fits"):
+        solve_exact(spec, TorusGrid(2, 64, 4.0), times=times)
+
+
 def test_fd_memory_guard_counts_the_transport_matrices(monkeypatch):
     counted = []
     guard = solver._require_memory
