@@ -17,8 +17,9 @@ indeterminate), so t-exponents like delta + q are ordinary fractions.
 
 GradedPolynomial and AuxiliaryField take their sparse term algebra (pruning
 of zero coefficients, +, -, scale, ==) from ``vfalgebra._ExactTerms``, the
-base RationalPoly uses too; each class here adds only its key validation and
-its own operations (d/dt, d/dx_i, multiplication by t^w, application).
+base RationalPoly and RationalPolyVectorField use too; each class here adds
+only its key validation and its own operations (d/dt, d/dx_i, multiplication
+by t^w, application).
 """
 
 from __future__ import annotations
@@ -31,8 +32,10 @@ from .vfalgebra import (
     BracketTower,
     RationalPolyVectorField,
     _accumulate,
+    _act,
     _ExactTerms,
     _lower,
+    _multi_index,
     as_fraction,
 )
 
@@ -102,10 +105,7 @@ class GradedPolynomial(_ExactTerms):
         texp = as_fraction(texp)
         if texp < 0:
             raise ValueError("negative t-exponent")
-        alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != self.n or any(a < 0 for a in alpha):
-            raise ValueError(f"bad x multi-index {alpha}")
-        return texp, alpha
+        return texp, _multi_index(alpha, self.n)
 
     @classmethod
     def monomial(cls, n, texp, alpha, coeff=1):
@@ -320,14 +320,8 @@ def build_H(tower: BracketTower, delta, p: int) -> AuxiliaryField:
 
 
 def _drift_apply(X: RationalPolyVectorField, g: GradedPolynomial) -> GradedPolynomial:
-    """Apply a time-independent polynomial vector field to a graded polynomial."""
-    out = GradedPolynomial.zero(g.n)
-    for j, c in enumerate(X.components):
-        if c.terms:
-            out = out + g.dx(j).mul_xpoly(c)
-    if X.zeroth.terms:
-        out = out + g.mul_xpoly(X.zeroth)
-    return out
+    """Apply a time-independent polynomial field X to g, labelling g's monomials by t-exponent."""
+    return g._like(_accumulate({}, _act(X, g.terms.items())))
 
 
 def verify_commutator_identity(

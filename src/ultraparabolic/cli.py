@@ -274,7 +274,7 @@ def _require_representable_weights(spec: ProblemSpec, grid, power: float) -> Non
 
 def _require_representable_orders(spec: ProblemSpec, d_max: int) -> None:
     """Refuse up front a --dmax whose d! or T^(kappa d) overflows; name the largest that fits."""
-    kappa = float(spec.delta) + 2 * spec.tower().r
+    kappa = spec.kappa()
     top = min(d_max, 170)  # 171! is past the float range
     while top:
         with contextlib.suppress(OverflowError):

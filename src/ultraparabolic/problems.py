@@ -259,7 +259,7 @@ def preset_from_json(doc) -> Preset:
     kind = doc["kind"]
     if kind == "zero":
         return ConstantPreset(0.0)
-    cls = _PRESETS.get(kind)
+    cls = _PRESETS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ProblemSpecError(f"unknown preset kind {kind!r}")
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
@@ -325,6 +325,11 @@ class ProblemSpec:
     _tower_cache: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        # the name becomes the artifact file stem under --out, so it must be one path component
+        if (not isinstance(self.name, str) or self.name in ("", ".", "..")
+                or any(sep in self.name for sep in "/\\\0")):
+            raise ProblemSpecError(f"spec name must be a nonempty string other than . and .. "
+                                   f"with no path separator or NUL, got {self.name!r}")
         if self.n < 1 or not 1 <= self.m0 <= self.n:
             raise ProblemSpecError(f"need 1 <= m0 <= n, got m0={self.m0}, n={self.n}")
         if self.B is None:
@@ -359,6 +364,10 @@ class ProblemSpec:
         if not self._tower_cache:
             self._tower_cache.append(bracket_tower(self.B, self.m0))
         return self._tower_cache[0]
+
+    def kappa(self) -> float:
+        """The time-weight exponent kappa = delta + 2r of the smoothing scales."""
+        return float(self.delta) + 2 * self.tower().r
 
     def lp_structure(self) -> LPStructure | None:
         return lp_check(self.blocks) if self.blocks is not None else None
@@ -439,7 +448,7 @@ class ProblemSpec:
             raise ProblemSpecError(f"n, m0 and grid N must be integers, s, T, Lambda and "
                                    f"grid L finite numbers: {exc}") from exc
         return cls(
-            name=str(doc["name"]),
+            name=doc["name"],
             n=n,
             m0=m0,
             B=_fraction_matrix(doc["B"], "B"),

@@ -350,7 +350,7 @@ def smoothing_profile(solution: TrajectorySolution, spec: ProblemSpec,
     """
     if d_max < 0:
         raise ValueError("d_max must be nonnegative")
-    kappa = float(spec.delta) + 2 * spec.tower().r
+    kappa = spec.kappa()
     times = solution.times
     t_min = float(times[-1]) / 100.0
     usable = [i for i, t in enumerate(times) if t >= t_min and t > 0]

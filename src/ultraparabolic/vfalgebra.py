@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 __all__ = [
     "RationalPoly",
@@ -112,7 +113,8 @@ def _accumulate(terms: dict, items) -> dict:
 class _ExactTerms:
     """Sparse map from a key to a nonzero Fraction, over ``n`` variables.
 
-    The common base of RationalPoly, GradedPolynomial and AuxiliaryField.
+    The common base of RationalPoly, RationalPolyVectorField, GradedPolynomial
+    and AuxiliaryField.
     Zero coefficients are pruned on construction so equality is plain dict
     equality.  A subclass validates and normalises each key in ``_key``;
     results are built by ``_like``, which trusts its terms to be clean.
@@ -174,6 +176,14 @@ class _ExactTerms:
     __hash__ = None
 
 
+def _multi_index(alpha, n: int) -> tuple:
+    """``alpha`` as a tuple of ``n`` ints >= 0; ValueError otherwise."""
+    alpha = tuple(int(a) for a in alpha)
+    if len(alpha) != n or any(a < 0 for a in alpha):
+        raise ValueError(f"bad exponent multi-index {alpha} for {n} variables")
+    return alpha
+
+
 def _lower(alpha: tuple, i: int) -> tuple:
     """The multi-index ``alpha`` with entry ``i`` lowered by one."""
     return alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
@@ -194,10 +204,7 @@ class RationalPoly(_ExactTerms):
     __slots__ = ()
 
     def _key(self, alpha):
-        alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != self.n or any(a < 0 for a in alpha):
-            raise ValueError(f"bad exponent multi-index {alpha} for {self.n} variables")
-        return alpha
+        return _multi_index(alpha, self.n)
 
     # -- constructors -------------------------------------------------------
 
@@ -210,16 +217,6 @@ class RationalPoly(_ExactTerms):
         alpha = [0] * n
         alpha[i] = 1
         return cls(n, {tuple(alpha): Fraction(1)})
-
-    # -- queries -------------------------------------------------------------
-
-    def is_constant(self) -> bool:
-        return all(not any(alpha) for alpha in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return self.terms.get((0,) * self.n, Fraction(0))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -260,25 +257,60 @@ class RationalPoly(_ExactTerms):
 # vector fields
 
 
-class RationalPolyVectorField:
-    """First-order operator ``sum_j c_j(x) d_j + c_0(x)`` with polynomial coefficients."""
+def _act(field, monomials, zeroth=True):
+    """Yield ((label, beta), c) for each term of ``field`` applied to each labelled monomial.
 
-    __slots__ = ("n", "components", "zeroth")
+    ``monomials`` is re-iterable, of ((label, alpha), b) meaning b x^alpha; the
+    label is carried through unchanged.  Zeroth-order terms are skipped unless
+    ``zeroth``.
+    """
+    n = field.n
+    for (j, a), c in field.terms.items():
+        if j == n:
+            if zeroth:
+                for (label, alpha), b in monomials:
+                    yield (label, tuple(map(add, a, alpha))), c * b
+        else:
+            a = _lower(a, j)
+            for (label, alpha), b in monomials:
+                if alpha[j]:
+                    yield (label, tuple(map(add, a, alpha))), c * (b * alpha[j])
+
+
+class RationalPolyVectorField(_ExactTerms):
+    """First-order operator ``sum_j c_j(x) d_j + c_0(x)`` with polynomial coefficients.
+
+    Terms map ``(j, alpha)`` to the nonzero coefficient of x^alpha d_j, with
+    ``j = n`` for the zeroth-order part c_0.
+    """
+
+    __slots__ = ()
 
     def __init__(self, n, components, zeroth=None):
-        self.n = int(n)
-        components = tuple(components)
-        if len(components) != self.n:
+        n = int(n)
+        polys = tuple(components)
+        if len(polys) != n:
             raise ValueError("need one component per coordinate")
-        for c in components:
-            if c.n != self.n:
-                raise ValueError("component variable count mismatch")
-        self.components = components
-        self.zeroth = zeroth if zeroth is not None else RationalPoly.zero(self.n)
-        if self.zeroth.n != self.n:
-            raise ValueError("zeroth-order part variable count mismatch")
+        if zeroth is not None:
+            polys += (zeroth,)
+        if any(p.n != n for p in polys):
+            raise ValueError("component variable count mismatch")
+        super().__init__(n, {
+            (j, alpha): c for j, p in enumerate(polys) for alpha, c in p.terms.items()
+        })
+
+    def _key(self, key):
+        j, alpha = key
+        j = int(j)
+        if not 0 <= j <= self.n:
+            raise ValueError(f"direction {j} out of range")
+        return j, _multi_index(alpha, self.n)
 
     # -- constructors ----------------------------------------------------------
+
+    @classmethod
+    def zero(cls, n):
+        return cls(n, [RationalPoly.zero(n)] * n)
 
     @classmethod
     def coordinate(cls, n, p):
@@ -294,88 +326,30 @@ class RationalPolyVectorField:
         n = len(B)
         if any(len(row) != n for row in B):
             raise ValueError("drift matrix must be square")
-        comps = []
-        for j in range(n):
-            comps.append(
-                RationalPoly(n, {
-                    tuple(1 if i == k else 0 for i in range(n)): B[k][j]
-                    for k in range(n)
-                    if B[k][j]
-                })
-            )
-        return cls(n, comps)
-
-    # -- actions ----------------------------------------------------------------
-
-    def directional(self, f: RationalPoly) -> RationalPoly:
-        """Pure derivation part applied to ``f``: sum_j c_j d_j f."""
-        out = RationalPoly.zero(self.n)
-        for j, c in enumerate(self.components):
-            if c.terms:
-                out = out + c * f.diff(j)
-        return out
+        rows = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+        return cls(n, [RationalPoly(n, {rows[k]: B[k][j] for k in range(n)}) for j in range(n)])
 
     def apply(self, f: RationalPoly) -> RationalPoly:
         """Full operator applied to ``f`` (derivation plus zeroth-order part)."""
-        out = self.directional(f)
-        if self.zeroth.terms:
-            out = out + self.zeroth * f
-        return out
-
-    # -- structure ----------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.zeroth.is_zero() and all(c.is_zero() for c in self.components)
+        self._check_n(f)
+        terms = _accumulate({}, _act(self, [((0, a), b) for a, b in f.terms.items()]))
+        return f._like({alpha: c for (_, alpha), c in terms.items()})
 
     def constant_row(self):
         """Return the coefficient row if the field is constant with no zeroth part."""
-        if not self.zeroth.is_zero():
-            return None
-        if not all(c.is_constant() for c in self.components):
-            return None
-        return tuple(c.constant_value() for c in self.components)
-
-    def __add__(self, other):
-        if not isinstance(other, RationalPolyVectorField) or other.n != self.n:
-            return NotImplemented
-        return RationalPolyVectorField(
-            self.n,
-            tuple(a + b for a, b in zip(self.components, other.components)),
-            self.zeroth + other.zeroth,
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, RationalPolyVectorField) or other.n != self.n:
-            return NotImplemented
-        return RationalPolyVectorField(
-            self.n,
-            tuple(a - b for a, b in zip(self.components, other.components)),
-            self.zeroth - other.zeroth,
-        )
-
-    def scale(self, c):
-        c = as_fraction(c)
-        return RationalPolyVectorField(
-            self.n,
-            tuple(comp.scale(c) for comp in self.components),
-            self.zeroth.scale(c),
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalPolyVectorField)
-            and self.n == other.n
-            and self.components == other.components
-            and self.zeroth == other.zeroth
-        )
-
-    __hash__ = None
+        row = [Fraction(0)] * self.n
+        for (j, alpha), c in self.terms.items():
+            if j == self.n or any(alpha):
+                return None
+            row[j] = c
+        return tuple(row)
 
     def __repr__(self):
-        bits = [f"({c!r})*d{j + 1}" for j, c in enumerate(self.components) if not c.is_zero()]
-        if not self.zeroth.is_zero():
-            bits.append(f"({self.zeroth!r})")
-        return " + ".join(bits) if bits else "0"
+        n = self.n
+        polys = [RationalPoly(n, {a: c for (i, a), c in self.terms.items() if i == j})
+                 for j in range(n + 1)]
+        bits = [f"({p!r})" + (f"*d{j + 1}" if j < n else "") for j, p in enumerate(polys) if p.terms]
+        return " + ".join(bits) or "0"
 
 
 def commutator(V: RationalPolyVectorField, W: RationalPolyVectorField) -> RationalPolyVectorField:
@@ -384,16 +358,13 @@ def commutator(V: RationalPolyVectorField, W: RationalPolyVectorField) -> Ration
     For first-order operators the result is again first order: the direction-j
     coefficient is the derivation part of V applied to w_j minus the derivation
     part of W applied to v_j, and the zeroth-order parts transform the same way
-    (the products of zeroth parts cancel).
+    (the products of zeroth parts cancel).  Labelling each monomial of W by its
+    direction j forms every V w_j in one pass.
     """
-    if V.n != W.n:
-        raise ValueError("dimension mismatch in commutator")
-    comps = tuple(
-        V.directional(W.components[j]) - W.directional(V.components[j])
-        for j in range(V.n)
-    )
-    zeroth = V.directional(W.zeroth) - W.directional(V.zeroth)
-    return RationalPolyVectorField(V.n, comps, zeroth)
+    V._check_n(W)
+    terms = _accumulate({}, _act(V, W.terms.items(), zeroth=False))
+    _accumulate(terms, ((key, -c) for key, c in _act(W, V.terms.items(), zeroth=False)))
+    return V._like(terms)
 
 
 # ---------------------------------------------------------------------------

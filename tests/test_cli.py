@@ -87,6 +87,15 @@ def test_missing_spec_exits_with_io_code(tmp_path):
                "--out", str(tmp_path)) == EXIT_IO
 
 
+def test_spec_name_cannot_leave_out_dir(tmp_path):
+    path = write_spec(tmp_path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["name"] = "../../escaped"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run("check", "--spec", str(path), "--out", str(tmp_path / "deep" / "a" / "o")) == EXIT_IO
+    assert not list(tmp_path.rglob("*.check.json"))
+
+
 def _exit_code(argv):
     try:
         return main(argv)

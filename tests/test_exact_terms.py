@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from ultraparabolic.auxfields import AuxiliaryField, GradedPolynomial
-from ultraparabolic.vfalgebra import RationalPoly
+from ultraparabolic.vfalgebra import RationalPoly, RationalPolyVectorField, commutator
 
 F = Fraction
 
@@ -125,3 +125,41 @@ def test_auxiliary_field_keeps_its_metadata():
         assert (result.delta, result.direction) == (F(3, 2), 0)
     assert H.mul_t(F(1, 2)).terms == {(F(2), 0): 1, (F(3), 1): F(-2, 3)}
     assert H == AuxiliaryField(2, dict(H.terms))  # equality ignores the metadata
+
+
+def test_vector_field_term_map():
+    # terms map (j, alpha) to the coefficient of x^alpha d_j; j = n is the zeroth-order part
+    x1, x2 = RationalPoly.variable(2, 0), RationalPoly.variable(2, 1)
+    V = RationalPolyVectorField(2, (x2 * x2, RationalPoly.constant(2, F(-1, 2))), x1)
+    assert V.terms == {(0, (0, 2)): 1, (1, (0, 0)): F(-1, 2), (2, (1, 0)): 1}
+    assert RationalPolyVectorField(2, (x1.scale(0), RationalPoly.zero(2)), x2 - x2).terms == {}
+
+    # cancellation leaves no key: differences, scaling by 0, commuting fields, and a
+    # commutator whose products cancel, [d1 + d2, (x1 - x2) d1] = 0
+    d1, d2 = (RationalPolyVectorField.coordinate(2, p) for p in range(2))
+    W = RationalPolyVectorField(2, (x1 - x2, RationalPoly.zero(2)))
+    for zero in (V - V, V + V.scale(-1), V.scale(0), commutator(d1, d2), commutator(V, V),
+                 commutator(d1 + d2, W)):
+        assert type(zero) is RationalPolyVectorField and zero.terms == {} and zero.is_zero()
+        assert zero == RationalPolyVectorField.zero(2) and repr(zero) == "0"
+    # [V, W] = (1/2 + x2^2) d1 + (x2 - x1)
+    assert commutator(V, W).terms == {(0, (0, 0)): F(1, 2), (0, (0, 2)): 1,
+                                      (2, (0, 1)): 1, (2, (1, 0)): -1}
+
+    # a bad key or a mismatched variable count is refused
+    for key in ((3, (0, 0)), (-1, (0, 0)), (0, (1,)), (0, (0, -1))):
+        with pytest.raises(ValueError):
+            V._key(key)
+    three = RationalPolyVectorField.coordinate(3, 0)
+    with pytest.raises(ValueError, match="variable-count mismatch"):
+        V + three
+    with pytest.raises(ValueError, match="variable-count mismatch"):
+        commutator(V, three)
+    with pytest.raises(ValueError, match="variable-count mismatch"):
+        V.apply(RationalPoly.variable(3, 0))
+    with pytest.raises(ValueError):
+        RationalPolyVectorField(2, (x1, RationalPoly.zero(3)))
+    with pytest.raises(ValueError):
+        RationalPolyVectorField(2, (x1, x2), RationalPoly.zero(3))
+    with pytest.raises(ValueError):
+        RationalPolyVectorField(2, (x1,))

@@ -235,6 +235,8 @@ def test_preset_json_rejects_bad_input():
         preset_from_json({"value": 1.0})
     with pytest.raises(ProblemSpecError):
         preset_from_json({"kind": "gaussian", "widht": 1.0})
+    with pytest.raises(ProblemSpecError):
+        preset_from_json({"kind": ["gaussian"]})  # unhashable, not only unknown
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +347,10 @@ def test_validation_rejects_bad_documents():
         ProblemSpec.from_json_dict(_doc(extra_field=1))
     with pytest.raises(ProblemSpecError):
         ProblemSpec.from_json_dict(_doc(grid={"N": 7}))
+    # the name is the artifact file stem under --out: one path component, a string
+    for name in ("../../escaped", "a/b", "a\\b", "a\0b", ".", "..", "", {"a": 1}, 7):
+        with pytest.raises(ProblemSpecError):
+            ProblemSpec.from_json_dict(_doc(name=name))
     doc = _doc()
     del doc["u0"]
     with pytest.raises(ProblemSpecError):
