@@ -40,7 +40,6 @@ from .vfalgebra import (
 )
 
 __all__ = [
-    "DeltaExponent",
     "GradedPolynomial",
     "AuxiliaryField",
     "InversionCertificate",
@@ -61,29 +60,6 @@ def _check_delta(delta) -> Fraction:
     if delta <= 1:
         raise ValueError(f"grading exponent must be a rational > 1, got {delta}")
     return delta
-
-
-@dataclass(frozen=True)
-class DeltaExponent:
-    """Exponent of t of the form base + offset (base rational > 1) or plain offset."""
-
-    base: Fraction | None
-    offset: int
-
-    def __post_init__(self):
-        if self.base is not None:
-            object.__setattr__(self, "base", _check_delta(self.base))
-        if self.offset < 0:
-            raise ValueError("negative offsets are not used by the auxiliary calculus")
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.offset) if self.base is None else self.base + self.offset
-
-    def __repr__(self):
-        if self.base is None:
-            return f"t^{self.offset}"
-        return f"t^({self.base}+{self.offset})" if self.offset else f"t^({self.base})"
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +104,6 @@ class GradedPolynomial(_ExactTerms):
             {(t, _lower(a, i)): c * a[i] for (t, a), c in self.terms.items() if a[i]}
         )
 
-    def mul_xpoly(self, p):
-        """Multiply by a RationalPoly in the x variables."""
-        self._check_n(p)
-        return self._like(_accumulate({}, (
-            ((t, tuple(x + y for x, y in zip(a, beta))), c * cb)
-            for (t, a), c in self.terms.items()
-            for beta, cb in p.terms.items()
-        )))
-
     def leading_term(self):
         """Canonically first term (sorted by t-exponent then x multi-index), or None."""
         if not self.terms:
@@ -156,17 +123,17 @@ class GradedPolynomial(_ExactTerms):
         return " + ".join(bits)
 
 
-def random_graded_polynomial(n, rng, degree=4, coeff_bound=3, max_terms=6):
-    """Seeded random test polynomial in (t, x): total degree <= degree, small integer coefficients."""
+def random_graded_polynomial(n, rng):
+    """Seeded random test polynomial in (t, x): 1-6 terms of degree <= 4, coefficients -3..3."""
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        total = rng.randint(0, degree)
+    for _ in range(rng.randint(1, 6)):
+        total = rng.randint(0, 4)
         texp = rng.randint(0, total)
         rest = total - texp
         alpha = [0] * n
         for _ in range(rest):
             alpha[rng.randrange(n)] += 1
-        c = rng.randint(-coeff_bound, coeff_bound)
+        c = rng.randint(-3, 3)
         if c:
             terms[(Fraction(texp), tuple(alpha))] = Fraction(c)
     if not terms:
@@ -184,10 +151,7 @@ def gamma_ratio(delta, q: int) -> Fraction:
     q = int(q)
     if q < 0:
         raise ValueError("q must be >= 0")
-    denom = Fraction(1)
-    for i in range(1, q + 1):
-        denom *= delta + i
-    return 1 / denom
+    return gamma_quotient(delta, 1, 1 + q)
 
 
 def gamma_quotient(delta, a: int, b: int) -> Fraction:
@@ -252,11 +216,10 @@ class AuxiliaryField(_ExactTerms):
 
     @classmethod
     def from_rows(cls, n, contributions, delta=None, direction=None):
-        """Build from (coefficient, DeltaExponent, row) triples, expanding the rows."""
+        """Build from (coefficient, t-exponent, row) triples, expanding the rows."""
         terms: dict = {}
-        for coeff, exponent, row in contributions:
-            coeff = as_fraction(coeff)
-            w = exponent.value if isinstance(exponent, DeltaExponent) else as_fraction(exponent)
+        for coeff, w, row in contributions:
+            coeff, w = as_fraction(coeff), as_fraction(w)
             _accumulate(terms, (
                 ((w, j), coeff * rj)
                 for j, rj in enumerate(map(as_fraction, row))
@@ -313,7 +276,7 @@ def build_H(tower: BracketTower, delta, p: int) -> AuxiliaryField:
     if not 0 <= p < tower.m0:
         raise ValueError(f"p must index a diffused coordinate (0..{tower.m0 - 1})")
     contributions = [
-        (gamma_ratio(delta, q), DeltaExponent(delta, q), tower.rows[p][q])
+        (gamma_ratio(delta, q), delta + q, tower.rows[p][q])
         for q in range(tower.r + 1)
     ]
     return AuxiliaryField.from_rows(tower.n, contributions, delta=delta, direction=p)
@@ -387,7 +350,7 @@ def build_Hk_closed(tower: BracketTower, delta, p: int, k: int) -> AuxiliaryFiel
     contributions = []
     for q in range(k, tower.r + 1):
         coeff = math.perm(q, k) * gamma_quotient(delta, tower.r + 1 + k, q + 1 + k)
-        contributions.append((coeff, DeltaExponent(delta, k + q), tower.rows[p][q]))
+        contributions.append((coeff, delta + k + q, tower.rows[p][q]))
     return AuxiliaryField.from_rows(tower.n, contributions, delta=delta, direction=p)
 
 
@@ -450,7 +413,7 @@ def invert_to_X(tower: BracketTower, delta, p: int, level: int) -> InversionCert
     expansion, combination = expand(level)
     target = AuxiliaryField.from_rows(
         tower.n,
-        [(Fraction(1), DeltaExponent(delta, r + level), tower.rows[p][level])],
+        [(Fraction(1), delta + r + level, tower.rows[p][level])],
         delta=delta,
         direction=p,
     )

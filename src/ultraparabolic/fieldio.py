@@ -6,7 +6,7 @@ Binary container layout (little-endian, row-major coefficient block):
     byte  4      n      (uint8, number of axes)
     bytes 5..8   N      (uint32, points per axis)
     bytes 9..16  L      (float64, box scale)
-    byte  17     dtype  (0 = complex128, 1 = complex64; write_field writes 0)
+    byte  17     dtype  (0 = complex128, the only code)
     bytes 18..   coefficients, C order, n axes of length N each
 
 JSON output is rendered with sorted keys and repr-exact floats so identical
@@ -37,7 +37,6 @@ __all__ = [
 
 _MAGIC = b"UPF1"
 _HEADER = struct.Struct("<4sBIdB")
-_DTYPES = {0: "complex128", 1: "complex64"}
 
 
 def write_field(path, field: SpectralField) -> None:
@@ -56,7 +55,7 @@ def write_field(path, field: SpectralField) -> None:
 
 
 def read_field(path) -> SpectralField:
-    """Read a binary field container of either dtype code into a complex128 SpectralField."""
+    """Read a binary field container into a complex128 SpectralField."""
     import numpy as np
 
     from .sobolev import SpectralField, TorusGrid
@@ -67,14 +66,13 @@ def read_field(path) -> SpectralField:
     magic, n, N, L, code = _HEADER.unpack_from(raw)
     if magic != _MAGIC:
         raise ValueError(f"{path}: not a field container (bad magic {magic!r})")
-    if code not in _DTYPES:
+    if code != 0:
         raise ValueError(f"{path}: unknown dtype code {code}")
-    dtype = np.dtype(_DTYPES[code])
-    expected = _HEADER.size + dtype.itemsize * N**n
+    expected = _HEADER.size + 16 * N**n  # 16 bytes per complex128
     if len(raw) != expected:
         raise ValueError(f"{path}: payload size {len(raw)} != expected {expected}")
-    coeffs = np.frombuffer(raw, dtype=dtype, offset=_HEADER.size).reshape((N,) * n)
-    return SpectralField(TorusGrid(n, N, L), coeffs.astype(np.complex128))
+    coeffs = np.frombuffer(raw, dtype=np.complex128, offset=_HEADER.size).reshape((N,) * n)
+    return SpectralField(TorusGrid(n, N, L), coeffs.copy())
 
 
 def format_float(x) -> str:

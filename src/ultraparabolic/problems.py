@@ -277,12 +277,21 @@ def _parameter(default, value):
     if isinstance(default, tuple):
         return tuple(_finite(c) for c in value)
     if isinstance(default, int):
-        return operator.index(value)
+        return _integer(value)
     return _finite(value)
 
 
+def _integer(value) -> int:
+    """``value`` as an int, refusing a JSON boolean (``operator.index`` takes true as 1)."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _finite(value) -> float:
-    """``value`` as a float, refusing nan and +-inf (they have no canonical JSON form)."""
+    """``value`` as a float, refusing a JSON boolean, nan and +-inf (no canonical JSON form)."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
     x = float(value)
     if not math.isfinite(x):
         raise ProblemSpecError(f"expected a finite number, got {value!r}")
@@ -323,6 +332,7 @@ class ProblemSpec:
     N: int | None = None
     L: float | None = None
     _tower_cache: list = field(default_factory=list, init=False, compare=False, repr=False)
+    _lp: LPStructure | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # the name becomes the artifact file stem under --out, so it must be one path component
@@ -335,7 +345,8 @@ class ProblemSpec:
         if self.B is None:
             if self.blocks is None:
                 raise ProblemSpecError("either B or blocks must be given")
-            object.__setattr__(self, "B", lp_full_matrix(lp_check(self.blocks)))
+            object.__setattr__(self, "_lp", lp_check(self.blocks))
+            object.__setattr__(self, "B", lp_full_matrix(self._lp))
         if len(self.B) != self.n or any(len(row) != self.n for row in self.B):
             raise ProblemSpecError(f"B must be {self.n}x{self.n}")
         delta = Fraction(self.delta)
@@ -349,9 +360,9 @@ class ProblemSpec:
         if len(self.b) != self.m0:
             raise ProblemSpecError(f"b must list one first-order coefficient per diffused axis "
                                    f"({self.m0}), got {len(self.b)}")
-        if self.blocks is not None:
-            structure = lp_check(self.blocks)
-            if lp_full_matrix(structure) != self.B:
+        if self.blocks is not None and self._lp is None:  # both given
+            object.__setattr__(self, "_lp", lp_check(self.blocks))
+            if lp_full_matrix(self._lp) != self.B:
                 raise ProblemSpecError("blocks are given but their assembled drift differs from B")
         if self.N is not None and (self.N < 4 or self.N % 2):
             raise ProblemSpecError("grid hint N must be an even integer >= 4")
@@ -370,7 +381,7 @@ class ProblemSpec:
         return float(self.delta) + 2 * self.tower().r
 
     def lp_structure(self) -> LPStructure | None:
-        return lp_check(self.blocks) if self.blocks is not None else None
+        return self._lp
 
     def B_float(self) -> np.ndarray:
         import numpy as np
@@ -440,9 +451,9 @@ class ProblemSpec:
         if not isinstance(doc["b"], list):
             raise ProblemSpecError("b must be a list of presets, one per diffused axis")
         try:
-            n, m0 = operator.index(doc["n"]), operator.index(doc["m0"])
+            n, m0 = _integer(doc["n"]), _integer(doc["m0"])
             s, T, Lambda = _finite(doc["s"]), _finite(doc["T"]), _finite(doc["Lambda"])
-            N = operator.index(grid["N"]) if "N" in grid else None
+            N = _integer(grid["N"]) if "N" in grid else None
             L = _finite(grid["L"]) if "L" in grid else None
         except (TypeError, ValueError, OverflowError) as exc:
             raise ProblemSpecError(f"n, m0 and grid N must be integers, s, T, Lambda and "

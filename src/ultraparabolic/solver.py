@@ -388,11 +388,14 @@ def _transport(grid, coeffs, powers, order, t) -> np.ndarray:
     return out
 
 
-def _snapshot_times(times, default: np.ndarray) -> np.ndarray:
-    """`times` as a float array (`default` when None), checked for both routes.
+def _checked_run(spec: ProblemSpec, grid, times, default: np.ndarray):
+    """(grid, times) of a run, checked in the same order by both routes.
 
-    Refuses a non-finite time, then anything but a nonempty 1-D array of
-    nonnegative, strictly increasing instants.
+    `times` becomes a float array (`default` when None): refuses a non-finite
+    time, then anything but a nonempty 1-D array of nonnegative, strictly
+    increasing instants, before any coefficient is sampled.  Then refuses a
+    grid (the spec's default when None) of another dimension, and a sampled
+    diffusion coefficient outside [1/Lambda, Lambda] (CoercivityError).
     """
     times = default if times is None else np.asarray(times, dtype=float)
     bad = np.flatnonzero(~np.isfinite(times))
@@ -402,7 +405,13 @@ def _snapshot_times(times, default: np.ndarray) -> np.ndarray:
         raise SolverError("times must be a nonempty 1-D array of nonnegative instants")
     if np.any(np.diff(times) <= 0):
         raise SolverError("snapshot times must be strictly increasing")
-    return times
+    grid = grid or spec.default_grid()
+    if grid.n != spec.n:
+        raise SolverError(f"grid dimension {grid.n} != spec dimension {spec.n}")
+    coercivity = coercivity_check(spec, grid)
+    if not coercivity.ok:
+        raise CoercivityError(coercivity)
+    return grid, times
 
 
 def solve_exact(spec: ProblemSpec, grid: TorusGrid | None = None, times=None,
@@ -410,9 +419,9 @@ def solve_exact(spec: ProblemSpec, grid: TorusGrid | None = None, times=None,
     """Characteristics solution sampled on the grid at the requested times.
 
     Requires b = b0 = g = 0, constant a and an acyclic drift coupling digraph
-    (see _exact_route_supported) and snapshot times that pass
-    _snapshot_times, and refuses, before any grid array is formed, a run that
-    would not fit in physical memory (naming the largest N that fits, see
+    (see _exact_route_supported) and a run that passes _checked_run (times,
+    grid, coercivity), and refuses, before any grid array is formed, a run
+    that would not fit in physical memory (naming the largest N that fits, see
     _require_memory).  `u0` overrides the spec's initial preset (used for
     semigroup restarts).  The ledgers, damped by the closed-form Gramian, are
     formed on read (_Ledgers), the grid fields from them (_LedgerFields).
@@ -420,10 +429,7 @@ def solve_exact(spec: ProblemSpec, grid: TorusGrid | None = None, times=None,
     reason = _exact_route_supported(spec)
     if reason is not None:
         raise SolverError(f"exact route does not support {reason}; use solve_fd")
-    grid = grid or spec.default_grid()
-    if grid.n != spec.n:
-        raise SolverError(f"grid dimension {grid.n} != spec dimension {spec.n}")
-    times = _snapshot_times(times, np.array([0.0, spec.T]))
+    grid, times = _checked_run(spec, grid, times, np.array([0.0, spec.T]))
     _require_memory(len(times), grid.n, grid.N, route="exact")
     base = (u0 if u0 is not None else spec.u0.spectral(grid)).coeffs
     ledgers = _Ledgers(grid, base, float(spec.a.value), _nilpotent_powers(spec.B, spec.n),
@@ -699,7 +705,7 @@ def _snapshot_segments(times, dt_base, T, strict):
 
     With an explicit dt (`strict`), every gap must be an integer multiple of
     it; otherwise each gap uses the largest step <= dt_base that divides it.
-    `times` has passed _snapshot_times; a time beyond T is refused here.
+    `times` has passed _checked_run; a time beyond T is refused here.
     Refuses, before any step is counted out, a dt that needs more than
     _MAX_FD_STEPS steps to reach the last snapshot.
     """
@@ -744,9 +750,8 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     two grid-sized step buffers, the explicit terms and a spare, and a third
     for the 4u of the stencil transport only.  One advance, with its
     factors, serves every gap taken with its step size.
-    Refuses snapshot times that fail _snapshot_times before any work.  Aborts with
-    CoercivityError when the sampled diffusion coefficient leaves
-    [1/Lambda, Lambda], with CFLError (carrying a suggested dt) when the
+    Refuses a run that fails _checked_run (times, grid, coercivity) before
+    any work.  Aborts with CFLError (carrying a suggested dt) when the
     advective step bound (_CFL_LIMIT) fails, and with SolverError when the run would take
     more than _MAX_FD_STEPS steps (naming a dt that passes) or when its
     snapshots, work arrays and the solve stage's transients would not fit in
@@ -770,13 +775,7 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     route (`route_reason`, from _exact_route_supported; None when the exact
     route would apply).
     """
-    times = _snapshot_times(times, np.linspace(0.0, spec.T, 9))
-    grid = grid or spec.default_grid()
-    if grid.n != spec.n:
-        raise SolverError(f"grid dimension {grid.n} != spec dimension {spec.n}")
-    coercivity = coercivity_check(spec, grid)
-    if not coercivity.ok:
-        raise CoercivityError(coercivity)
+    grid, times = _checked_run(spec, grid, times, np.linspace(0.0, spec.T, 9))
     h = grid.spacing
     n, m0, N = spec.n, spec.m0, grid.N
 

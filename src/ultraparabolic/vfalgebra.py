@@ -206,37 +206,9 @@ class RationalPoly(_ExactTerms):
     def _key(self, alpha):
         return _multi_index(alpha, self.n)
 
-    # -- constructors -------------------------------------------------------
-
     @classmethod
     def constant(cls, n, c):
         return cls(n, {(0,) * n: as_fraction(c)})
-
-    @classmethod
-    def variable(cls, n, i):
-        alpha = [0] * n
-        alpha[i] = 1
-        return cls(n, {tuple(alpha): Fraction(1)})
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __mul__(self, other):
-        if not isinstance(other, RationalPoly):
-            return self.scale(other)
-        self._check_n(other)
-        return self._like(_accumulate({}, (
-            (tuple(x + y for x, y in zip(a, b)), ca * cb)
-            for a, ca in self.terms.items()
-            for b, cb in other.terms.items()
-        )))
-
-    __rmul__ = __mul__
-
-    def diff(self, i: int):
-        """Exact partial derivative with respect to variable ``i``."""
-        return self._like({_lower(a, i): c * a[i] for a, c in self.terms.items() if a[i]})
-
-    # -- display ---------------------------------------------------------------
 
     def __repr__(self):
         if not self.terms:

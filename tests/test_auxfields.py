@@ -12,7 +12,6 @@ import pytest
 
 from ultraparabolic.auxfields import (
     AuxiliaryField,
-    DeltaExponent,
     GradedPolynomial,
     antiderivative,
     build_H,
@@ -100,11 +99,12 @@ def test_gamma_quotient_consistency():
 
 def test_delta_exponent_validation():
     with pytest.raises(ValueError):
-        DeltaExponent(F(1), 0)  # base must exceed 1
+        build_H(kolmogorov_tower(), F(1), 0)  # the grading exponent must exceed 1
     with pytest.raises(ValueError):
         gamma_ratio(F(1, 2), 1)
-    assert DeltaExponent(F(3, 2), 2).value == F(7, 2)
-    assert DeltaExponent(None, 3).value == 3
+    # H = sum_q gamma_ratio(delta, q) t^(delta + q) X_{0,q}; on chain3 X_{0,q} = d_q
+    assert build_H(chain_tower(3), F(3, 2), 0).terms == {
+        (F(3, 2), 0): 1, (F(5, 2), 1): F(2, 5), (F(7, 2), 2): F(4, 35)}
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,7 @@ def _exit_code(argv):
     ({}, "8 --tgrid 5 --tol nan"),
     ({}, "8 --tgrid 5 --box nan"),
     ({}, "8 --tgrid 5 --dt nan"),
+    ({"T": True}, None),  # a JSON boolean, which float() would take as 1.0
 ])
 def test_bad_input_exits_with_io_code(tmp_path, overrides, grid):
     # grid: the --grid value, optionally followed by more solve flags
@@ -324,6 +325,22 @@ def test_check_block_structure_included_for_block_spec(tmp_path):
     doc = json.loads((tmp_path / "lp-block.check.json").read_text())
     assert doc["lp"]["consistent"] is True
     assert doc["lp"]["left_inverses_exact"] is True
+
+
+def test_check_forms_the_block_structure_once(tmp_path, monkeypatch):
+    # loading the spec checks its blocks; the certificate reuses that structure
+    from ultraparabolic import problems
+
+    calls = []
+    lp_check = problems.lp_check
+
+    def counting(blocks):
+        calls.append(blocks)
+        return lp_check(blocks)
+
+    monkeypatch.setattr(problems, "lp_check", counting)
+    assert run("check", "--spec", "lp-block", "--out", str(tmp_path)) == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_check_fails_when_tower_does_not_span(tmp_path):

@@ -30,16 +30,15 @@ def _field_key(n, k):
 
 
 def _poly_product():
-    # (x1 + x2)(x1 - x2) = x1^2 - x2^2: the x1*x2 terms cancel
-    x1, x2 = RationalPoly.variable(2, 0), RationalPoly.variable(2, 1)
-    return (x1 + x2) * (x1 - x2), (1, 1)
+    # (x1 d1 - x2 d2)(x1 x2 + x1) = x1 x2 + x1 - x1 x2 = x1: the x1*x2 terms cancel
+    V = RationalPolyVectorField(2, (RationalPoly(2, {(1, 0): 1}), RationalPoly(2, {(0, 1): -1})))
+    return V.apply(RationalPoly(2, {(1, 1): 1, (1, 0): 1})), (1, 1)
 
 
 def _graded_product():
-    # t (x1 + x2) * (x1 - x2) = t x1^2 - t x2^2
-    g = GradedPolynomial(2, {(F(1), (1, 0)): 1, (F(1), (0, 1)): 1})
-    p = RationalPoly(2, {(1, 0): 1, (0, 1): -1})
-    return g.mul_xpoly(p), (F(1), (1, 1))
+    # (d1 - d2) t (x1^2 x2 + x1 x2^2) = t x2^2 - t x1^2: the t x1 x2 terms cancel
+    H = AuxiliaryField(2, {(F(0), 0): 1, (F(0), 1): -1})
+    return H.apply(GradedPolynomial(2, {(F(1), (2, 1)): 1, (F(1), (1, 2)): 1})), (F(1), (1, 1))
 
 
 def _field_product():
@@ -93,7 +92,7 @@ def test_shared_exact_term_algebra(name):
             backward = backward + part
         assert forward == backward == x
 
-    # terms that cancel in a product leave no key
+    # terms that cancel in a product (an operator applied to a polynomial) leave no key
     result, cancelled = product()
     assert cancelled not in result.terms
     assert 0 not in result.terms.values() and result.terms
@@ -112,9 +111,9 @@ def test_mixed_variable_counts_are_refused(name):
 
 def test_mixed_variable_counts_are_refused_in_products():
     with pytest.raises(ValueError, match="variable-count mismatch"):
-        RationalPoly.variable(2, 0) * RationalPoly.variable(3, 0)
-    with pytest.raises(ValueError, match="variable-count mismatch"):
-        GradedPolynomial.monomial(2, 1, (1, 0)).mul_xpoly(RationalPoly.variable(3, 0))
+        RationalPolyVectorField.coordinate(2, 0).apply(RationalPoly(3, {(1, 0, 0): 1}))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        AuxiliaryField(2, {(F(1), 0): 1}).apply(GradedPolynomial.monomial(3, 1, (1, 0, 0)))
 
 
 def test_auxiliary_field_keeps_its_metadata():
@@ -129,8 +128,8 @@ def test_auxiliary_field_keeps_its_metadata():
 
 def test_vector_field_term_map():
     # terms map (j, alpha) to the coefficient of x^alpha d_j; j = n is the zeroth-order part
-    x1, x2 = RationalPoly.variable(2, 0), RationalPoly.variable(2, 1)
-    V = RationalPolyVectorField(2, (x2 * x2, RationalPoly.constant(2, F(-1, 2))), x1)
+    x1, x2, x2x2 = (RationalPoly(2, {alpha: 1}) for alpha in ((1, 0), (0, 1), (0, 2)))
+    V = RationalPolyVectorField(2, (x2x2, RationalPoly.constant(2, F(-1, 2))), x1)
     assert V.terms == {(0, (0, 2)): 1, (1, (0, 0)): F(-1, 2), (2, (1, 0)): 1}
     assert RationalPolyVectorField(2, (x1.scale(0), RationalPoly.zero(2)), x2 - x2).terms == {}
 
@@ -156,7 +155,7 @@ def test_vector_field_term_map():
     with pytest.raises(ValueError, match="variable-count mismatch"):
         commutator(V, three)
     with pytest.raises(ValueError, match="variable-count mismatch"):
-        V.apply(RationalPoly.variable(3, 0))
+        V.apply(RationalPoly(3, {(1, 0, 0): 1}))
     with pytest.raises(ValueError):
         RationalPolyVectorField(2, (x1, RationalPoly.zero(3)))
     with pytest.raises(ValueError):

@@ -237,6 +237,12 @@ def test_preset_json_rejects_bad_input():
         preset_from_json({"kind": "gaussian", "widht": 1.0})
     with pytest.raises(ProblemSpecError):
         preset_from_json({"kind": ["gaussian"]})  # unhashable, not only unknown
+    # a JSON boolean is not a number, although int() and float() take true as 1
+    for doc in ({"kind": "sin_perturb", "axis": True}, {"kind": "constant", "value": True},
+                {"kind": "gaussian", "center": [0.0, False]},
+                {"kind": "low_regularity", "seed": False}):
+        with pytest.raises(ProblemSpecError, match="got (True|False)"):
+            preset_from_json(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +353,11 @@ def test_validation_rejects_bad_documents():
         ProblemSpec.from_json_dict(_doc(extra_field=1))
     with pytest.raises(ProblemSpecError):
         ProblemSpec.from_json_dict(_doc(grid={"N": 7}))
+    # a JSON boolean is not a number: "n": true must not read as n = 1, nor "T": true as T = 1.0
+    for field, value in (("n", True), ("m0", True), ("T", True), ("Lambda", True),
+                         ("s", False), ("grid", {"L": True})):
+        with pytest.raises(ProblemSpecError, match="got (True|False)"):
+            ProblemSpec.from_json_dict(_doc(**{field: value}))
     # the name is the artifact file stem under --out: one path component, a string
     for name in ("../../escaped", "a/b", "a\\b", "a\0b", ".", "..", "", {"a": 1}, 7):
         with pytest.raises(ProblemSpecError):

@@ -1,6 +1,7 @@
 """Spectral Sobolev layer: norms, bound-test ratios, exact structural zeros, I/O."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -474,6 +475,10 @@ def test_field_binary_rejects_garbage(tmp_path):
         read_field(path)
     path.write_bytes(b"UP")
     with pytest.raises(ValueError):
+        read_field(path)
+    # dtype code 1 (complex64) is not a format: write_field writes code 0 only
+    path.write_bytes(struct.pack("<4sBIdB", b"UPF1", 1, 8, 4.0, 1) + bytes(8 * 8))
+    with pytest.raises(ValueError, match="unknown dtype code 1"):
         read_field(path)
 
 

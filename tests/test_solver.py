@@ -632,6 +632,16 @@ def test_fd_coercivity_abort_names_point():
     assert info.value.report.worst_point == tuple(float(grid.axis_points[i]) for i in idx)
 
 
+@pytest.mark.parametrize("value", [-1.0, 5.0])
+def test_every_route_refuses_a_constant_coefficient_outside_the_bounds(value):
+    # kolmogorov2d takes the exact route; with a = -1 it would grow, not smooth
+    spec = dataclasses.replace(load_builtin("kolmogorov2d"), a=ConstantPreset(value), Lambda=2.0)
+    grid = TorusGrid(2, 16, 4.0)
+    for solve in (solve_exact, solve_auto, solve_fd):
+        with pytest.raises(CoercivityError, match="leaves"):
+            solve(spec, grid)
+
+
 class _VariesEverywhereLinear(LinearPreset):
     """A ramp sampled at the full grid shape: a twin that takes a per-column slab solver."""
 
