@@ -11,7 +11,7 @@ form it:
   j, or a stack of them over the one earlier axis k < j that w_j varies
   along, each applied by one np.matmul; a constant b0 sits on one diagonal;
 * "stencil" (stencil_plan) -- one centre term for all axes plus each
-  axis's neighbour terms as shifted slices on at most two sign boxes.
+  axis's neighbour terms, shifted along that axis, on at most two sign boxes.
 
 transport_plan takes the matrices on grids of four or more axes when every
 speed varies along at most one axis besides its own, that axis comes before
@@ -207,29 +207,20 @@ def stencil_plan(speeds: dict, b0_vals, h: float, shape: tuple):
 
     centre = -(3/(2h)) sum_j |w_j| - b0.  Returns (centre, boxes): centre in
     the per-axis form of the speeds, and at most two tuples
-    (box, c, view, dest, near, far, faces) per axis j, one for each sigma
-    that occurs:
+    (box, c, inner, faces) per axis j, one for each sigma that occurs:
 
     * `box` (from sign_box) is the smallest box that holds every cell where
-      sigma w_j < 0; it indexes the full grid.  `c` is c_j there and 0 on
-      the cells of the box where sigma w_j >= 0, so the two boxes of an axis
-      may overlap, and the cost of an axis never exceeds two full-grid terms
-      whatever the shape of its sign pattern;
-    * `view` is the grid shape with the axes after the box's last cut merged
-      into one run; `dest`, `near` and `far` index that view at the cells
-      and at their shifts by sigma and 2 sigma.  When the box is cut along
-      axis j or a later one, the shift runs along axis j and stops short of
-      the two cells nearest the face.  Otherwise it is a flat shift by axis
-      j's stride along the merged run, so the inner loops stay long; it
-      then also reaches the two cells nearest the face, which read across
-      rows;
-    * `faces` re-forms those cells: (cells, None) where both neighbours are
-      ghosts, (cells, source) where 4 u[source] is the only term.
+      sigma w_j < 0, and indexes the full grid.  `c` is c_j there and 0 on
+      the box's cells where sigma w_j >= 0: the two boxes of an axis may
+      overlap, and an axis never costs more than two full-grid terms;
+    * `inner` is (dest, near, far): the box's rows along axis j whose
+      neighbours i + sigma and i + 2 sigma both lie in the grid, and those
+      rows shifted along j by sigma and 2 sigma; None when it has none;
+    * `faces` forms the box's rows among the two nearest the face:
+      (cells, None) where both neighbours are ghosts, (cells, source) where
+      4 u[source] is the only term.
     """
-    n = len(shape)
-    total = np.zeros((1,) * n)
-    for w in speeds.values():
-        total = total + np.abs(w)
+    total = sum((np.abs(w) for w in speeds.values()), np.zeros((1,) * len(shape)))
     centre = (-3.0 / (2.0 * h)) * total
     if b0_vals is not None:
         centre = centre - b0_vals
@@ -241,54 +232,38 @@ def stencil_plan(speeds: dict, b0_vals, h: float, shape: tuple):
             box = sign_box(upwind > 0)
             if box is None:
                 continue
-            c = np.maximum(upwind, 0.0) / (2.0 * h)
-            cut = max((ax + 1 for ax, s in enumerate(box) if s != slice(None)), default=0)
-            view = shape[:cut] + (int(np.prod(shape[cut:], dtype=int)),)
-            if j < cut:
-                ax, step = j, 1
-                lo, hi, _ = box[j].indices(N)
-            else:
-                ax, step = cut, int(np.prod(shape[j + 1:], dtype=int))
-                lo, hi = 0, view[cut]
-            if sigma < 0:
-                lo = max(lo, 2 * step)
-            else:
-                hi = min(hi, view[ax] - 2 * step)
-            hi = max(hi, lo)
 
-            def shifted(offset):
-                index = list(box[:cut]) + [slice(None)]
-                index[ax] = slice(lo + offset, hi + offset)
-                return tuple(index)
+            def at_j(start, stop):
+                return box[:j] + (slice(start, stop),) + box[j + 1:]
 
-            def at_j(i):
-                return box[:j] + (slice(i, i + 1),) + box[j + 1:]
-
-            rows = range(*box[j].indices(N))
+            lo, hi, _ = box[j].indices(N)
+            first, last = (max(lo, 2), hi) if sigma < 0 else (lo, min(hi, N - 2))
+            inner = None if first >= last else tuple(
+                at_j(first + shift, last + shift) for shift in (0, sigma, 2 * sigma))
             edge = 0 if sigma < 0 else N - 1  # both neighbours of the edge cell are ghosts
-            faces = [(at_j(i), source) for i, source in ((edge, None), (edge - sigma, at_j(edge)))
-                     if i in rows]
-            boxes.append((box, c[box], view, shifted(0), shifted(sigma * step),
-                          shifted(2 * sigma * step), faces))
+            faces = [(at_j(i, i + 1), source) for i, source in
+                     ((edge, None), (edge - sigma, at_j(edge, edge + 1))) if lo <= i < hi]
+            boxes.append((box, (np.maximum(upwind, 0.0) / (2.0 * h))[box], inner, faces))
     return centre, boxes
 
 
 def apply_stencil(plan, u, u4, spare, out) -> np.ndarray:
     """centre * u + sum_j c_j (4 u[i + sigma] - u[i + 2 sigma]), written into `out`.
 
-    `plan` comes from stencil_plan for u's shape.  u is C-contiguous; u4
-    (overwritten with 4u when the plan has boxes), `spare` (the neighbour
-    terms of one box at a time) and `out` are C-contiguous arrays of u's
-    shape that overlap neither u nor each other.  u4 is the one grid buffer
-    that solve_fd holds for the stencil alone.  Per box: one pass for the
-    shifted difference, one for the factor c_j and one to add it in.
+    `plan` comes from stencil_plan for u's shape.  u4 (4u, written when the
+    plan has boxes; solve_fd holds it for the stencil alone), `spare` (one
+    box's neighbour terms at a time) and `out` are arrays of u's shape that
+    overlap neither u nor each other.  Per box: one pass for the difference
+    shifted along its axis, one for the factor c_j, one to add it in.
     """
     centre, boxes = plan
     np.multiply(centre, u, out=out)
     if boxes:
         np.multiply(u, 4.0, out=u4)
-    for box, c, view, dest, near, far, faces in boxes:
-        np.subtract(u4.reshape(view)[near], u.reshape(view)[far], out=spare.reshape(view)[dest])
+    for box, c, inner, faces in boxes:
+        if inner is not None:
+            dest, near, far = inner
+            np.subtract(u4[near], u[far], out=spare[dest])
         for cells, source in faces:
             spare[cells] = 0.0 if source is None else u4[source]
         term = spare[box]

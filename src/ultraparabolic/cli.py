@@ -160,7 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="box scale: the domain is [-pi L, pi L)^n")
         if dt:
             p.add_argument("--dt", type=_positive_float, default=None, metavar="X",
-                           help="time step for the finite-difference route "
+                           help="the largest step of the finite-difference route; each "
+                                "gap takes the fewest equal steps no longer than it "
                                 "(default: automatic from the advective bound)")
         if dmax is not None:
             p.add_argument("--dmax", type=_positive_int, default=dmax, metavar="K",

@@ -364,6 +364,8 @@ class ProblemSpec:
             object.__setattr__(self, "_lp", lp_check(self.blocks))
             if lp_full_matrix(self._lp) != self.B:
                 raise ProblemSpecError("blocks are given but their assembled drift differs from B")
+        if self._lp is not None and self._lp.sizes[:1] != (self.m0,):
+            raise ProblemSpecError(f"the first block has {self._lp.sizes[0]} rows, but m0 = {self.m0}")
         if self.N is not None and (self.N < 4 or self.N % 2):
             raise ProblemSpecError("grid hint N must be an even integer >= 4")
         if self.L is not None and not self.L > 0:

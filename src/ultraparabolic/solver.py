@@ -700,12 +700,12 @@ _CFL_LIMIT = 0.8
 _MAX_FD_STEPS = 100_000
 
 
-def _snapshot_segments(times, dt_base, T, strict):
+def _snapshot_segments(times, dt_base, T):
     """Split [0, times[-1]] into (n_steps, dt) runs ending at each snapshot.
 
-    With an explicit dt (`strict`), every gap must be an integer multiple of
-    it; otherwise each gap uses the largest step <= dt_base that divides it.
-    `times` has passed _checked_run; a time beyond T is refused here.
+    dt_base is the largest step; each gap takes the fewest equal steps no
+    longer than it.  `times` has passed _checked_run; a time beyond T is
+    refused here.
     Refuses, before any step is counted out, a dt that needs more than
     _MAX_FD_STEPS steps to reach the last snapshot.
     """
@@ -720,22 +720,9 @@ def _snapshot_segments(times, dt_base, T, strict):
             f"more than the limit of {_MAX_FD_STEPS}; retry with "
             f"dt >= {2.0 * end / _MAX_FD_STEPS:.6g}")
     segments = []
-    prev = 0.0
-    for target in times:
-        gap = float(target - prev)
-        if gap == 0.0:
-            segments.append((0, dt_base))
-        elif strict:
-            steps = int(round(gap / dt_base))
-            if steps < 1 or abs(steps * dt_base - gap) > 1e-9 * max(1.0, float(times[-1])):
-                raise SolverError(
-                    f"snapshot gap {gap:.6g} is not an integer multiple of dt = {dt_base:.6g}"
-                )
-            segments.append((steps, dt_base))
-        else:
-            steps = max(1, int(np.ceil(gap / dt_base - 1e-12)))
-            segments.append((steps, gap / steps))
-        prev = float(target)
+    for gap in np.diff(times, prepend=0.0).tolist():
+        steps = max(1, int(np.ceil(gap / dt_base - 1e-12))) if gap else 0
+        segments.append((steps, gap / steps if steps else dt_base))
     return times, segments
 
 
@@ -749,7 +736,9 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     allocates no grid-sized array.  Beyond u and the state, the solve holds
     two grid-sized step buffers, the explicit terms and a spare, and a third
     for the 4u of the stencil transport only.  One advance, with its
-    factors, serves every gap taken with its step size.
+    factors, serves every gap taken with its step size.  dt (default: the
+    advective bound, at most T/64) is the largest step; each gap takes the
+    fewest equal steps no longer than it.
     Refuses a run that fails _checked_run (times, grid, coercivity) before
     any work.  Aborts with CFLError (carrying a suggested dt) when the
     advective step bound (_CFL_LIMIT) fails, and with SolverError when the run would take
@@ -785,7 +774,6 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     a_vals = spec.a.evaluate(grid)
 
     max_speed = float(np.max(sum(np.abs(w) for w in speeds.values())))
-    strict = dt is not None
     if dt is None:
         advective = _CFL_LIMIT * h / (2.0 * max_speed) if max_speed > 0 else np.inf
         dt = float(min(spec.T / 64.0, advective))
@@ -796,7 +784,7 @@ def solve_fd(spec: ProblemSpec, grid: TorusGrid | None = None, dt: float | None 
     if dt * b0_max > 1.0:
         raise CFLError(dt, dt * b0_max, 1.0, suggested_dt=0.5 / b0_max)
 
-    times, segments = _snapshot_segments(times, dt, spec.T, strict)
+    times, segments = _snapshot_segments(times, dt, spec.T)
 
     # the implicit slab solver, by the number of diffused axes a varies along
     varies = [ax for ax, size in enumerate(np.shape(a_vals)) if size > 1]

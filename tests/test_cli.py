@@ -461,6 +461,20 @@ def test_solve_cfl_abort(tmp_path):
                "--dt", "0.5") == EXIT_NUMERICAL
 
 
+@pytest.mark.parametrize("stage", ["solve", "smoothing"])
+def test_cfl_refusal_names_a_dt_that_passes(tmp_path, capsys, stage):
+    # the named dt divides no snapshot gap: --dt is the largest step, and each
+    # gap takes the fewest equal steps no longer than it
+    for spec, grid in (("fokkerplanck", "8"), ("brownian-inertia", "16"),
+                       ("kolmogorov-general", "8")):
+        flags = ("--spec", spec, "--grid", grid, "--tgrid", "9")
+        assert run(stage, *flags, "--dt", "0.5", "--out", str(tmp_path / "refused")) \
+            == EXIT_NUMERICAL
+        message = capsys.readouterr().err
+        dt = message.rsplit("retry with dt <= ", 1)[1].strip()
+        assert run(stage, *flags, "--dt", dt, "--out", str(tmp_path / spec)) == EXIT_OK, dt
+
+
 def test_results_that_overflow_abort_before_writing(tmp_path):
     # frequencies up to 4/L = 4e80: <xi>^4 in the residual's H^2 norm and the
     # order-4 derivative weights overflow, so the results would be nan

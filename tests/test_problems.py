@@ -375,6 +375,11 @@ def test_blocks_must_match_drift():
     doc["B"][0][2] = "5"  # tamper: no longer the assembled cascade
     with pytest.raises(ProblemSpecError):
         ProblemSpec.from_json_dict(doc)
+    # the first block's rows are the diffused axes: m0 must be its size, 2
+    doc = load_builtin("lp-block").to_json_dict()
+    for m0 in (1, 3):
+        with pytest.raises(ProblemSpecError, match="m0 = "):
+            ProblemSpec.from_json_dict(dict(doc, m0=m0, b=doc["b"][:1] * m0))
 
 
 def test_blocks_assemble_drift_when_B_omitted():

@@ -367,9 +367,9 @@ def _random_speeds(rng, shape):
 
     Full-shape speeds with zeros (both boxes span the grid); compact random
     speeds with zeros (boxes that overlap); monotone ramps whose boxes are
-    cut along a later axis than their own, along the axis just before it,
-    along two earlier ones and along their own; constant speeds of both
-    signs.
+    cut along other axes only, so the shift along their own axis runs on a
+    sub-box; constant speeds of both signs next to a ramp along its own
+    axis, whose boxes the shift starts or stops inside.
     """
     full = {}
     for axis in range(len(shape)):
@@ -390,11 +390,33 @@ def _random_speeds(rng, shape):
     return full, rough, ramps, constant
 
 
+def _face_row_speeds(rng, shape):
+    """Speed sets whose sign boxes hold only rows among the two nearest a face.
+
+    Along each axis: positive on the first row, the second or both (the
+    backward branch), negative on the last, the one before or both (the
+    forward branch), and the two together; zero elsewhere.  Each speed
+    varies along its own axis alone, or along every axis.
+    """
+    speeds = []
+    for j, N in enumerate(shape):
+        along = tuple(N if ax == j else 1 for ax in range(len(shape)))
+        for low, high in (([0], []), ([1], []), ([0, 1], []), ([], [N - 1]), ([], [N - 2]),
+                          ([], [N - 2, N - 1]), ([0, 1], [N - 2, N - 1])):
+            profile = np.zeros(N)
+            profile[low] = rng.uniform(0.5, 2.0, len(low))
+            profile[high] = -rng.uniform(0.5, 2.0, len(high))
+            w = profile.reshape(along)
+            speeds += [{j: w}, {j: w * rng.uniform(0.5, 2.0, shape)}]
+    return speeds
+
+
 def test_upwind_stencil_equals_roll_reference():
     # same operations in the same order as the rolled-copy reference, so the
     # values must be equal, not close, on every axis and both sign branches,
     # for speeds that vary along every axis and for speeds that vary along
-    # some (the flat shifts along merged axes, re-formed at the faces)
+    # some (each box's neighbour terms shifted along its own axis, the two
+    # rows nearest the face formed apart)
     rng = np.random.default_rng(7)
     u = rng.standard_normal((6, 7, 8))
     h = 0.37
@@ -406,6 +428,15 @@ def test_upwind_stencil_equals_roll_reference():
             for axis, w in speeds.items():  # one axis at a time
                 assert np.array_equal(_explicit_transport(u, {axis: w}, h),
                                       _centre_neighbour_reference(u, {axis: w}, h))
+    # boxes that hold only rows nearest a face take no shift: on N = 4 grids
+    # and on 1-D ones
+    for shape in ((4,), (7,), (4, 4), (4, 5, 4)):
+        u = rng.standard_normal(shape)
+        for speeds in _face_row_speeds(rng, shape):
+            _, boxes = _upwind.stencil_plan(speeds, None, h, shape)
+            assert all(inner is None for _, _, inner, _ in boxes)
+            assert np.array_equal(_explicit_transport(u, speeds, h),
+                                  _centre_neighbour_reference(u, speeds, h))
 
 
 def _one_other_axis_speeds(rng, shape):
@@ -686,7 +717,7 @@ def test_fd_slab_batching_consistent():
             sol = solve_fd(spec, grid, dt=dt, times=times)
             assert sol.diagnostics["slab_solver"] == slab_solver
             if slab_solver == "sine-adi":
-                ref = _grid_loop_reference(sol, spec, _splu_adi_solver, strict=True)[-1]
+                ref = _grid_loop_reference(sol, spec, _splu_adi_solver)[-1]
                 got = sol.fields.values[-1]
                 assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref), (name, a)
             return sol.final
@@ -879,7 +910,7 @@ def _sine_division_solver(a_vals, m0, h, spare):
     return implicit_solver
 
 
-def _grid_loop_reference(sol, spec, slab_solver, strict=False):
+def _grid_loop_reference(sol, spec, slab_solver):
     """Reference: the FD step loop on grid values, replaying sol's times and dt.
 
     Each step forms dt (a lap u + E(u)) with the sparse slab Laplacian
@@ -899,7 +930,7 @@ def _grid_loop_reference(sol, spec, slab_solver, strict=False):
     implicit_solver = slab_solver(a_vals, m0, h, spare)
     u = np.array(np.broadcast_to(spec.u0.evaluate(grid), grid.shape), dtype=float)
     values = []
-    for steps, step_dt in _snapshot_segments(sol.times, sol.diagnostics["dt"], spec.T, strict)[1]:
+    for steps, step_dt in _snapshot_segments(sol.times, sol.diagnostics["dt"], spec.T)[1]:
         solve = implicit_solver(step_dt) if steps else None
         for _ in range(steps):
             rhs = (lap @ u.reshape(columns)).reshape(grid.shape)
@@ -937,7 +968,7 @@ def test_dst_coordinate_steps_equal_the_grid_loop():
     dt = 0.25 / 64
     sol = solve_fd(spec, spec.default_grid(N=6), dt=dt, times=[0.0, 4 * dt, 8 * dt])
     assert sol.diagnostics["slab_solver"] == "sine-adi"
-    lu = _grid_loop_reference(sol, spec, _splu_adi_solver, strict=True)
+    lu = _grid_loop_reference(sol, spec, _splu_adi_solver)
     for got, ref in zip(sol.fields.values, lu, strict=True):
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
@@ -968,7 +999,7 @@ def test_step_sizes_a_b_a_reuse_one_advance_each(monkeypatch):
         sol = solve_fd(spec, spec.default_grid(N=N), times=times)
         assert sol.diagnostics["slab_solver"] == slab_solver
         steps = [step_dt for n_steps, step_dt in _snapshot_segments(
-            times, sol.diagnostics["dt"], spec.T, False)[1] if n_steps]
+            times, sol.diagnostics["dt"], spec.T)[1] if n_steps]
         assert len(steps) == 3 and steps[0] == steps[2] != steps[1], slab_solver
         assert built == steps[:2], slab_solver
         want = _grid_loop_reference(sol, spec, reference)
@@ -993,7 +1024,7 @@ def test_slab_steps_are_second_order_and_stable_at_a_step_of_t(a, sweeps):
     fine = solve_fd(spec, grid, dt=T / 512, times=[0.0, T])
     assert fine.diagnostics["slab_solver"] == ("sine", "sine-tridiagonal", "sine-adi")[len(sweeps)]
     assert fine.diagnostics["slab_sweeps"] == sweeps
-    ref = _grid_loop_reference(fine, spec, _splu_slab_solver, strict=True)[-1]
+    ref = _grid_loop_reference(fine, spec, _splu_slab_solver)[-1]
     errors = [np.linalg.norm(solve_fd(spec, grid, dt=T / k, times=[0.0, T]).fields.values[-1]
                              - ref) / np.linalg.norm(ref) for k in (4, 8, 16)]
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
@@ -1079,8 +1110,8 @@ def test_derivative_matrices_equal_the_fft_pairs(N, n):
 def test_fd_snapshot_schedule_validation():
     spec = load_builtin("kolmogorov2d")
     grid = TorusGrid(2, 16, 4.0)
-    with pytest.raises(SolverError, match="multiple"):
-        solve_fd(spec, grid, dt=0.01, times=[0.0, 0.015])
+    # dt is the largest step: the gap 0.015 takes the fewest equal steps no longer than it
+    assert solve_fd(spec, grid, dt=0.01, times=[0.0, 0.015]).diagnostics["steps"] == 2
     with pytest.raises(SolverError, match="increasing"):
         solve_fd(spec, grid, dt=0.01, times=[0.1, 0.1])
     with pytest.raises(SolverError):
@@ -1975,12 +2006,12 @@ def test_step_count_guard_refuses_up_front_and_names_a_dt_that_passes():
     with pytest.raises(SolverError, match="limit") as err:
         solve_fd(spec, grid, dt=1e-9, times=times)
     suggested = float(re.search(r"dt >= (\S+)$", str(err.value)).group(1))
-    _, segments = _snapshot_segments(times, suggested, spec.T, True)
+    _, segments = _snapshot_segments(times, suggested, spec.T)
     assert sum(steps for steps, _ in segments) <= _MAX_FD_STEPS
     # a subnormal, zero or nan step is refused the same way, not by an overflow
     for dt in (5e-324, 0.0, float("nan")):
         with pytest.raises(SolverError, match="limit"):
-            _snapshot_segments(times, dt, spec.T, True)
+            _snapshot_segments(times, dt, spec.T)
 
 
 def test_transport_speeds_never_hold_a_full_grid():
@@ -2034,6 +2065,11 @@ def test_benchmark_step_rule_matches_solver(name, monkeypatch):
     fd_steps = _benchmark_fd_steps()
     spec = load_builtin(name)
     grid = spec.default_grid(N=6)
-    for times in (None, [0.0, 0.1 * spec.T, 0.55 * spec.T, spec.T]):
-        sol = solve_fd(spec, grid, times=times)
-        assert fd_steps(sol.times, sol.diagnostics["dt"]) == sol.diagnostics["steps"], times
+    with pytest.raises(CFLError) as info:
+        solve_fd(spec, grid, dt=spec.T)
+    # explicit steps that divide no gap: the CFL suggestion and a fraction of it
+    for dt in (None, info.value.suggested_dt, 0.37 * info.value.suggested_dt):
+        for times in (None, [0.0, 0.1 * spec.T, 0.55 * spec.T, spec.T]):
+            sol = solve_fd(spec, grid, dt=dt, times=times)
+            assert fd_steps(sol.times, sol.diagnostics["dt"]) == sol.diagnostics["steps"], \
+                (dt, times)
